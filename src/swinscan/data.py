@@ -1,8 +1,8 @@
 """Image ingestion and dataset plumbing.
 
 PNM (P2/P3/P5/P6) decoding and encoding, bilinear resizing to the
-64 px model resolution, per-channel normalization, light augmentation,
-deterministic stratified train/test splitting, and batching.
+64 px model resolution, normalization, and batching.  Train and test
+sets come as separate manifests.
 
 Sample images are kept in [0, 1]; normalization is applied by whoever
 feeds the model (trainer, predictor) so raw pixels stay inspectable.
@@ -10,7 +10,7 @@ feeds the model (trainer, predictor) so raw pixels stay inspectable.
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,11 @@ from .errors import (
     LabelError,
     PnmError,
 )
+
+TARGET_SIZE = 64  # model input side, px
+# every channel: (value - IMAGE_MEAN) / IMAGE_STD maps [0, 1] to [-1, 1]
+IMAGE_MEAN = 0.5
+IMAGE_STD = 0.5
 
 TASK_DETECT = "detect"
 TASK_CLASSIFY = "classify"
@@ -92,12 +97,6 @@ class DatasetManifest:
         for e in self.entries:
             label_for(e.task, e.class_name)  # validates both fields
 
-    def class_counts(self) -> dict:
-        counts = {}
-        for e in self.entries:
-            counts[e.class_name] = counts.get(e.class_name, 0) + 1
-        return counts
-
     def resolve(self, entry: ManifestEntry) -> str:
         return os.path.join(self.base_dir, entry.path)
 
@@ -129,25 +128,6 @@ def save_manifest(manifest: DatasetManifest, path: str) -> None:
         writer.writerow(["path", "task", "class"])
         for e in manifest.entries:
             writer.writerow([e.path, e.task, e.class_name])
-
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    resample: str = "bilinear"
-    image_mean: tuple = (0.5, 0.5, 0.5)
-    image_std: tuple = (0.5, 0.5, 0.5)
-    target_size: int = 64
-
-    def __post_init__(self):
-        if self.resample != "bilinear":
-            raise ConfigurationError(f"unsupported resample mode {self.resample!r}")
-        if any(s <= 0 for s in self.image_std):
-            raise ConfigurationError("image_std entries must be positive")
-        if self.target_size != 64:
-            raise ConfigurationError("target_size is fixed at 64")
-
-
-DEFAULT_PREPROCESS = PreprocessConfig()
 
 
 @dataclass
@@ -310,66 +290,9 @@ def resize_bilinear(image: np.ndarray, target_size) -> np.ndarray:
     return rows[:, :, lo0] * (1.0 - t)[None, None, :] + rows[:, :, lo1] * t[None, None, :]
 
 
-def _channel_shape(image: np.ndarray, values) -> np.ndarray:
-    # works for one 3xHxW image or a bx3xHxW batch
-    shape = (3, 1, 1) if image.ndim == 3 else (1, 3, 1, 1)
-    return np.asarray(values, dtype=np.float64).reshape(shape)
-
-
-def normalize(image: np.ndarray, config: PreprocessConfig = DEFAULT_PREPROCESS) -> np.ndarray:
-    """Per channel: (value - image_mean) / image_std."""
-    image = np.asarray(image, dtype=np.float64)
-    mean = _channel_shape(image, config.image_mean)
-    std = _channel_shape(image, config.image_std)
-    return (image - mean) / std
-
-
-def denormalize(image: np.ndarray, config: PreprocessConfig = DEFAULT_PREPROCESS) -> np.ndarray:
-    image = np.asarray(image, dtype=np.float64)
-    mean = _channel_shape(image, config.image_mean)
-    std = _channel_shape(image, config.image_std)
-    return image * std + mean
-
-
-def augment(sample: Sample, rng) -> Sample:
-    """Horizontal flip (p=0.5), uniform right-angle rotation, then a
-    4 px reflective pad followed by a center crop back to the input
-    extents.  The label never changes; both rng draws always happen so
-    output depends only on the rng state."""
-    img = sample.image
-    flip = rng.random() < 0.5
-    quarter_turns = int(rng.integers(4))
-    if flip:
-        img = img[:, :, ::-1]
-    img = np.rot90(img, quarter_turns, axes=(1, 2))
-    _, h, w = img.shape
-    padded = np.pad(img, ((0, 0), (4, 4), (4, 4)), mode="reflect")
-    top = (padded.shape[1] - h) // 2
-    left = (padded.shape[2] - w) // 2
-    img = padded[:, top : top + h, left : left + w]
-    return Sample(np.ascontiguousarray(img), sample.label, sample.source_path, sample.task)
-
-
-def split_train_test(manifest: DatasetManifest, seed: int):
-    """Stratified 90/10 split, floor(0.9 n) per class to train.
-
-    Deterministic for a given seed; classes are shuffled independently
-    in sorted class-name order.
-    """
-    if not manifest.entries:
-        raise EmptyInputError("cannot split an empty manifest")
-    rng = np.random.default_rng(seed)
-    groups = {}
-    for e in manifest.entries:
-        groups.setdefault(e.class_name, []).append(e)
-    train, test = [], []
-    for name in sorted(groups):
-        entries = groups[name]
-        order = rng.permutation(len(entries))
-        cut = (9 * len(entries)) // 10
-        train.extend(entries[i] for i in order[:cut])
-        test.extend(entries[i] for i in order[cut:])
-    return train, test
+def normalize(image: np.ndarray) -> np.ndarray:
+    """(value - IMAGE_MEAN) / IMAGE_STD, for one image or a batch."""
+    return (np.asarray(image, dtype=np.float64) - IMAGE_MEAN) / IMAGE_STD
 
 
 def make_batches(samples, batch_size: int = 32, rng=None):
@@ -394,8 +317,7 @@ def make_batches(samples, batch_size: int = 32, rng=None):
 # dataset assembly
 
 
-def load_sample(manifest: DatasetManifest, entry: ManifestEntry,
-                config: PreprocessConfig = DEFAULT_PREPROCESS) -> Sample:
+def load_sample(manifest: DatasetManifest, entry: ManifestEntry) -> Sample:
     path = manifest.resolve(entry)
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -403,28 +325,13 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry,
         image = load_pnm(raw)
     except PnmError as exc:
         raise PnmError(f"{path}: {exc}", offset=exc.offset) from exc
-    image = np.clip(resize_bilinear(image, config.target_size), 0.0, 1.0)
+    image = np.clip(resize_bilinear(image, TARGET_SIZE), 0.0, 1.0)
     return Sample(image, label_for(entry.task, entry.class_name), entry.path, entry.task)
 
 
-def load_dataset(manifest: DatasetManifest, entries=None,
-                 config: PreprocessConfig = DEFAULT_PREPROCESS):
+def load_dataset(manifest: DatasetManifest, entries=None):
     """Load (a subset of) a manifest into preprocessed Samples."""
     if entries is None:
         entries = manifest.entries
-    return [load_sample(manifest, e, config) for e in entries]
+    return [load_sample(manifest, e) for e in entries]
 
-
-def augment_dataset(samples, copies: int, seed: int):
-    """Originals plus `copies` augmented variants of each sample.
-
-    Each variant gets its own rng stream derived from (seed, sample
-    index, copy index), so workers could process samples in parallel
-    without sharing rng state.
-    """
-    out = list(samples)
-    for copy in range(copies):
-        for idx, sample in enumerate(samples):
-            rng = np.random.default_rng([seed, copy, idx])
-            out.append(augment(sample, rng))
-    return out

@@ -2,7 +2,7 @@
 
 
 class SwinscanError(Exception):
-    """Base class forErrors raised by this package."""
+    """Base class for errors raised by this package."""
 
 
 class DimensionError(SwinscanError, ValueError):

@@ -12,7 +12,7 @@ Conventions, fixed once here:
   is used everywhere here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ContractError, InputError
 

@@ -11,7 +11,7 @@ Weight files use the "SWNW" container described next to
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,9 +79,6 @@ class SwinConfig:
 
     def stage_dim(self, stage: int) -> int:
         return self.embed_dim * (2 ** stage)
-
-    def stage_grid(self, stage: int) -> int:
-        return self.grid_size // (2 ** stage)
 
 
 def default_config(num_classes: int) -> SwinConfig:
@@ -198,9 +195,6 @@ class ModelWeights:
     def __getitem__(self, path: str) -> T.Tensor:
         return self._params[path]
 
-    def __contains__(self, path: str) -> bool:
-        return path in self._params
-
     def paths(self):
         return list(self._params)
 
@@ -232,16 +226,12 @@ class MacCounter:
         self.macs += int(n)
 
 
-def patch_embed(image: np.ndarray, weights: ModelWeights) -> T.Tensor:
+def patch_embed(images: np.ndarray, weights: ModelWeights) -> T.Tensor:
     """Flatten non-overlapping patches and project them linearly.
 
-    Returns one token per patch, row-major over the patch grid.
+    (B, C, H, W) images -> (B, num_patches, embed_dim): one token per
+    patch, row-major over the patch grid.
     """
-    tokens = _patch_embed_batch(np.asarray(image, dtype=np.float64)[None], weights)
-    return T.reshape(tokens, tokens.shape[1:])
-
-
-def _patch_embed_batch(images: np.ndarray, weights: ModelWeights) -> T.Tensor:
     config = weights.config
     b, c, h, w = images.shape
     if c != config.in_channels:
@@ -260,18 +250,12 @@ def _patch_embed_batch(images: np.ndarray, weights: ModelWeights) -> T.Tensor:
 
 
 def window_partition(tokens: T.Tensor, window_size: int) -> T.Tensor:
-    """Split an H x W x C token grid into windows.
+    """Split a (B, H, W, C) token grid into windows.
 
     The result stacks windows along the first axis, shape
-    (num_windows, window_size**2, C): windows in row-major grid order,
-    tokens row-major within each window.
+    (B * num_windows, window_size**2, C): images in batch order, windows
+    in row-major grid order, tokens row-major within each window.
     """
-    h, w, c = tokens.shape
-    x = T.reshape(tokens, (1, h, w, c))
-    return _window_partition_batch(x, window_size)
-
-
-def _window_partition_batch(tokens: T.Tensor, window_size: int) -> T.Tensor:
     b, h, w, c = tokens.shape
     if h % window_size != 0 or w % window_size != 0:
         raise ConfigurationError(
@@ -283,19 +267,13 @@ def _window_partition_batch(tokens: T.Tensor, window_size: int) -> T.Tensor:
     return T.reshape(x, (b * hw * ww, window_size * window_size, c))
 
 
-def window_reverse(windows: T.Tensor, h: int, w: int, window_size: int) -> T.Tensor:
-    """Exact inverse of :func:`window_partition` for one grid."""
+def window_reverse(windows: T.Tensor, b: int, h: int, w: int, window_size: int) -> T.Tensor:
+    """Exact inverse of :func:`window_partition`: windows -> (B, H, W, C)."""
     n_win, n_tok, c = windows.shape
-    if n_win * n_tok != h * w or n_tok != window_size ** 2:
+    if n_win * n_tok != b * h * w or n_tok != window_size ** 2:
         raise DimensionError(
-            f"{n_win} windows of {n_tok} tokens cannot tile a {h}x{w} grid"
+            f"{n_win} windows of {n_tok} tokens cannot tile {b} grids of {h}x{w}"
         )
-    x = _window_reverse_batch(windows, 1, h, w, window_size)
-    return T.reshape(x, (h, w, c))
-
-
-def _window_reverse_batch(windows: T.Tensor, b: int, h: int, w: int, window_size: int) -> T.Tensor:
-    c = windows.shape[-1]
     hw, ww = h // window_size, w // window_size
     x = T.reshape(windows, (b, hw, ww, window_size, window_size, c))
     x = T.permute(x, (0, 1, 3, 2, 4, 5))
@@ -418,15 +396,8 @@ def merge_neighborhoods(tokens: T.Tensor) -> T.Tensor:
     """Concatenate each 2x2 neighborhood into one 4C token.
 
     Channel slot order is fixed: top-left, bottom-left, top-right,
-    bottom-right.  Shape (H, W, C) -> (H/2, W/2, 4C).
+    bottom-right.  Shape (B, H, W, C) -> (B, H/2, W/2, 4C).
     """
-    h, w, c = tokens.shape
-    x = T.reshape(tokens, (1, h, w, c))
-    x = _merge_neighborhoods_batch(x)
-    return T.reshape(x, (h // 2, w // 2, 4 * c))
-
-
-def _merge_neighborhoods_batch(tokens: T.Tensor) -> T.Tensor:
     b, h, w, c = tokens.shape
     if h % 2 != 0 or w % 2 != 0:
         raise ConfigurationError(f"grid {h}x{w} has an odd extent, cannot merge 2x2")
@@ -437,15 +408,9 @@ def _merge_neighborhoods_batch(tokens: T.Tensor) -> T.Tensor:
 
 
 def patch_merging(tokens: T.Tensor, weights: dict) -> T.Tensor:
-    """Downsample: 2x2 concatenation, norm, then linear 4C -> 2C."""
-    h, w, c = tokens.shape
-    x = T.reshape(tokens, (1, h, w, c))
-    x = _patch_merging_batch(x, weights)
-    return T.reshape(x, (h // 2, w // 2, 2 * c))
-
-
-def _patch_merging_batch(tokens: T.Tensor, weights: dict) -> T.Tensor:
-    x = _merge_neighborhoods_batch(tokens)
+    """Downsample (B, H, W, C) -> (B, H/2, W/2, 2C): 2x2 concatenation,
+    norm, then linear 4C -> 2C."""
+    x = merge_neighborhoods(tokens)
     x = T.layer_norm(x, weights["norm.gamma"], weights["norm.beta"])
     return T.matmul(x, weights["reduce.weight"])
 
@@ -466,12 +431,12 @@ def _block(x, weights, prefix, heads, window_size, shift, counter):
         mask = np.tile(mask, (b, 1, 1))
     else:
         mask = None
-    windows = _window_partition_batch(x, window_size)
+    windows = window_partition(x, window_size)
     attn_w = {key[5:]: t for key, t in p.items() if key.startswith("attn.")}
     windows = window_attention(
         windows, attn_w, p["attn.bias_table"], heads, mask=mask, counter=counter
     )
-    x = _window_reverse_batch(windows, b, h, w, window_size)
+    x = window_reverse(windows, b, h, w, window_size)
     if shift:
         x = cyclic_shift(x, -shift, -shift)
     x = T.add(shortcut, x)
@@ -490,7 +455,7 @@ def forward_batch(
         raise ConfigurationError("weights were built for a different config")
     images = np.asarray(images, dtype=np.float64)
     b = images.shape[0]
-    tokens = _patch_embed_batch(images, weights)
+    tokens = patch_embed(images, weights)
     g = config.grid_size
     x = T.reshape(tokens, (b, g, g, config.embed_dim))
 
@@ -507,7 +472,7 @@ def forward_batch(
                 counter,
             )
         if s + 1 < len(config.depths):
-            x = _patch_merging_batch(x, weights.subset(f"merge{s}."))
+            x = patch_merging(x, weights.subset(f"merge{s}."))
 
     _, h, w, c = x.shape
     x = T.reshape(x, (b, h * w, c))

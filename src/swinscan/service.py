@@ -48,12 +48,15 @@ __all__ = [
     "build_report", "canonical_json", "write_pdf", "parse_pdf", "PdfInfo",
     "render_history_plot", "render_comparison_plot", "load_schema",
     "create_server", "default_clock", "file_digest", "main", "entry",
-    "MAX_REQUEST_BYTES", "DISCLAIMER",
+    "MAX_REQUEST_BYTES", "MAX_PIXEL_SPACING_MM", "DISCLAIMER",
 ]
 
 REPORT_VERSION = "1"
 VALID_TASKS = ("detect", "classify", "full")
 MAX_REQUEST_BYTES = 8 * 1024 * 1024
+# largest accepted pixel spacing; keeps area_px * spacing**2 finite for
+# any image the request cap admits
+MAX_PIXEL_SPACING_MM = 1000.0
 DEFAULT_PORT = 8000
 DISCLAIMER = (
     "Research prototype. Not a medical device; findings require review "
@@ -101,7 +104,7 @@ def parse_request(body: bytes) -> PredictRequest:
         )
     try:
         obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # also bad UTF-8 and over-long integers
         raise RequestError(400, "bad_json", f"request is not valid JSON: {exc}")
     if not isinstance(obj, dict):
         raise RequestError(400, "bad_json", "request body must be a JSON object")
@@ -126,9 +129,13 @@ def parse_request(body: bytes) -> PredictRequest:
 
     spacing = obj.get("pixel_spacing_mm")
     if spacing is not None:
-        if not isinstance(spacing, (int, float)) or isinstance(spacing, bool) or spacing <= 0:
+        # the chained comparison also rejects NaN and infinities
+        if (not isinstance(spacing, (int, float)) or isinstance(spacing, bool)
+                or not 0 < spacing <= MAX_PIXEL_SPACING_MM):
             raise RequestError(
-                400, "bad_spacing", f"pixel_spacing_mm must be a positive number, got {spacing!r}"
+                400, "bad_spacing",
+                f"pixel_spacing_mm must be a number in (0, {MAX_PIXEL_SPACING_MM:g}], "
+                f"got {spacing!r}",
             )
         spacing = float(spacing)
 
@@ -752,6 +759,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_body(self):
         try:
             length = int(self.headers.get("Content-Length", "0") or "0")
+            if length < 0:
+                raise ValueError(length)
         except ValueError:
             self._send_error_json(400, "bad_request", "invalid Content-Length", close=True)
             return None
@@ -844,7 +853,7 @@ def _cmd_train(args) -> int:
     classes = len(D.classes_for_task(args.task))
     weights = M.ModelWeights.init(M.default_config(classes), seed=args.seed)
     weights, history = TR.train(weights, samples, config)
-    TR.save_weights(args.out, weights)
+    M.save_weights(args.out, weights)
     if args.log:
         TR.log_epoch_metrics(history, args.log)
     print(json.dumps({"weights": args.out, "final_epoch": asdict(history[-1])}))
@@ -852,7 +861,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    weights = TR.load_weights(args.weights)
+    weights = M.load_weights(args.weights)
     task = D.TASK_DETECT if weights.config.num_classes == 2 else D.TASK_CLASSIFY
     samples = _task_samples(args.manifest, task)
     _, report = TR.evaluate(weights, samples)

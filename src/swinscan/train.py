@@ -18,14 +18,20 @@ from .errors import (
     ConfigurationError,
     DivergedTrainingError,
     EmptyInputError,
+    InputError,
     NonFiniteError,
 )
-from .model import load_weights, save_weights  # re-exported trainer API
 
 __all__ = [
     "TrainConfig", "EpochMetrics", "AdamW", "train", "evaluate",
-    "log_epoch_metrics", "save_weights", "load_weights",
+    "log_epoch_metrics",
 ]
+
+# AdamW moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+EVAL_CHUNK = 32  # images per forward pass in predict_labels
 
 
 @dataclass(frozen=True)
@@ -35,9 +41,6 @@ class TrainConfig:
     learning_rate: float = 3e-4
     weight_decay: float = 0.01
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -46,10 +49,6 @@ class TrainConfig:
             raise ConfigurationError("learning_rate must be positive")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigurationError("betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ConfigurationError("eps must be positive")
 
 
 @dataclass
@@ -81,20 +80,20 @@ class AdamW:
     def step(self):
         c = self.config
         self.t += 1
-        bc1 = 1.0 - c.beta1 ** self.t
-        bc2 = 1.0 - c.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         # overflow surfaces as a non-finite loss on the next forward pass
         with np.errstate(over="ignore", invalid="ignore"):
             for i, p in enumerate(self.params):
                 g = p.grad
                 if g is None:
                     continue
-                self._m[i] = c.beta1 * self._m[i] + (1.0 - c.beta1) * g
-                self._v[i] = c.beta2 * self._v[i] + (1.0 - c.beta2) * g * g
+                self._m[i] = BETA1 * self._m[i] + (1.0 - BETA1) * g
+                self._v[i] = BETA2 * self._v[i] + (1.0 - BETA2) * g * g
                 m_hat = self._m[i] / bc1
                 v_hat = self._v[i] / bc2
                 p.data = p.data - c.learning_rate * (
-                    m_hat / (np.sqrt(v_hat) + c.eps) + c.weight_decay * p.data
+                    m_hat / (np.sqrt(v_hat) + EPS) + c.weight_decay * p.data
                 )
 
     def zero_grads(self):
@@ -116,13 +115,7 @@ def _check_task(weights: M.ModelWeights, samples):
     return task
 
 
-def train(
-    weights: M.ModelWeights,
-    samples,
-    config: TrainConfig,
-    eval_samples=None,
-    preprocess: D.PreprocessConfig = D.DEFAULT_PREPROCESS,
-):
+def train(weights: M.ModelWeights, samples, config: TrainConfig, eval_samples=None):
     """Optimize weights in place; returns (weights, history).
 
     Per-epoch metrics are computed on eval_samples when given, else on
@@ -142,7 +135,7 @@ def train(
         for batch in batches:
             global_step += 1
             opt.zero_grads()
-            images = D.normalize(batch.images, preprocess)
+            images = D.normalize(batch.images)
             try:
                 with T.Tape() as tape:
                     logits = M.forward_batch(images, weights.config, weights)
@@ -152,7 +145,7 @@ def train(
                 raise DivergedTrainingError(global_step, str(exc)) from exc
             losses.append(loss.item())
             opt.step()
-        _, report = evaluate(weights, eval_samples or samples, preprocess=preprocess)
+        _, report = evaluate(weights, eval_samples or samples)
         history.append(
             EpochMetrics(
                 epoch=epoch,
@@ -172,21 +165,18 @@ def _defined(rate) -> float:
     return 0.0 if rate is None else float(rate)
 
 
-def predict_labels(weights: M.ModelWeights, samples,
-                   preprocess: D.PreprocessConfig = D.DEFAULT_PREPROCESS,
-                   chunk: int = 32):
+def predict_labels(weights: M.ModelWeights, samples):
     """Argmax class ids for samples, in order."""
     out = []
-    for at in range(0, len(samples), chunk):
-        part = samples[at : at + chunk]
-        images = np.stack([D.normalize(s.image, preprocess) for s in part])
+    for at in range(0, len(samples), EVAL_CHUNK):
+        part = samples[at : at + EVAL_CHUNK]
+        images = D.normalize(np.stack([s.image for s in part]))
         logits = M.forward_batch(images, weights.config, weights)
         out.extend(int(i) for i in np.argmax(logits.data, axis=1))
     return out
 
 
-def evaluate(weights, samples, predict_fn=None,
-             preprocess: D.PreprocessConfig = D.DEFAULT_PREPROCESS):
+def evaluate(weights, samples, predict_fn=None):
     """Confusion matrix plus the nine-measure report over samples.
 
     predict_fn overrides the model: it maps a Sample to a class id
@@ -200,10 +190,13 @@ def evaluate(weights, samples, predict_fn=None,
         predicted = [int(predict_fn(s)) for s in samples]
     else:
         _check_task(weights, samples)
-        predicted = predict_labels(weights, samples, preprocess)
+        predicted = predict_labels(weights, samples)
     actual = [s.label for s in samples]
     cm = MX.confusion_from_predictions(actual, predicted, k)
     return cm, MX.report_from_confusion(cm)
+
+
+_CSV_HEADER = "epoch,steps,mean_loss,accuracy,precision,recall,f1"
 
 
 def log_epoch_metrics(history, path: str) -> None:
@@ -211,7 +204,7 @@ def log_epoch_metrics(history, path: str) -> None:
     parse-back stays within 1e-9 of the originals."""
     if not history:
         raise EmptyInputError("no epochs to log")
-    lines = ["epoch,steps,mean_loss,accuracy,precision,recall,f1"]
+    lines = [_CSV_HEADER]
     for em in history:
         lines.append(
             f"{em.epoch},{em.steps},{em.mean_loss:.9f},{em.accuracy:.9f},"
@@ -222,23 +215,23 @@ def log_epoch_metrics(history, path: str) -> None:
 
 
 def read_epoch_metrics(path: str):
-    """Parse a CSV written by log_epoch_metrics."""
+    """Parse a CSV written by log_epoch_metrics.
+
+    A malformed row raises InputError naming the file and line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines or lines[0] != "epoch,steps,mean_loss,accuracy,precision,recall,f1":
+        rows = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), start=1) if ln]
+    if not rows or rows[0][1] != _CSV_HEADER:
         raise EmptyInputError(f"{path} is not an epoch metrics CSV")
     history = []
-    for ln in lines[1:]:
+    for line_no, ln in rows[1:]:
         parts = ln.split(",")
-        history.append(
-            EpochMetrics(
-                epoch=int(parts[0]),
-                steps=int(parts[1]),
-                mean_loss=float(parts[2]),
-                accuracy=float(parts[3]),
-                precision=float(parts[4]),
-                recall=float(parts[5]),
-                f1=float(parts[6]),
+        try:
+            if len(parts) != 7:
+                raise ValueError(f"expected 7 fields, got {len(parts)}")
+            history.append(
+                EpochMetrics(int(parts[0]), int(parts[1]), *(float(v) for v in parts[2:]))
             )
-        )
+        except ValueError as exc:
+            raise InputError(f"{path} line {line_no}: {exc}") from exc
     return history

@@ -46,12 +46,12 @@ def classify_model(classify_samples):
 @pytest.fixture(scope="session")
 def detect_weights_path(detect_model, tmp_path_factory):
     path = tmp_path_factory.mktemp("weights") / "detect.swnw"
-    TR.save_weights(str(path), detect_model[0])
+    M.save_weights(str(path), detect_model[0])
     return str(path)
 
 
 @pytest.fixture(scope="session")
 def classify_weights_path(classify_model, tmp_path_factory):
     path = tmp_path_factory.mktemp("weights") / "classify.swnw"
-    TR.save_weights(str(path), classify_model[0])
+    M.save_weights(str(path), classify_model[0])
     return str(path)

@@ -197,7 +197,7 @@ def test_02_windowed_attention_matches_dense_oracle(capsys):
         c, heads, side = 8, 2, 4
         weights = _attn_weights(rng, c)
         grid = rng.normal(size=(side, side, c))
-        wins = M.window_partition(T.Tensor(grid), side)
+        wins = M.window_partition(T.Tensor(grid[None]), side)
         table = T.Tensor(np.zeros(((2 * side - 1) ** 2, heads)))
         out = M.window_attention(wins, weights, table, num_heads=heads)
         oracle = dense_attention_oracle(
@@ -221,7 +221,7 @@ def test_02_windowed_attention_matches_dense_oracle(capsys):
         weights = _attn_weights(rng, c)
         table = T.Tensor(rng.normal(size=((2 * win - 1) ** 2, heads), scale=0.5))
         mask = M.build_shift_mask(h, w, win, shift)
-        wins = M.window_partition(T.Tensor(grid), win)
+        wins = M.window_partition(T.Tensor(grid[None]), win)
         out = M.window_attention(wins, weights, table, heads, mask=mask).data
         n_side = w // win
         by_region = {}
@@ -251,7 +251,7 @@ def test_03_attention_cost_linear_in_token_count(capsys):
             grid = rng.normal(size=(side, side, c))
             counter = M.MacCounter()
             M.window_attention(
-                M.window_partition(T.Tensor(grid), win),
+                M.window_partition(T.Tensor(grid[None]), win),
                 weights,
                 table,
                 heads,

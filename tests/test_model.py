@@ -57,7 +57,6 @@ class TestConfig:
     def test_defaults_are_consistent(self):
         cfg = M.default_config(2)
         assert cfg.grid_size == 16
-        assert cfg.stage_grid(1) == 8
         assert M.default_config(3).num_classes == 3
 
     def test_indivisible_patch(self):
@@ -110,20 +109,20 @@ class TestWeights:
 class TestPatchEmbed:
     def test_token_count(self):
         w = M.ModelWeights.init(M.default_config(2), seed=1)
-        img = np.zeros((3, 64, 64))
+        img = np.zeros((2, 3, 64, 64))
         tokens = M.patch_embed(img, w)
-        assert tokens.shape == (256, 32)
+        assert tokens.shape == (2, 256, 32)
 
     def test_zero_image_gives_bias(self):
         w = M.ModelWeights.init(M.default_config(2), seed=1)
-        tokens = M.patch_embed(np.zeros((3, 64, 64)), w)
+        tokens = M.patch_embed(np.zeros((1, 3, 64, 64)), w)
         bias = w["patch_embed.proj.bias"].data
         assert np.max(np.abs(tokens.data - bias)) == 0.0
 
     def test_linearity(self):
         w = M.ModelWeights.init(M.default_config(2), seed=1)
         rng = np.random.default_rng(0)
-        img = rng.normal(size=(3, 64, 64))
+        img = rng.normal(size=(1, 3, 64, 64))
         bias = w["patch_embed.proj.bias"].data
         t1 = M.patch_embed(img, w).data - bias
         t2 = M.patch_embed(2.0 * img, w).data - bias
@@ -132,25 +131,25 @@ class TestPatchEmbed:
     def test_wrong_channel_count(self):
         w = M.ModelWeights.init(M.default_config(2), seed=1)
         with pytest.raises(InputError):
-            M.patch_embed(np.zeros((1, 64, 64)), w)
+            M.patch_embed(np.zeros((1, 1, 64, 64)), w)
 
 
 class TestWindowPartition:
     def test_counts(self):
-        x = T.Tensor(np.arange(16 * 16 * 2, dtype=float).reshape(16, 16, 2))
+        x = T.Tensor(np.arange(2 * 16 * 16 * 2, dtype=float).reshape(2, 16, 16, 2))
         wins = M.window_partition(x, 8)
-        assert wins.shape == (4, 64, 2)
+        assert wins.shape == (8, 64, 2)
 
     def test_single_window_keeps_order(self):
-        x = np.arange(4 * 4 * 3, dtype=float).reshape(4, 4, 3)
+        x = np.arange(4 * 4 * 3, dtype=float).reshape(1, 4, 4, 3)
         wins = M.window_partition(T.Tensor(x), 4)
         assert np.array_equal(wins.data, x.reshape(1, 16, 3))
 
     def test_roundtrip_exact(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(8, 8, 4))
+        x = rng.normal(size=(2, 8, 8, 4))
         wins = M.window_partition(T.Tensor(x), 4)
-        back = M.window_reverse(wins, 8, 8, 4)
+        back = M.window_reverse(wins, 2, 8, 8, 4)
         assert np.array_equal(back.data, x)
 
     def test_row_major_window_order(self):
@@ -159,33 +158,33 @@ class TestWindowPartition:
         for wy in range(2):
             for wx in range(2):
                 x[wy * 4 : wy * 4 + 4, wx * 4 : wx * 4 + 4, 0] = 2 * wy + wx
-        wins = M.window_partition(T.Tensor(x), 4).data
+        wins = M.window_partition(T.Tensor(x[None]), 4).data
         for i in range(4):
             assert np.all(wins[i] == i)
 
     def test_indivisible_grid(self):
         with pytest.raises(ConfigurationError):
-            M.window_partition(T.Tensor(np.zeros((6, 6, 1))), 4)
+            M.window_partition(T.Tensor(np.zeros((1, 6, 6, 1))), 4)
 
 
 class TestWindowReverse:
     def test_single_window_identity(self):
         rng = np.random.default_rng(3)
         w = rng.normal(size=(1, 16, 3))
-        out = M.window_reverse(T.Tensor(w), 4, 4, 4)
-        assert np.array_equal(out.data, w.reshape(4, 4, 3))
+        out = M.window_reverse(T.Tensor(w), 1, 4, 4, 4)
+        assert np.array_equal(out.data, w.reshape(1, 4, 4, 3))
 
     def test_order_sensitivity(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(8, 8, 2))
+        x = rng.normal(size=(1, 8, 8, 2))
         wins = M.window_partition(T.Tensor(x), 4).data.copy()
         wins[[0, 1]] = wins[[1, 0]]
-        swapped = M.window_reverse(T.Tensor(wins), 8, 8, 4)
+        swapped = M.window_reverse(T.Tensor(wins), 1, 8, 8, 4)
         assert not np.array_equal(swapped.data, x)
 
     def test_inconsistent_counts(self):
         with pytest.raises(DimensionError):
-            M.window_reverse(T.Tensor(np.zeros((3, 16, 2))), 8, 8, 4)
+            M.window_reverse(T.Tensor(np.zeros((3, 16, 2))), 1, 8, 8, 4)
 
 
 class TestCyclicShift:
@@ -298,7 +297,7 @@ class TestWindowAttention:
         c, heads, side = 8, 2, 4
         weights = _attn_weights(rng, c)
         grid = rng.normal(size=(side, side, c))
-        wins = M.window_partition(T.Tensor(grid), side)
+        wins = M.window_partition(T.Tensor(grid[None]), side)
         table = T.Tensor(np.zeros(((2 * side - 1) ** 2, heads)))
         out = M.window_attention(wins, weights, table, num_heads=heads)
         oracle = dense_attention_oracle(
@@ -342,7 +341,7 @@ class TestWindowAttention:
         weights = _attn_weights(rng, c)
         table = T.Tensor(rng.normal(size=((2 * win - 1) ** 2, heads), scale=0.5))
         mask = M.build_shift_mask(h, w, win, shift)
-        wins = M.window_partition(T.Tensor(grid), win)
+        wins = M.window_partition(T.Tensor(grid[None]), win)
         out = M.window_attention(wins, weights, table, heads, mask=mask).data
         back = np.zeros_like(grid)
         n_side = w // win
@@ -380,7 +379,8 @@ class TestWindowAttention:
             grid = rng.normal(size=(side, side, c))
             counter = M.MacCounter()
             M.window_attention(
-                M.window_partition(T.Tensor(grid), win), weights, table, heads, counter=counter
+                M.window_partition(T.Tensor(grid[None]), win), weights, table, heads,
+                counter=counter,
             )
             macs[side] = counter.macs
         assert macs[32] == 4 * macs[16]
@@ -395,26 +395,26 @@ class TestMerging:
         for r in range(h):
             for col in range(w):
                 grid[r, col, 0] = 10 * (r % 2) + (col % 2)
-        merged = M.merge_neighborhoods(T.Tensor(grid)).data
-        assert merged.shape == (2, 2, 4)
+        merged = M.merge_neighborhoods(T.Tensor(grid[None])).data
+        assert merged.shape == (1, 2, 2, 4)
         for cell in merged.reshape(-1, 4):
             assert np.array_equal(cell, [0.0, 10.0, 1.0, 11.0])
 
     def test_shapes_and_count(self):
         rng = np.random.default_rng(13)
-        grid = T.Tensor(rng.normal(size=(16, 16, 4)))
+        grid = T.Tensor(rng.normal(size=(2, 16, 16, 4)))
         weights = {
             "norm.gamma": T.Tensor(np.ones(16)),
             "norm.beta": T.Tensor(np.zeros(16)),
             "reduce.weight": T.Tensor(rng.normal(size=(16, 8))),
         }
         out = M.patch_merging(grid, weights)
-        assert out.shape == (8, 8, 8)
-        assert out.shape[0] * out.shape[1] == grid.shape[0] * grid.shape[1] // 4
+        assert out.shape == (2, 8, 8, 8)
+        assert out.shape[1] * out.shape[2] == grid.shape[1] * grid.shape[2] // 4
 
     def test_odd_extent(self):
         with pytest.raises(ConfigurationError):
-            M.merge_neighborhoods(T.Tensor(np.zeros((3, 4, 2))))
+            M.merge_neighborhoods(T.Tensor(np.zeros((1, 3, 4, 2))))
 
 
 class TestForward:

@@ -1,5 +1,6 @@
 import base64
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -11,6 +12,7 @@ import pytest
 
 import synth
 from swinscan import data as D
+from swinscan import model as M
 from swinscan import segment as SEG
 from swinscan import service as SV
 from swinscan import train as TR
@@ -100,6 +102,7 @@ class TestParseRequest:
             (b'{"image": 7, "task": "detect"}', "bad_encoding"),
             (b'{"task": "detect"}', "bad_encoding"),
             (b'{"image": "QUJD", "task": "detect"}', "bad_image"),
+            pytest.param(b'{"n": ' + b"1" * 5000 + b"}", "bad_json", id="over-long-integer"),
         ],
     )
     def test_rejects_with_code(self, body, code):
@@ -108,7 +111,11 @@ class TestParseRequest:
         assert exc_info.value.status == 400
         assert exc_info.value.code == code
 
-    @pytest.mark.parametrize("spacing", [0, -1.5, "thin", True])
+    @pytest.mark.parametrize(
+        "spacing",
+        [0, -1.5, "thin", True, float("nan"), float("inf"), 1e200, 1001,
+         pytest.param(10 ** 400, id="10**400")],
+    )
     def test_bad_spacing(self, disk, spacing):
         body = json.dumps(
             {"image": encode_image(disk), "task": "full", "pixel_spacing_mm": spacing}
@@ -116,6 +123,12 @@ class TestParseRequest:
         with pytest.raises(SV.RequestError) as exc_info:
             SV.parse_request(body)
         assert exc_info.value.code == "bad_spacing"
+
+    def test_largest_spacing_accepted(self, disk):
+        req = SV.parse_request(request_body(disk, pixel_spacing_mm=SV.MAX_PIXEL_SPACING_MM))
+        assert req.pixel_spacing_mm == SV.MAX_PIXEL_SPACING_MM
+        schema = SV.load_schema("predict_request.v1")
+        assert schema["properties"]["pixel_spacing_mm"]["maximum"] == SV.MAX_PIXEL_SPACING_MM
 
     def test_non_text_patient_ref(self, disk):
         with pytest.raises(SV.RequestError) as exc_info:
@@ -458,6 +471,26 @@ class TestHttp:
         assert status == 413
         assert json.loads(payload)["error"]["code"] == "payload_too_large"
 
+    @pytest.mark.parametrize("spacing", [float("nan"), float("inf"), 1e200])
+    def test_unusable_spacing_is_400(self, live_server, disk, spacing):
+        body = request_body(disk, pixel_spacing_mm=spacing)
+        status, _, payload = http(f"{live_server}/v1/predict", body)
+        assert status == 400
+        assert json.loads(payload)["error"]["code"] == "bad_spacing"
+
+    def test_negative_content_length_is_400(self, live_server):
+        host, port = live_server.rsplit("/", 1)[1].split(":")
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(b"POST /v1/predict HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Length: -5\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(65536):  # the server closes after replying
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(payload)["error"]["code"] == "bad_request"
+
     def test_request_order_does_not_matter(self, live_server, disk, blank):
         bodies = [request_body(disk), request_body(blank), request_body(disk, task="detect")]
         first = [http(f"{live_server}/v1/predict", b)[2] for b in bodies]
@@ -515,6 +548,15 @@ class TestCli:
         root = ET.parse(out).getroot()
         assert len(root.findall(f".//{SVG_NS}polyline")) == 4
 
+    def test_plot_malformed_history_is_data_error(self, capsys, tmp_path):
+        csv = tmp_path / "epochs.csv"
+        csv.write_text("epoch,steps,mean_loss,accuracy,precision,recall,f1\n1,2,0.5\n")
+        out = tmp_path / "history.svg"
+        assert SV.main(["plot", "--history", str(csv), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{csv} line 2" in err
+        assert not out.exists()
+
     def test_plot_comparison(self, tmp_path):
         out = tmp_path / "cmp.svg"
         assert SV.main(["plot", "--comparison", "--out", str(out)]) == 0
@@ -552,6 +594,22 @@ class TestCli:
         info = SV.parse_pdf(pdf_path.read_bytes())
         assert info.page_count == 2
 
+    @pytest.mark.parametrize("spacing", ["nan", "inf", "1e200"])
+    def test_predict_rejects_unusable_spacing(self, capsys, tmp_path, detect_weights_path,
+                                              classify_weights_path, disk, spacing):
+        image_path = tmp_path / "scan.pnm"
+        image_path.write_bytes(D.write_pnm(disk))
+        code = SV.main([
+            "predict",
+            "--weights-detect", detect_weights_path,
+            "--weights-classify", classify_weights_path,
+            "--image", str(image_path),
+            "--spacing", spacing,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "pixel_spacing_mm" in err
+
     def test_cli_and_service_agree(self, capsys, monkeypatch, tmp_path,
                                    detect_weights_path, classify_weights_path,
                                    service, disk):
@@ -580,7 +638,7 @@ class TestCli:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["final_epoch"]["epoch"] == 1
-        weights = TR.load_weights(str(out))
+        weights = M.load_weights(str(out))
         assert weights.config.num_classes == 2
         assert len(TR.read_epoch_metrics(str(tmp_path / "epochs.csv"))) == 1
 

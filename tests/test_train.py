@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from swinscan.errors import (
     ConfigurationError,
     DivergedTrainingError,
     EmptyInputError,
+    InputError,
 )
 
 
@@ -59,9 +61,6 @@ class TestTrainConfig:
             {"learning_rate": 0.0},
             {"learning_rate": -1e-3},
             {"batch_size": 0},
-            {"beta1": 1.0},
-            {"beta2": -0.1},
-            {"eps": 0.0},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -232,8 +231,8 @@ class TestWeightsRoundTrip:
     def test_trained_weights_survive_save_load(self, detect_model, tmp_path):
         weights, _ = detect_model
         path = tmp_path / "model.swnw"
-        TR.save_weights(str(path), weights)
-        back = TR.load_weights(str(path))
+        M.save_weights(str(path), weights)
+        back = M.load_weights(str(path))
         assert back.config == weights.config
         for name in weights.paths():
             assert back[name].data.tobytes() == weights[name].data.tobytes()
@@ -241,9 +240,9 @@ class TestWeightsRoundTrip:
     def test_expected_config_mismatch_rejected(self, tmp_path):
         weights = M.ModelWeights.init(small_config(), seed=0)
         path = tmp_path / "model.swnw"
-        TR.save_weights(str(path), weights)
+        M.save_weights(str(path), weights)
         with pytest.raises(ConfigurationError):
-            TR.load_weights(str(path), expected_config=M.default_config(2))
+            M.load_weights(str(path), expected_config=M.default_config(2))
 
 
 class TestEpochCsv:
@@ -277,6 +276,14 @@ class TestEpochCsv:
         TR.log_epoch_metrics(self.history(), str(path))
         epochs = [em.epoch for em in TR.read_epoch_metrics(str(path))]
         assert epochs == sorted(epochs)
+
+    @pytest.mark.parametrize("row", ["1,2,0.5", "1,2,0.5,x,0.5,0.5,0.5", "1.5,2,0,0,0,0,0"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "epochs.csv"
+        TR.log_epoch_metrics(self.history(), str(path))
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(InputError, match=re.escape(f"{path} line 5")):
+            TR.read_epoch_metrics(str(path))
 
     def test_empty_history_rejected(self, tmp_path):
         with pytest.raises(EmptyInputError):
