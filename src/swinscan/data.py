@@ -223,6 +223,15 @@ def load_pnm(data: bytes) -> np.ndarray:
             )
         values = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
     else:
+        # every ASCII value takes a separator and a digit; checking that
+        # before allocating keeps a huge declared extent from reserving
+        # memory the body cannot fill
+        left = len(scan.blob) - scan.pos
+        if left < 2 * needed:
+            raise PnmError(
+                f"truncated pixel data: {left} bytes cannot hold {needed} values",
+                offset=len(scan.blob),
+            )
         values = np.empty(needed)
         for i in range(needed):
             at, v = scan.integer("pixel value")
@@ -275,18 +284,17 @@ def _axis_positions(src: int, dst: int):
     return np.clip(lo, 0, src - 1), np.clip(lo + 1, 0, src - 1), t
 
 
-def resize_bilinear(image: np.ndarray, target_size) -> np.ndarray:
-    """Separable bilinear resize of a 3xHxW image."""
+def resize_bilinear(image: np.ndarray, target_size: int) -> np.ndarray:
+    """Separable bilinear resize of a 3xHxW image to a square side."""
     image = np.asarray(image, dtype=np.float64)
-    th, tw = (target_size, target_size) if np.isscalar(target_size) else target_size
     _, h, w = image.shape
-    if h < 1 or w < 1 or th < 1 or tw < 1:
+    if h < 1 or w < 1 or target_size < 1:
         raise EmptyInputError("resize requires positive extents")
-    if (h, w) == (th, tw):
+    if h == w == target_size:
         return image.copy()
-    lo0, lo1, t = _axis_positions(h, th)
+    lo0, lo1, t = _axis_positions(h, target_size)
     rows = image[:, lo0, :] * (1.0 - t)[None, :, None] + image[:, lo1, :] * t[None, :, None]
-    lo0, lo1, t = _axis_positions(w, tw)
+    lo0, lo1, t = _axis_positions(w, target_size)
     return rows[:, :, lo0] * (1.0 - t)[None, None, :] + rows[:, :, lo1] * t[None, None, :]
 
 
@@ -295,16 +303,14 @@ def normalize(image: np.ndarray) -> np.ndarray:
     return (np.asarray(image, dtype=np.float64) - IMAGE_MEAN) / IMAGE_STD
 
 
-def make_batches(samples, batch_size: int = 32, rng=None):
-    """Chunk samples into Batches, shuffling first when rng is given.
+def make_batches(samples, batch_size: int, rng):
+    """Shuffle samples with rng, then chunk them into Batches.
 
     All batches have batch_size items except possibly the last.
     """
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    order = list(range(len(samples)))
-    if rng is not None:
-        order = list(rng.permutation(len(samples)))
+    order = list(rng.permutation(len(samples)))
     batches = []
     for at in range(0, len(order), batch_size):
         chunk = [samples[i] for i in order[at : at + batch_size]]
@@ -329,9 +335,7 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry) -> Sample:
     return Sample(image, label_for(entry.task, entry.class_name), entry.path, entry.task)
 
 
-def load_dataset(manifest: DatasetManifest, entries=None):
-    """Load (a subset of) a manifest into preprocessed Samples."""
-    if entries is None:
-        entries = manifest.entries
+def load_dataset(manifest: DatasetManifest, entries):
+    """Load the given entries of a manifest into preprocessed Samples."""
     return [load_sample(manifest, e) for e in entries]
 

@@ -33,8 +33,8 @@ class InputError(SwinscanError, ValueError):
     """A user-supplied input is invalid."""
 
 
-class PnmError(InputError):
-    """PNM bytes could not be parsed; carries the failing byte offset."""
+class _OffsetError(SwinscanError):
+    """Malformed bytes; carries the failing byte offset, if known."""
 
     def __init__(self, message: str, offset: int | None = None):
         self.offset = offset
@@ -43,14 +43,12 @@ class PnmError(InputError):
         super().__init__(message)
 
 
-class WeightFormatError(SwinscanError, ValueError):
+class PnmError(_OffsetError, InputError):
+    """PNM bytes could not be parsed."""
+
+
+class WeightFormatError(_OffsetError, ValueError):
     """A weight file is corrupt or has the wrong format."""
-
-    def __init__(self, message: str, offset: int | None = None):
-        self.offset = offset
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
 
 
 class DivergedTrainingError(SwinscanError, RuntimeError):
@@ -64,14 +62,8 @@ class DivergedTrainingError(SwinscanError, RuntimeError):
         super().__init__(msg)
 
 
-class PdfFormatError(SwinscanError, ValueError):
+class PdfFormatError(_OffsetError, ValueError):
     """Emitted or parsed PDF bytes violate the expected framing."""
-
-    def __init__(self, message: str, offset: int | None = None):
-        self.offset = offset
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
 
 
 class PdfLayoutError(SwinscanError, ValueError):

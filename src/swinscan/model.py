@@ -24,6 +24,7 @@ from .errors import (
 )
 
 MASK_NEG = -1e9  # finite stand-in for -inf so softmax never sees a NaN
+IN_CHANNELS = 3  # load_pnm always yields RGB
 
 
 @dataclass(frozen=True)
@@ -32,16 +33,15 @@ class SwinConfig:
 
     The defaults are the desk-scale setup used throughout: 64 px input,
     4 px patches, two stages of two blocks, token grids 16x16 then 8x8.
+    Inputs have IN_CHANNELS channels.
     """
 
     image_size: int = 64
-    in_channels: int = 3
     patch_size: int = 4
     embed_dim: int = 32
     depths: tuple = (2, 2)
     num_heads: tuple = (2, 4)
     window_size: int = 4
-    shift_size: int = 2
     mlp_ratio: int = 4
     num_classes: int = 2
 
@@ -52,10 +52,6 @@ class SwinConfig:
             )
         if len(self.depths) == 0 or len(self.depths) != len(self.num_heads):
             raise ConfigurationError("depths and num_heads must be equal-length and non-empty")
-        if not 0 <= self.shift_size < self.window_size:
-            raise ConfigurationError(
-                f"shift_size {self.shift_size} must lie in [0, window_size {self.window_size})"
-            )
         if self.num_classes not in (2, 3):
             raise ConfigurationError(f"num_classes must be 2 or 3, got {self.num_classes}")
         side = self.image_size // self.patch_size
@@ -76,6 +72,11 @@ class SwinConfig:
     @property
     def grid_size(self):
         return self.image_size // self.patch_size
+
+    @property
+    def shift_size(self):
+        """Cyclic shift of the odd blocks: half a window, as in Swin."""
+        return self.window_size // 2
 
     def stage_dim(self, stage: int) -> int:
         return self.embed_dim * (2 ** stage)
@@ -111,7 +112,7 @@ def _block_paths(prefix: str, dim: int, heads: int, window: int):
 
 def expected_shapes(config: SwinConfig) -> dict:
     """Canonical parameter path -> shape map declared by a config."""
-    patch_dim = config.in_channels * config.patch_size ** 2
+    patch_dim = IN_CHANNELS * config.patch_size ** 2
     shapes = {
         "patch_embed.proj.weight": (patch_dim, config.embed_dim),
         "patch_embed.proj.bias": (config.embed_dim,),
@@ -234,8 +235,8 @@ def patch_embed(images: np.ndarray, weights: ModelWeights) -> T.Tensor:
     """
     config = weights.config
     b, c, h, w = images.shape
-    if c != config.in_channels:
-        raise InputError(f"expected {config.in_channels} channels, got {c}")
+    if c != IN_CHANNELS:
+        raise InputError(f"expected {IN_CHANNELS} channels, got {c}")
     if (h, w) != (config.image_size, config.image_size):
         raise InputError(
             f"expected {config.image_size}x{config.image_size} input, got {h}x{w}"
@@ -280,13 +281,13 @@ def window_reverse(windows: T.Tensor, b: int, h: int, w: int, window_size: int) 
     return T.reshape(x, (b, h, w, c))
 
 
-def cyclic_shift(tokens: T.Tensor, dy: int, dx: int) -> T.Tensor:
-    """Toroidal roll of the grid by (-dy, -dx).
+def cyclic_shift(tokens: T.Tensor, shift: int) -> T.Tensor:
+    """Toroidal roll of the grid by -shift along both spatial axes.
 
-    cyclic_shift(cyclic_shift(x, dy, dx), -dy, -dx) is the identity.
+    cyclic_shift(cyclic_shift(x, shift), -shift) is the identity.
     """
     axis_h = tokens.ndim - 3
-    return T.roll(tokens, (-dy, -dx), (axis_h, axis_h + 1))
+    return T.roll(tokens, (-shift, -shift), (axis_h, axis_h + 1))
 
 
 def build_shift_mask(h: int, w: int, window_size: int, shift_size: int) -> np.ndarray:
@@ -426,7 +427,7 @@ def _block(x, weights, prefix, heads, window_size, shift, counter):
     shortcut = x
     x = T.layer_norm(x, p["norm1.gamma"], p["norm1.beta"])
     if shift:
-        x = cyclic_shift(x, shift, shift)
+        x = cyclic_shift(x, shift)
         mask = build_shift_mask(h, w, window_size, shift)
         mask = np.tile(mask, (b, 1, 1))
     else:
@@ -438,7 +439,7 @@ def _block(x, weights, prefix, heads, window_size, shift, counter):
     )
     x = window_reverse(windows, b, h, w, window_size)
     if shift:
-        x = cyclic_shift(x, -shift, -shift)
+        x = cyclic_shift(x, -shift)
     x = T.add(shortcut, x)
 
     y = T.layer_norm(x, p["norm2.gamma"], p["norm2.beta"])
@@ -448,11 +449,10 @@ def _block(x, weights, prefix, heads, window_size, shift, counter):
 
 
 def forward_batch(
-    images: np.ndarray, config: SwinConfig, weights: ModelWeights, counter: MacCounter = None
+    images: np.ndarray, weights: ModelWeights, counter: MacCounter = None
 ) -> T.Tensor:
     """Logits for a batch of normalized images, shape (B, num_classes)."""
-    if weights.config != config:
-        raise ConfigurationError("weights were built for a different config")
+    config = weights.config
     images = np.asarray(images, dtype=np.float64)
     b = images.shape[0]
     tokens = patch_embed(images, weights)
@@ -481,10 +481,10 @@ def forward_batch(
     return T.add(T.matmul(pooled, weights["head.fc.weight"]), weights["head.fc.bias"])
 
 
-def forward_classify(image: np.ndarray, config: SwinConfig, weights: ModelWeights):
+def forward_classify(image: np.ndarray, weights: ModelWeights):
     """Logits and softmax probabilities for a single normalized image."""
-    logits = forward_batch(np.asarray(image, dtype=np.float64)[None], config, weights)
-    logits = T.reshape(logits, (config.num_classes,))
+    logits = forward_batch(np.asarray(image, dtype=np.float64)[None], weights)
+    logits = T.reshape(logits, (weights.config.num_classes,))
     probs = T.softmax_lastdim(logits).data.copy()
     return logits, probs
 
@@ -499,7 +499,7 @@ _VERSION = 1
 def _config_words(config: SwinConfig):
     return [
         config.image_size,
-        config.in_channels,
+        IN_CHANNELS,
         config.patch_size,
         config.embed_dim,
         len(config.depths),
@@ -516,11 +516,12 @@ def save_weights(path: str, weights: ModelWeights) -> None:
     """Write a SWNW weight file.
 
     Layout, all integers little-endian uint32: magic "SWNW", format
-    version, the config block (image_size, in_channels, patch_size,
-    embed_dim, stage count, depths, heads, window_size, shift_size,
-    mlp_ratio, num_classes), parameter count, then per parameter: path
-    length, path bytes (utf-8), rank, extents, and the raw float64
-    little-endian values.  Parameters are written in sorted path order.
+    version, the config block (image_size, in_channels = IN_CHANNELS,
+    patch_size, embed_dim, stage count, depths, heads, window_size,
+    shift_size = window_size // 2, mlp_ratio, num_classes), parameter
+    count, then per parameter: path length, path bytes (utf-8), rank,
+    extents, and the raw float64 little-endian values.  Parameters are
+    written in sorted path order.
     """
     config = weights.config
     out = bytearray()
@@ -559,11 +560,11 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def load_weights(path: str, expected_config: SwinConfig | None = None) -> ModelWeights:
+def load_weights(path: str) -> ModelWeights:
     """Read a SWNW weight file; inverse of :func:`save_weights`.
 
-    When expected_config is given, a file whose embedded config differs
-    raises ConfigurationError instead of returning surprise weights.
+    A config block whose in_channels or shift_size slot holds another
+    value than save_weights writes raises WeightFormatError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -580,18 +581,22 @@ def load_weights(path: str, expected_config: SwinConfig | None = None) -> ModelW
     try:
         config = SwinConfig(
             image_size=image_size,
-            in_channels=in_channels,
             patch_size=patch_size,
             embed_dim=embed_dim,
             depths=depths,
             num_heads=heads,
             window_size=window_size,
-            shift_size=shift_size,
             mlp_ratio=mlp_ratio,
             num_classes=num_classes,
         )
     except ConfigurationError as exc:
         raise WeightFormatError(f"config block invalid: {exc}", offset=8) from exc
+    if (in_channels, shift_size) != (IN_CHANNELS, config.shift_size):
+        raise WeightFormatError(
+            f"config block invalid: in_channels {in_channels} and shift_size {shift_size}, "
+            f"expected {IN_CHANNELS} and window_size // 2 = {config.shift_size}",
+            offset=8,
+        )
     count = r.u32()
     params = {}
     for _ in range(count):
@@ -607,8 +612,4 @@ def load_weights(path: str, expected_config: SwinConfig | None = None) -> ModelW
         params[name] = T.Tensor(data, requires_grad=True)
     if r.pos != len(blob):
         raise WeightFormatError("trailing bytes after last parameter", offset=r.pos)
-    if expected_config is not None and config != expected_config:
-        raise ConfigurationError(
-            f"weight file config {config} does not match expected {expected_config}"
-        )
     return ModelWeights(config, params)

@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 YELLOW = (255, 255, 0)
+HIGHLIGHT_ALPHA = 0.5  # weight of YELLOW in a highlighted pixel
 
 
 @dataclass(frozen=True)
@@ -47,29 +48,18 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-def _as_rgb(image) -> np.ndarray:
+def _as_8bit(image, rank: int) -> np.ndarray:
+    # rank 3 is an HxWx3 RGB image, rank 2 an HxW grayscale one
     arr = np.asarray(image)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise DimensionError(f"expected an HxWx3 image, got {list(arr.shape)}")
+    if arr.ndim != rank or (rank == 3 and arr.shape[2] != 3):
+        expected = "HxWx3" if rank == 3 else "HxW"
+        raise DimensionError(f"expected an {expected} image, got {list(arr.shape)}")
     if arr.size == 0:
         raise EmptyInputError("empty image")
     if not np.issubdtype(arr.dtype, np.integer):
         raise InputError(f"expected 8-bit integers, got dtype {arr.dtype}")
     if arr.min() < 0 or arr.max() > 255:
-        raise InputError("channel values must lie in [0, 255]")
-    return arr.astype(np.uint8)
-
-
-def _as_gray(image) -> np.ndarray:
-    arr = np.asarray(image)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected an HxW image, got {list(arr.shape)}")
-    if arr.size == 0:
-        raise EmptyInputError("empty image")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise InputError(f"expected 8-bit integers, got dtype {arr.dtype}")
-    if arr.min() < 0 or arr.max() > 255:
-        raise InputError("intensities must lie in [0, 255]")
+        raise InputError("pixel values must lie in [0, 255]")
     return arr.astype(np.uint8)
 
 
@@ -87,7 +77,7 @@ def rgb_from_unit(image) -> np.ndarray:
 
 def to_grayscale(rgb) -> np.ndarray:
     """Luma conversion: Y = round(0.299 R + 0.587 G + 0.114 B)."""
-    arr = _as_rgb(rgb).astype(np.float64)
+    arr = _as_8bit(rgb, 3).astype(np.float64)
     y = 0.299 * arr[:, :, 0] + 0.587 * arr[:, :, 1] + 0.114 * arr[:, :, 2]
     return np.clip(_round_half_away(y), 0, 255).astype(np.uint8)
 
@@ -101,7 +91,7 @@ def otsu_threshold(gray) -> int:
     degenerate: its single value is returned, which leaves the
     strictly-greater mask empty.
     """
-    arr = _as_gray(gray)
+    arr = _as_8bit(gray, 2)
     lo, hi = int(arr.min()), int(arr.max())
     if lo == hi:
         return lo
@@ -131,7 +121,7 @@ def otsu_threshold(gray) -> int:
 
 def threshold_mask(gray, level: int) -> np.ndarray:
     """Boolean mask of pixels strictly brighter than level."""
-    arr = _as_gray(gray)
+    arr = _as_8bit(gray, 2)
     if not 0 <= int(level) <= 255:
         raise InputError(f"threshold level {level} outside [0, 255]")
     return arr > int(level)
@@ -221,9 +211,9 @@ def estimate_size(regions, pixel_spacing_mm: float | None = None) -> Segmentatio
     )
 
 
-def highlight_yellow(rgb, mask, alpha: float = 0.5) -> np.ndarray:
-    """Blend masked pixels toward pure yellow; unmasked pixels pass through."""
-    image = _as_rgb(rgb)
+def highlight_yellow(rgb, mask) -> np.ndarray:
+    """Blend masked pixels halfway toward pure yellow; others pass through."""
+    image = _as_8bit(rgb, 3)
     sel = np.asarray(mask)
     if sel.shape != image.shape[:2]:
         raise InputError(
@@ -231,26 +221,23 @@ def highlight_yellow(rgb, mask, alpha: float = 0.5) -> np.ndarray:
         )
     if sel.dtype != bool:
         raise InputError(f"expected a boolean mask, got dtype {sel.dtype}")
-    if not 0.0 <= alpha <= 1.0:
-        raise InputError(f"alpha {alpha} outside [0, 1]")
     out = image.copy()
-    blend = (1.0 - alpha) * image[sel].astype(np.float64) + alpha * np.asarray(
-        YELLOW, dtype=np.float64
-    )
+    yellow = np.asarray(YELLOW, dtype=np.float64)
+    blend = (1.0 - HIGHLIGHT_ALPHA) * image[sel].astype(np.float64) + HIGHLIGHT_ALPHA * yellow
     out[sel] = _round_half_away(blend).astype(np.uint8)
     return out
 
 
-def segment(rgb, pixel_spacing_mm: float | None = None, alpha: float = 0.5) -> SegmentationResult:
+def segment(rgb, pixel_spacing_mm: float | None = None) -> SegmentationResult:
     """Full chain on an RGB image; highlights the selected region only."""
-    image = _as_rgb(rgb)
+    image = _as_8bit(rgb, 3)
     gray = to_grayscale(image)
     level = otsu_threshold(gray)
     mask = threshold_mask(gray, level)
     labels, areas = connected_components(mask)
     result = estimate_size((labels, areas), pixel_spacing_mm)
     if result.found:
-        overlay = highlight_yellow(image, labels == _largest_label(areas), alpha)
+        overlay = highlight_yellow(image, labels == _largest_label(areas))
     else:
         overlay = image.copy()
     return replace(result, highlighted=overlay)

@@ -272,15 +272,11 @@ class PredictionService:
         side = self.detect_weights.config.image_size
         resized = np.clip(D.resize_bilinear(request.image, side), 0.0, 1.0)
         normalized = D.normalize(resized)
-        _, det_probs = M.forward_classify(
-            normalized, self.detect_weights.config, self.detect_weights
-        )
+        _, det_probs = M.forward_classify(normalized, self.detect_weights)
         detection = (int(np.argmax(det_probs)), det_probs)
         classification = None
         if detection[0] == 1 and request.task in ("classify", "full"):
-            _, cls_probs = M.forward_classify(
-                normalized, self.classify_weights.config, self.classify_weights
-            )
+            _, cls_probs = M.forward_classify(normalized, self.classify_weights)
             classification = (int(np.argmax(cls_probs)), cls_probs)
         # segmentation stays at the original resolution: size estimates
         # on the model's downscaled grid would be meaningless
@@ -656,24 +652,16 @@ def render_history_plot(history) -> str:
     return "\n".join(parts)
 
 
-def render_comparison_plot(report: MX.MetricsReport | None = None) -> str:
+def render_comparison_plot() -> str:
     """Bar chart of accuracy per algorithm from the published comparison.
 
-    The final bar is this model, visually distinguished; without a
-    report it carries the published accuracy figure.
+    The final bar is this model, visually distinguished, carrying the
+    published accuracy figure.
     """
     bars = []
     for name, _, _, accuracy in MX.COMPARISON_REFERENCE:
         bars.append((name, float(accuracy.rstrip("%")), accuracy.rstrip("%")))
-    if report is None:
-        own = PUBLISHED_ACCURACY_PCT
-        own_label = f"{own:g}"
-    else:
-        if report.accuracy is None:
-            raise InputError("report accuracy is undefined; nothing to plot")
-        own = report.accuracy * 100.0
-        own_label = MX.render_percent(report.accuracy)
-    bars.append(("Our Approach", own, own_label))
+    bars.append(("Our Approach", PUBLISHED_ACCURACY_PCT, f"{PUBLISHED_ACCURACY_PCT:g}"))
 
     w, h = 640, 400
     left, right, top, bottom = 60, 20, 30, 86
@@ -800,6 +788,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(400, "layout", str(exc))
         except SwinscanError as exc:
             self._send_error_json(400, "bad_request", str(exc))
+        except Exception:
+            # the exception text could echo request content, patient_ref
+            # included, so the reply carries none of it
+            self._send_error_json(500, "internal", "internal error", close=True)
 
     def do_GET(self):
         if self.path == "/v1/health":

@@ -31,6 +31,7 @@ from .errors import (
 
 _SQRT_2_OVER_PI = 0.7978845608028654  # sqrt(2/pi)
 _GELU_C = 0.044715
+LAYER_NORM_EPS = 1e-5  # variance guard in layer_norm
 
 
 class Tensor:
@@ -366,7 +367,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return _finish("softmax_lastdim", (x,), y, bw)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     c = x.shape[-1] if x.ndim else 0
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -374,12 +375,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm affine shapes {list(gamma.shape)}/{list(beta.shape)} "
             f"do not match normalized extent {c}"
         )
-    if eps <= 0:
-        raise ContractError("layer_norm eps must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
         mu = x.data.mean(axis=-1, keepdims=True)
         var = x.data.var(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
         xhat = (x.data - mu) * inv_std
         out_data = xhat * gamma.data + beta.data
     gamma_data = gamma.data

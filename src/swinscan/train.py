@@ -115,11 +115,10 @@ def _check_task(weights: M.ModelWeights, samples):
     return task
 
 
-def train(weights: M.ModelWeights, samples, config: TrainConfig, eval_samples=None):
+def train(weights: M.ModelWeights, samples, config: TrainConfig):
     """Optimize weights in place; returns (weights, history).
 
-    Per-epoch metrics are computed on eval_samples when given, else on
-    the training samples themselves.
+    Per-epoch metrics are computed on the training samples.
     """
     if not samples:
         raise EmptyInputError("no training samples")
@@ -138,14 +137,14 @@ def train(weights: M.ModelWeights, samples, config: TrainConfig, eval_samples=No
             images = D.normalize(batch.images)
             try:
                 with T.Tape() as tape:
-                    logits = M.forward_batch(images, weights.config, weights)
+                    logits = M.forward_batch(images, weights)
                     loss = T.cross_entropy(logits, batch.labels)
                 T.backward(tape, loss)
             except NonFiniteError as exc:
                 raise DivergedTrainingError(global_step, str(exc)) from exc
             losses.append(loss.item())
             opt.step()
-        _, report = evaluate(weights, eval_samples or samples)
+        _, report = evaluate(weights, samples)
         history.append(
             EpochMetrics(
                 epoch=epoch,
@@ -171,7 +170,7 @@ def predict_labels(weights: M.ModelWeights, samples):
     for at in range(0, len(samples), EVAL_CHUNK):
         part = samples[at : at + EVAL_CHUNK]
         images = D.normalize(np.stack([s.image for s in part]))
-        logits = M.forward_batch(images, weights.config, weights)
+        logits = M.forward_batch(images, weights)
         out.extend(int(i) for i in np.argmax(logits.data, axis=1))
     return out
 

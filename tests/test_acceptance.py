@@ -152,7 +152,7 @@ def _desk_model_worst_error():
     labels = [1, 0]
 
     def loss():
-        return T.cross_entropy(M.forward_batch(images, config, weights), labels)
+        return T.cross_entropy(M.forward_batch(images, weights), labels)
 
     tensors = [weights[path] for path in DESK_PROBES]
     grads = analytic_grads(loss, tensors)

@@ -83,6 +83,15 @@ class TestLoadPnm:
         with pytest.raises(PnmError):
             D.load_pnm(b"P3\n2 1\n255\n255 0 0\n")
 
+    @pytest.mark.parametrize("magic", [b"P2", b"P3"])
+    def test_ascii_extents_beyond_body_rejected(self, magic):
+        # 4e10 declared values must fail on the body length, not on a
+        # 298 GiB allocation
+        blob = magic + b"\n200000 200000\n255\n0 0\n"
+        with pytest.raises(PnmError, match="truncated pixel data") as err:
+            D.load_pnm(blob)
+        assert err.value.offset == len(blob)
+
     def test_pixel_exceeds_maxval(self):
         with pytest.raises(PnmError):
             D.load_pnm(b"P2\n1 1\n10\n11\n")
@@ -116,20 +125,20 @@ class TestResize:
 
     def test_constant_stays_constant(self):
         img = np.full((3, 5, 7), 0.37)
-        out = D.resize_bilinear(img, (64, 64))
+        out = D.resize_bilinear(img, 64)
         assert np.all(out == 0.37)
 
     def test_row_upsample_closed_form(self):
         img = np.array([0.0, 1.0]).reshape(1, 1, 2).repeat(3, axis=0)
-        out = D.resize_bilinear(img, (1, 4))
+        out = D.resize_bilinear(img, 4)
         assert np.max(np.abs(out[0, 0] - [0.0, 0.25, 0.75, 1.0])) < 1e-12
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(3)
-        for (h, w, th, tw) in [(5, 7, 64, 64), (100, 80, 64, 64), (3, 3, 8, 2)]:
+        for (h, w, side) in [(5, 7, 64), (100, 80, 64), (3, 3, 8), (3, 3, 2)]:
             img = rng.random((3, h, w))
-            got = D.resize_bilinear(img, (th, tw))
-            assert np.max(np.abs(got - bilinear_oracle(img, th, tw))) < 1e-12
+            got = D.resize_bilinear(img, side)
+            assert np.max(np.abs(got - bilinear_oracle(img, side, side))) < 1e-12
 
     def test_zero_extent_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -170,22 +179,22 @@ class TestBatches:
         return [_sample(rng.random((3, 64, 64)), label=i % 2) for i in range(n)]
 
     def test_hundred_samples(self):
-        batches = D.make_batches(self._samples(100), rng=np.random.default_rng(0))
+        batches = D.make_batches(self._samples(100), 32, np.random.default_rng(0))
         assert [len(b) for b in batches] == [32, 32, 32, 4]
 
     def test_exactly_one_batch(self):
-        batches = D.make_batches(self._samples(32), rng=np.random.default_rng(0))
+        batches = D.make_batches(self._samples(32), 32, np.random.default_rng(0))
         assert len(batches) == 1 and len(batches[0]) == 32
 
     def test_label_multiset_preserved(self):
         samples = self._samples(77)
-        batches = D.make_batches(samples, rng=np.random.default_rng(1))
+        batches = D.make_batches(samples, 32, np.random.default_rng(1))
         got = sorted(l for b in batches for l in b.labels)
         assert got == sorted(s.label for s in samples)
 
     def test_bad_batch_size(self):
         with pytest.raises(ConfigurationError):
-            D.make_batches(self._samples(4), batch_size=0)
+            D.make_batches(self._samples(4), 0, np.random.default_rng(0))
 
 
 class TestManifestFile:

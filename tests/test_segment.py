@@ -307,14 +307,8 @@ class TestHighlight:
         rgb = solid_rgb(2, 2, (0, 0, 0))
         mask = np.zeros((2, 2), dtype=bool)
         mask[0, 0] = True
-        out = S.highlight_yellow(rgb, mask, alpha=0.5)
+        out = S.highlight_yellow(rgb, mask)
         assert tuple(out[0, 0]) == (128, 128, 0)
-
-    def test_full_alpha_is_pure_yellow(self):
-        rgb = solid_rgb(3, 3, (10, 200, 77))
-        mask = np.ones((3, 3), dtype=bool)
-        out = S.highlight_yellow(rgb, mask, alpha=1.0)
-        assert np.array_equal(out, solid_rgb(3, 3, S.YELLOW))
 
     def test_unmasked_pixels_bit_identical(self):
         rng = np.random.default_rng(4)
@@ -327,9 +321,8 @@ class TestHighlight:
         rng = np.random.default_rng(5)
         rgb = rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
         mask = rng.random((8, 8)) < 0.5
-        for alpha in (0.0, 0.25, 0.5, 0.9, 1.0):
-            out = S.highlight_yellow(rgb, mask, alpha)
-            assert out.min() >= 0 and out.max() <= 255
+        out = S.highlight_yellow(rgb, mask)
+        assert out.min() >= 0 and out.max() <= 255
 
     def test_source_not_mutated(self):
         rgb = solid_rgb(2, 2, (1, 2, 3))
@@ -340,12 +333,6 @@ class TestHighlight:
     def test_extent_mismatch_rejected(self):
         with pytest.raises(InputError):
             S.highlight_yellow(solid_rgb(2, 2, (0, 0, 0)), np.ones((3, 2), dtype=bool))
-
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(InputError):
-            S.highlight_yellow(
-                solid_rgb(2, 2, (0, 0, 0)), np.ones((2, 2), dtype=bool), alpha=1.5
-            )
 
 
 class TestSegmentPipeline:
@@ -366,9 +353,9 @@ class TestSegmentPipeline:
 
     def test_highlight_covers_exactly_the_region(self):
         rgb, disk = self.bright_blob()
-        result = S.segment(rgb, alpha=1.0)
-        highlighted = np.all(result.highlighted == np.array(S.YELLOW), axis=2)
-        assert np.array_equal(highlighted, disk)
+        result = S.segment(rgb)
+        changed = np.any(result.highlighted != rgb, axis=2)
+        assert np.array_equal(changed, disk)
         assert np.array_equal(result.highlighted[~disk], rgb[~disk])
 
     def test_constant_image_yields_no_region(self):

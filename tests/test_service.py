@@ -26,6 +26,8 @@ from swinscan.errors import (
 
 PINNED_TS = "2026-02-03T04:05:06Z"
 SVG_NS = "{http://www.w3.org/2000/svg}"
+# an ASCII PGM whose header declares far more pixels than its body holds
+OVERSIZED_ASCII_PNM = b"P2\n200000 200000\n255\n0 0\n"
 
 
 def encode_image(image, fmt="P6") -> str:
@@ -398,15 +400,6 @@ class TestSvg:
         assert "Our Approach" in texts
         assert "KNN" in texts and "ANFIS" in texts
 
-    def test_comparison_takes_live_report(self):
-        import swinscan.metrics as MX
-
-        cm = MX.ConfusionMatrix(((50, 0), (0, 50)))
-        report = MX.report_from_confusion(cm)
-        root = ET.fromstring(SV.render_comparison_plot(report))
-        texts = [t.text for t in root.findall(f".//{SVG_NS}text")]
-        assert "100.00" in texts
-
 
 @pytest.fixture(scope="module")
 def live_server(service):
@@ -490,6 +483,41 @@ class TestHttp:
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"\r\nConnection: close" in head
         assert json.loads(payload)["error"]["code"] == "bad_request"
+
+    def test_ascii_extents_beyond_body_is_bad_image(self, live_server):
+        body = json.dumps({
+            "image": base64.b64encode(OVERSIZED_ASCII_PNM).decode("ascii"), "task": "full",
+        }).encode()
+        status, _, payload = http(f"{live_server}/v1/predict", body)
+        assert status == 400
+        assert json.loads(payload)["error"]["code"] == "bad_image"
+
+    def test_unexpected_exception_is_json_500(self):
+        class BrokenService:
+            def handle_predict(self, body):
+                raise RuntimeError("patient_ref=P-0042 in the exception text")
+
+            def health(self):
+                return {"status": "ok"}
+
+        server = SV.create_server(BrokenService(), port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        url = f"http://{host}:{port}"
+        try:
+            status, headers, payload = http(f"{url}/v1/predict", b"{}")
+            assert status == 500
+            assert headers["Connection"] == "close"
+            assert json.loads(payload) == {
+                "error": {"code": "internal", "message": "internal error"}
+            }
+            # the server survives: a new connection is still served
+            assert http(f"{url}/v1/predict", b"{}")[0] == 500
+            assert http(f"{url}/v1/health")[0] == 200
+        finally:
+            server.shutdown()
+            server.server_close()
 
     def test_request_order_does_not_matter(self, live_server, disk, blank):
         bodies = [request_body(disk), request_body(blank), request_body(disk, task="detect")]
@@ -609,6 +637,21 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "pixel_spacing_mm" in err
+
+    def test_predict_rejects_ascii_extents_beyond_body(self, capsys, tmp_path,
+                                                      detect_weights_path,
+                                                      classify_weights_path):
+        image_path = tmp_path / "oversized.pgm"
+        image_path.write_bytes(OVERSIZED_ASCII_PNM)
+        code = SV.main([
+            "predict",
+            "--weights-detect", detect_weights_path,
+            "--weights-classify", classify_weights_path,
+            "--image", str(image_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "truncated pixel data" in err
 
     def test_cli_and_service_agree(self, capsys, monkeypatch, tmp_path,
                                    detect_weights_path, classify_weights_path,
