@@ -221,7 +221,11 @@ def load_pnm(data: bytes) -> np.ndarray:
                 f"truncated pixel data: {len(payload)} of {needed} bytes",
                 offset=len(scan.blob),
             )
-        values = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
+        values = np.frombuffer(payload, dtype=np.uint8)
+        if maxval < 255 and np.any(values > maxval):
+            i = int(np.argmax(values > maxval))
+            raise PnmError(f"pixel value {values[i]} exceeds maxval {maxval}", offset=start + i)
+        values = values.astype(np.float64)
     else:
         # every ASCII value takes a separator and a digit; checking that
         # before allocating keeps a huge declared extent from reserving
@@ -259,15 +263,12 @@ def write_pnm(image: np.ndarray, fmt: str = "P6") -> bytes:
     if fmt in ("P2", "P5"):
         if not (np.array_equal(q[0], q[1]) and np.array_equal(q[1], q[2])):
             raise InputError("gray output needs identical channels")
-        plane = q[0]
-        if fmt == "P5":
-            return header + plane.tobytes()
-        body = "\n".join(" ".join(str(v) for v in row) for row in plane)
-        return header + body.encode("ascii") + b"\n"
-    pixels = q.transpose(1, 2, 0)
-    if fmt == "P6":
-        return header + pixels.tobytes()
-    body = "\n".join(" ".join(str(v) for v in row.reshape(-1)) for row in pixels)
+        raster = q[0]
+    else:
+        raster = q.transpose(1, 2, 0).reshape(h, 3 * w)  # RGB triples per row
+    if fmt in ("P5", "P6"):
+        return header + raster.tobytes()
+    body = "\n".join(" ".join(str(v) for v in row) for row in raster)
     return header + body.encode("ascii") + b"\n"
 
 

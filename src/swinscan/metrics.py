@@ -149,30 +149,25 @@ def accuracy(cm: ConfusionMatrix):
     return _ratio(trace, cm.total)
 
 
-def complement_rates(report: MetricsReport):
-    """(fall_out, miss_rate, error_rate) as exact complements of
-    specificity, sensitivity, and accuracy; UNDEFINED propagates."""
-    def flip(v):
-        return UNDEFINED if v is None else 1.0 - v
-
-    return flip(report.specificity), flip(report.sensitivity), flip(report.accuracy)
+def _complement(rate):
+    # exact complement; UNDEFINED propagates
+    return UNDEFINED if rate is None else 1.0 - rate
 
 
 def binary_report(cm: ConfusionMatrix) -> MetricsReport:
+    sens, spec, acc = sensitivity(cm), specificity(cm), accuracy(cm)
     ppv, npv = predictive_values(cm)
-    report = MetricsReport(
-        sensitivity=sensitivity(cm),
-        specificity=specificity(cm),
-        fall_out=UNDEFINED,
-        miss_rate=UNDEFINED,
+    return MetricsReport(
+        sensitivity=sens,
+        specificity=spec,
+        fall_out=_complement(spec),
+        miss_rate=_complement(sens),
         ppv=ppv,
         npv=npv,
         f1=f1(cm),
-        accuracy=accuracy(cm),
-        error_rate=UNDEFINED,
+        accuracy=acc,
+        error_rate=_complement(acc),
     )
-    report.fall_out, report.miss_rate, report.error_rate = complement_rates(report)
-    return report
 
 
 def _one_vs_rest(cm: ConfusionMatrix, c: int) -> ConfusionMatrix:
@@ -236,9 +231,6 @@ COMPARISON_REFERENCE = (
     ("CNN", "96.4%", "98.3%", "97.8%"),
     ("ANFIS", "96.6%", "95.3%", "98.67%"),
 )
-
-COMPARISON_HEADER = ("Algorithm", "Sensitivity", "Specificity", "Accuracy")
-
 
 def _cell(rate) -> str:
     return "-" if rate is None else render_percent(rate) + "%"

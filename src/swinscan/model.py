@@ -91,23 +91,23 @@ def default_config(num_classes: int) -> SwinConfig:
 # parameters
 
 
-def _block_paths(prefix: str, dim: int, heads: int, window: int):
-    t = (2 * window - 1) ** 2
-    return [
-        (prefix + "norm1.gamma", (dim,)),
-        (prefix + "norm1.beta", (dim,)),
-        (prefix + "attn.qkv.weight", (dim, 3 * dim)),
-        (prefix + "attn.qkv.bias", (3 * dim,)),
-        (prefix + "attn.proj.weight", (dim, dim)),
-        (prefix + "attn.proj.bias", (dim,)),
-        (prefix + "attn.bias_table", (t, heads)),
-        (prefix + "norm2.gamma", (dim,)),
-        (prefix + "norm2.beta", (dim,)),
-        (prefix + "mlp.fc1.weight", (dim, 0)),  # hidden filled in below
-        (prefix + "mlp.fc1.bias", (0,)),
-        (prefix + "mlp.fc2.weight", (0, dim)),
-        (prefix + "mlp.fc2.bias", (dim,)),
-    ]
+def _block_shapes(dim: int, heads: int, window: int, hidden: int) -> dict:
+    """Parameter name -> shape for one block, in ModelWeights.init draw order."""
+    return {
+        "norm1.gamma": (dim,),
+        "norm1.beta": (dim,),
+        "attn.qkv.weight": (dim, 3 * dim),
+        "attn.qkv.bias": (3 * dim,),
+        "attn.proj.weight": (dim, dim),
+        "attn.proj.bias": (dim,),
+        "attn.bias_table": ((2 * window - 1) ** 2, heads),
+        "norm2.gamma": (dim,),
+        "norm2.beta": (dim,),
+        "mlp.fc1.weight": (dim, hidden),
+        "mlp.fc1.bias": (hidden,),
+        "mlp.fc2.weight": (hidden, dim),
+        "mlp.fc2.bias": (dim,),
+    }
 
 
 def expected_shapes(config: SwinConfig) -> dict:
@@ -119,18 +119,11 @@ def expected_shapes(config: SwinConfig) -> dict:
     }
     for s, depth in enumerate(config.depths):
         dim = config.stage_dim(s)
-        hidden = config.mlp_ratio * dim
+        block = _block_shapes(dim, config.num_heads[s], config.window_size,
+                              config.mlp_ratio * dim)
         for b in range(depth):
-            for path, shape in _block_paths(
-                f"stage{s}.block{b}.", dim, config.num_heads[s], config.window_size
-            ):
-                if path.endswith("mlp.fc1.weight"):
-                    shape = (dim, hidden)
-                elif path.endswith("mlp.fc1.bias"):
-                    shape = (hidden,)
-                elif path.endswith("mlp.fc2.weight"):
-                    shape = (hidden, dim)
-                shapes[path] = shape
+            for name, shape in block.items():
+                shapes[f"stage{s}.block{b}.{name}"] = shape
         if s + 1 < len(config.depths):
             shapes[f"merge{s}.norm.gamma"] = (4 * dim,)
             shapes[f"merge{s}.norm.beta"] = (4 * dim,)

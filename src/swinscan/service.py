@@ -57,6 +57,7 @@ MAX_REQUEST_BYTES = 8 * 1024 * 1024
 # largest accepted pixel spacing; keeps area_px * spacing**2 finite for
 # any image the request cap admits
 MAX_PIXEL_SPACING_MM = 1000.0
+MAX_IMAGE_SIDE_PX = 2048  # uncompressed RGB beyond this will not fit a page budget
 DEFAULT_PORT = 8000
 DISCLAIMER = (
     "Research prototype. Not a medical device; findings require review "
@@ -126,6 +127,13 @@ def parse_request(body: bytes) -> PredictRequest:
         image = D.load_pnm(raw)
     except PnmError as exc:
         raise RequestError(400, "bad_image", f"image bytes are not a readable PNM: {exc}")
+    height, width = image.shape[1:]
+    if max(height, width) > MAX_IMAGE_SIDE_PX:
+        # refused before any model or segmentation work
+        raise RequestError(
+            400, "image_too_large",
+            f"{width}x{height} image exceeds the {MAX_IMAGE_SIDE_PX} px side limit",
+        )
 
     spacing = obj.get("pixel_spacing_mm")
     if spacing is not None:
@@ -315,7 +323,6 @@ PAGE_HEIGHT = 792
 PAGE_MARGIN = 72
 LINE_LEADING = 14
 IMAGE_BOX = (72.0, 72.0, 540.0, 470.0)  # x0, y0, x1, y1 drawing area
-MAX_IMAGE_SIDE_PX = 2048  # uncompressed RGB beyond this will not fit a page budget
 
 
 def _pdf_escape(text: str) -> str:
@@ -333,17 +340,21 @@ def _text_ops(lines) -> str:
     return "\n".join(ops)
 
 
-def _report_lines(report: dict):
-    """Page-1 text rows and optional page-2 rows for the classification."""
-    y = PAGE_HEIGHT - 52
-    rows = [("F2", 16, PAGE_MARGIN, y, "Brain MRI Diagnostic Report")]
-    y -= 24
+def _report_pages(report: dict):
+    """Text rows per page: the findings, then the classification if any."""
+    pages, y = [], 0
+
+    def page(title):
+        nonlocal y
+        pages.append([("F2", 16, PAGE_MARGIN, PAGE_HEIGHT - 52, title)])
+        y = PAGE_HEIGHT - 76
 
     def put(text, size=10, font="F1", gap=LINE_LEADING):
         nonlocal y
-        rows.append((font, size, PAGE_MARGIN, y, text))
+        pages[-1].append((font, size, PAGE_MARGIN, y, text))
         y -= gap
 
+    page("Brain MRI Diagnostic Report")
     put(f"Generated: {report['timestamp']}")
     put(f"Task: {report['task']}")
     if "patient_ref" in report:
@@ -360,8 +371,8 @@ def _report_lines(report: dict):
     y -= 6
 
     seg = report["segmentation"]
+    put("Tumor region", font="F2")
     if seg["region_found"]:
-        put("Tumor region", font="F2")
         area = f"  Area: {seg['area_px']} px"
         if seg["area_mm2"] is not None:
             area += f" ({seg['area_mm2']:.6f} mm^2)"
@@ -370,23 +381,17 @@ def _report_lines(report: dict):
         centroid = seg["centroid"]
         put(f"  Centroid (row, col): ({centroid[0]:.6f}, {centroid[1]:.6f})")
     else:
-        put("Tumor region", font="F2")
         put("  No region found.")
 
-    rows.append(("F1", 8, PAGE_MARGIN, 56, report["disclaimer"]))
-
-    second = None
     if "classification" in report:
         cls = report["classification"]
-        second = [("F2", 16, PAGE_MARGIN, PAGE_HEIGHT - 52, "Tumor Classification")]
-        yy = PAGE_HEIGHT - 76
-        second.append(("F2", 10, PAGE_MARGIN, yy, f"Type: {cls['label']}"))
-        yy -= LINE_LEADING
+        page("Tumor Classification")
+        put(f"Type: {cls['label']}", font="F2")
         for name, prob in cls["probabilities"].items():
-            second.append(("F1", 10, PAGE_MARGIN, yy, f"  {name}: {prob:.6f}"))
-            yy -= LINE_LEADING
-        second.append(("F1", 8, PAGE_MARGIN, 56, report["disclaimer"]))
-    return rows, second
+            put(f"  {name}: {prob:.6f}")
+    for rows in pages:
+        rows.append(("F1", 8, PAGE_MARGIN, 56, report["disclaimer"]))
+    return pages
 
 
 def _image_placement(width: int, height: int):
@@ -418,66 +423,51 @@ def write_pdf(report: dict, highlighted) -> bytes:
             f"(max side {MAX_IMAGE_SIDE_PX} px)"
         )
 
-    page1_lines, page2_lines = _report_lines(report)
-    draw_w, draw_h, img_x, img_y = _image_placement(width, height)
-    content1 = (
-        _text_ops(page1_lines)
-        + f"\nq {draw_w:.4f} 0 0 {draw_h:.4f} {img_x:.4f} {img_y:.4f} cm /Im1 Do Q\n"
-    ).encode("latin-1")
-
-    two_pages = page2_lines is not None
-    kids = "6 0 R 8 0 R" if two_pages else "6 0 R"
-    count = 2 if two_pages else 1
-    resources1 = "<< /Font << /F1 3 0 R /F2 4 0 R >> /XObject << /Im1 5 0 R >> >>"
-    resources2 = "<< /Font << /F1 3 0 R /F2 4 0 R >> >>"
-
-    objects = {
-        1: b"<< /Type /Catalog /Pages 2 0 R >>",
-        2: f"<< /Type /Pages /Kids [{kids}] /Count {count} >>".encode("latin-1"),
-        3: b"<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica >>",
-        4: b"<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica-Bold >>",
-        5: (
+    pages = _report_pages(report)
+    kids = " ".join(f"{6 + 2 * i} 0 R" for i in range(len(pages)))
+    objects = [
+        b"<< /Type /Catalog /Pages 2 0 R >>",
+        f"<< /Type /Pages /Kids [{kids}] /Count {len(pages)} >>".encode("latin-1"),
+        b"<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica >>",
+        b"<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica-Bold >>",
+        (
             f"<< /Type /XObject /Subtype /Image /Width {width} /Height {height} "
             f"/ColorSpace /DeviceRGB /BitsPerComponent 8 "
             f"/Length {width * height * 3} >>\nstream\n".encode("latin-1")
             + image.tobytes()
             + b"\nendstream"
         ),
-        6: (
+    ]
+    # each page is a page object (6, 8) followed by its content stream
+    for i, rows in enumerate(pages):
+        content = _text_ops(rows) + "\n"
+        resources = "/Font << /F1 3 0 R /F2 4 0 R >>"
+        if i == 0:  # the highlighted image goes on the first page only
+            draw_w, draw_h, img_x, img_y = _image_placement(width, height)
+            content += f"q {draw_w:.4f} 0 0 {draw_h:.4f} {img_x:.4f} {img_y:.4f} cm /Im1 Do Q\n"
+            resources += " /XObject << /Im1 5 0 R >>"
+        content = content.encode("latin-1")
+        objects.append((
             f"<< /Type /Page /Parent 2 0 R /MediaBox [0 0 {PAGE_WIDTH} {PAGE_HEIGHT}] "
-            f"/Resources {resources1} /Contents 7 0 R >>"
-        ).encode("latin-1"),
-        7: (
-            f"<< /Length {len(content1)} >>\nstream\n".encode("latin-1")
-            + content1
-            + b"endstream"
-        ),
-    }
-    if two_pages:
-        content2 = (_text_ops(page2_lines) + "\n").encode("latin-1")
-        objects[8] = (
-            f"<< /Type /Page /Parent 2 0 R /MediaBox [0 0 {PAGE_WIDTH} {PAGE_HEIGHT}] "
-            f"/Resources {resources2} /Contents 9 0 R >>"
-        ).encode("latin-1")
-        objects[9] = (
-            f"<< /Length {len(content2)} >>\nstream\n".encode("latin-1")
-            + content2
-            + b"endstream"
+            f"/Resources << {resources} >> /Contents {len(objects) + 2} 0 R >>"
+        ).encode("latin-1"))
+        objects.append(
+            f"<< /Length {len(content)} >>\nstream\n".encode("latin-1") + content + b"endstream"
         )
 
     out = bytearray(b"%PDF-1.4\n%\xe2\xe3\xcf\xd3\n")
-    offsets = {}
-    for num in sorted(objects):
-        offsets[num] = len(out)
+    offsets = []
+    for num, body in enumerate(objects, start=1):
+        offsets.append(len(out))
         out += f"{num} 0 obj\n".encode("latin-1")
-        out += objects[num]
+        out += body
         out += b"\nendobj\n"
     xref_at = len(out)
     total = len(objects) + 1
     out += f"xref\n0 {total}\n".encode("latin-1")
     out += b"0000000000 65535 f \n"
-    for num in sorted(objects):
-        out += f"{offsets[num]:010d} 00000 n \n".encode("latin-1")
+    for at in offsets:
+        out += f"{at:010d} 00000 n \n".encode("latin-1")
     out += (
         f"trailer\n<< /Size {total} /Root 1 0 R >>\nstartxref\n{xref_at}\n%%EOF\n"
     ).encode("latin-1")
@@ -575,10 +565,7 @@ def parse_pdf(data: bytes) -> PdfInfo:
 # ---------------------------------------------------------------------------
 # SVG charts
 
-_SVG_HEAD = (
-    '<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-    'viewBox="0 0 {w} {h}">'
-)
+SVG_WIDTH, SVG_HEIGHT = 640, 400
 _SERIES_COLORS = (
     ("accuracy", "#1f77b4"),
     ("precision", "#ff7f0e"),
@@ -587,14 +574,28 @@ _SERIES_COLORS = (
 )
 
 
+def _svg_frame(title, title_y, left, top, plot_w, plot_h) -> list:
+    """Opening tag, white background, title and the two axis lines."""
+    w, h = SVG_WIDTH, SVG_HEIGHT
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">',
+        f'<rect width="{w}" height="{h}" fill="white"/>',
+        f'<text x="{left}" y="{title_y}" font-family="sans-serif" font-size="13">'
+        f"{title}</text>",
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
+        f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
+        f'y2="{top + plot_h}" stroke="black"/>',
+    ]
+
+
 def render_history_plot(history) -> str:
     """Line chart of the four rate metrics against epoch, as standalone SVG."""
     history = list(history)
     if not history:
         raise EmptyInputError("no epochs to plot")
-    w, h = 640, 400
     left, right, top, bottom = 60, 130, 24, 44
-    plot_w, plot_h = w - left - right, h - top - bottom
+    plot_w, plot_h = SVG_WIDTH - left - right, SVG_HEIGHT - top - bottom
     n = len(history)
 
     def x(i):
@@ -603,20 +604,8 @@ def render_history_plot(history) -> str:
     def y(v):
         return top + (1.0 - v) * plot_h
 
-    parts = [_SVG_HEAD.format(w=w, h=h)]
-    parts.append(f'<rect width="{w}" height="{h}" fill="white"/>')
-    parts.append(
-        f'<text x="{left}" y="16" font-family="sans-serif" font-size="13">'
-        "Training metrics by epoch</text>"
-    )
-    # axes and horizontal gridlines
-    parts.append(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
-        f'y2="{top + plot_h}" stroke="black"/>'
-    )
+    parts = _svg_frame("Training metrics by epoch", 16, left, top, plot_w, plot_h)
+    # horizontal gridlines
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
         ty = y(tick)
         parts.append(
@@ -663,24 +652,11 @@ def render_comparison_plot() -> str:
         bars.append((name, float(accuracy.rstrip("%")), accuracy.rstrip("%")))
     bars.append(("Our Approach", PUBLISHED_ACCURACY_PCT, f"{PUBLISHED_ACCURACY_PCT:g}"))
 
-    w, h = 640, 400
     left, right, top, bottom = 60, 20, 30, 86
-    plot_w, plot_h = w - left - right, h - top - bottom
+    plot_w, plot_h = SVG_WIDTH - left - right, SVG_HEIGHT - top - bottom
     slot = plot_w / len(bars)
 
-    parts = [_SVG_HEAD.format(w=w, h=h)]
-    parts.append(f'<rect width="{w}" height="{h}" fill="white"/>')
-    parts.append(
-        f'<text x="{left}" y="18" font-family="sans-serif" font-size="13">'
-        "Accuracy by algorithm</text>"
-    )
-    parts.append(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
-        f'y2="{top + plot_h}" stroke="black"/>'
-    )
+    parts = _svg_frame("Accuracy by algorithm", 18, left, top, plot_w, plot_h)
     for tick in (0, 25, 50, 75, 100):
         ty = top + (1.0 - tick / 100.0) * plot_h
         parts.append(
@@ -784,8 +760,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_error_json(404, "not_found", f"no route {self.path}")
         except RequestError as exc:
             self._send_error_json(exc.status, exc.code, str(exc))
-        except PdfLayoutError as exc:
-            self._send_error_json(400, "layout", str(exc))
         except SwinscanError as exc:
             self._send_error_json(400, "bad_request", str(exc))
         except Exception:
@@ -810,15 +784,16 @@ def create_server(service: PredictionService, port: int = 0,
 
 def resolve_port(flag_value) -> int:
     """--port wins over SWINSCAN_PORT; default otherwise."""
-    if flag_value is not None:
-        return int(flag_value)
-    env = os.environ.get("SWINSCAN_PORT")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigurationError(f"SWINSCAN_PORT is not an integer: {env!r}")
-    return DEFAULT_PORT
+    source, port = "--port", flag_value
+    if port is None:
+        source, port = "SWINSCAN_PORT", os.environ.get("SWINSCAN_PORT") or DEFAULT_PORT
+    try:
+        port = int(port)
+    except ValueError:
+        raise ConfigurationError(f"{source} is not an integer: {port!r}")
+    if not 0 <= port <= 65535:
+        raise ConfigurationError(f"{source} {port} is outside the port range [0, 65535]")
+    return port
 
 
 # ---------------------------------------------------------------------------

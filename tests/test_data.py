@@ -96,6 +96,16 @@ class TestLoadPnm:
         with pytest.raises(PnmError):
             D.load_pnm(b"P2\n1 1\n10\n11\n")
 
+    @pytest.mark.parametrize("blob, value, offset", [
+        (b"P5\n2 1\n7\n\x03\xc8", 200, 10),
+        (b"P6\n1 1\n7\n\x01\x02\x09", 9, 11),
+    ])
+    def test_binary_pixel_exceeds_maxval(self, blob, value, offset):
+        # the same rule as for ASCII values, at the first offending byte
+        with pytest.raises(PnmError, match=f"pixel value {value} exceeds maxval 7") as err:
+            D.load_pnm(blob)
+        assert err.value.offset == offset
+
     def test_empty_input(self):
         with pytest.raises(PnmError):
             D.load_pnm(b"")

@@ -1,0 +1,102 @@
+"""Output bytes pinned to fixed sha256 digests.
+
+The determinism tests elsewhere check that two runs agree; these check
+that the bytes themselves stay put.  A change that moves any of them
+must say why and re-derive the digest.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from swinscan import data as D
+from swinscan import model as M
+from swinscan import segment as SEG
+from swinscan import service as SV
+from swinscan import train as TR
+
+PINNED_TS = "2026-02-03T04:05:06Z"
+# 12x10 RGB with every byte value pattern distinct from its neighbours
+HIGHLIGHTED = (np.arange(12 * 10 * 3) % 251).astype(np.uint8).reshape(12, 10, 3)
+# 3x5x7 image on the 1/16 grid, so quantization is exact arithmetic
+COLOR = (np.arange(3 * 5 * 7).reshape(3, 5, 7) % 17) / 16.0
+GRAY = np.repeat(COLOR[:1], 3, axis=0)
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def report(with_classification, patient_ref=None):
+    mask = np.zeros((20, 20), dtype=bool)
+    mask[4:8, 5:11] = True
+    seg = SEG.estimate_size(SEG.connected_components(mask), pixel_spacing_mm=0.5)
+    return SV.build_report(
+        (1, np.array([0.03, 0.97])),
+        (2, np.array([0.1, 0.2, 0.7])) if with_classification else None,
+        seg,
+        task="full",
+        model_versions={"detect": "sha256:" + "0" * 64, "classify": "sha256:" + "1" * 64},
+        timestamp=PINNED_TS,
+        patient_ref=patient_ref,
+    )
+
+
+def history(n):
+    return [
+        TR.EpochMetrics(i + 1, 2, 0.5 / (i + 1), 0.5 + 0.1 * i,
+                        0.6 + 0.1 * i, 0.55 + 0.1 * i, 0.57 + 0.1 * i)
+        for i in range(n)
+    ]
+
+
+def test_pdf_one_page():
+    assert sha(SV.write_pdf(report(False), HIGHLIGHTED)) == (
+        "d0e11375f6b1ae00c003031deaeb2349c2ec115cc4d2923bb8e2cf1929198800"
+    )
+
+
+def test_pdf_two_pages_with_escaped_patient_ref():
+    pdf = SV.write_pdf(report(True, patient_ref="ward (b) \\ 7"), HIGHLIGHTED)
+    assert rb"Patient ref: ward \(b\) \\ 7" in pdf
+    assert sha(pdf) == "b123fa974d55f5e10feb4d3b1a00eacad48c08f33f939934ad338bcdb7bd60a2"
+
+
+@pytest.mark.parametrize("epochs, digest", [
+    (1, "58f1b0139198be22ee750f2310fba8995b71390e8947e59b326ea40d6df76333"),
+    (3, "b51e5c2d7fb4ca8cf51d35d0ab5f25b88efca40a1c884905ec22217b45325016"),
+])
+def test_history_plot(epochs, digest):
+    assert sha(SV.render_history_plot(history(epochs)).encode("utf-8")) == digest
+
+
+def test_comparison_plot():
+    assert sha(SV.render_comparison_plot().encode("utf-8")) == (
+        "d1541f5afd8050eecf507faf28f077874e4d077d640aaf21d8e48dcf5385cd8d"
+    )
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("P2", "c97aece7f0c68f4fdd34e2c8a72331f45a80d24c79d030dbb9aeda36d857fd57"),
+    ("P3", "614b1a4ce00ae4cbce4e459e9d81eace48fc2688c82a3d782a04871a74d23bf3"),
+    ("P5", "992989c4912268220ce13f0895741f5594150477f40ab809623c6c59dca3ac01"),
+    ("P6", "111ecf2bc3071d3e409516cddff1ca2fdec14553ba0a68fe588a43f92384850a"),
+])
+def test_write_pnm(fmt, digest):
+    image = GRAY if fmt in ("P2", "P5") else COLOR
+    assert sha(D.write_pnm(image, fmt)) == digest
+
+
+def test_init_weights():
+    # path order, shapes and values: the draw order of ModelWeights.init
+    # follows expected_shapes, so a reordered table moves the values
+    weights = M.ModelWeights.init(M.default_config(3), seed=0)
+    digest = hashlib.sha256()
+    for path, tensor in weights.items():
+        digest.update(path.encode("ascii"))
+        digest.update(repr(tensor.shape).encode("ascii"))
+        digest.update(np.ascontiguousarray(tensor.data).tobytes())
+    assert digest.hexdigest() == (
+        "ace78fd75d47c7290c1e7b19bb551f40a13995667440421d7b8c93ec34574f10"
+    )

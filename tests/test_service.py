@@ -17,6 +17,7 @@ from swinscan import segment as SEG
 from swinscan import service as SV
 from swinscan import train as TR
 from swinscan.errors import (
+    ConfigurationError,
     ContractError,
     EmptyInputError,
     InputError,
@@ -38,6 +39,14 @@ def request_body(image, task="full", **extra) -> bytes:
     body = {"image": encode_image(image), "task": task}
     body.update(extra)
     return json.dumps(body).encode("utf-8")
+
+
+def black_p5(width, height) -> bytes:
+    return f"P5\n{width} {height}\n255\n".encode("ascii") + bytes(width * height)
+
+
+def raw_request_body(raw: bytes) -> bytes:
+    return json.dumps({"image": base64.b64encode(raw).decode("ascii"), "task": "full"}).encode()
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +152,23 @@ class TestParseRequest:
             SV.parse_request(body)
         assert exc_info.value.status == 413
         assert exc_info.value.code == "payload_too_large"
+
+    @pytest.mark.parametrize("width, height", [(2049, 1), (1, 2049)])
+    def test_image_side_over_limit_refused(self, width, height):
+        with pytest.raises(SV.RequestError) as exc_info:
+            SV.parse_request(raw_request_body(black_p5(width, height)))
+        assert exc_info.value.status == 400
+        assert exc_info.value.code == "image_too_large"
+
+    def test_image_side_at_limit_accepted(self):
+        req = SV.parse_request(raw_request_body(black_p5(SV.MAX_IMAGE_SIDE_PX, 1)))
+        assert req.image.shape == (3, 1, SV.MAX_IMAGE_SIDE_PX)
+
+    def test_binary_pixel_over_maxval_is_bad_image(self):
+        with pytest.raises(SV.RequestError) as exc_info:
+            SV.parse_request(raw_request_body(b"P5\n2 1\n7\n\x03\xc8"))
+        assert exc_info.value.code == "bad_image"
+        assert "pixel value 200 exceeds maxval 7" in str(exc_info.value)
 
 
 class TestBuildReport:
@@ -492,6 +518,26 @@ class TestHttp:
         assert status == 400
         assert json.loads(payload)["error"]["code"] == "bad_image"
 
+    @pytest.mark.parametrize("route", ["/v1/predict", "/v1/report.pdf"])
+    @pytest.mark.parametrize("width, height", [(2049, 1), (1, 2049)])
+    def test_image_side_over_limit_is_400(self, live_server, route, width, height):
+        body = raw_request_body(black_p5(width, height))
+        status, _, payload = http(f"{live_server}{route}", body)
+        assert status == 400
+        assert json.loads(payload)["error"]["code"] == "image_too_large"
+
+    @pytest.mark.parametrize("route", ["/v1/predict", "/v1/report.pdf"])
+    def test_image_side_at_limit_is_served(self, live_server, route):
+        body = raw_request_body(black_p5(SV.MAX_IMAGE_SIDE_PX, 1))
+        status, _, payload = http(f"{live_server}{route}", body)
+        assert status == 200
+
+    def test_binary_pixel_over_maxval_is_bad_image(self, live_server):
+        body = raw_request_body(b"P5\n2 1\n7\n\x03\xc8")
+        status, _, payload = http(f"{live_server}/v1/predict", body)
+        assert status == 400
+        assert json.loads(payload)["error"]["code"] == "bad_image"
+
     def test_unexpected_exception_is_json_500(self):
         class BrokenService:
             def handle_predict(self, body):
@@ -540,10 +586,24 @@ class TestResolvePort:
         assert SV.resolve_port(None) == SV.DEFAULT_PORT
 
     def test_bad_env_rejected(self, monkeypatch):
-        from swinscan.errors import ConfigurationError
-
         monkeypatch.setenv("SWINSCAN_PORT", "eighty")
         with pytest.raises(ConfigurationError):
+            SV.resolve_port(None)
+
+    def test_range_ends_accepted(self, monkeypatch):
+        monkeypatch.setenv("SWINSCAN_PORT", "65535")
+        assert SV.resolve_port(None) == 65535
+        assert SV.resolve_port(0) == 0
+
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    def test_flag_out_of_range_rejected(self, port):
+        with pytest.raises(ConfigurationError, match="--port"):
+            SV.resolve_port(port)
+
+    @pytest.mark.parametrize("port", ["-1", "65536", "70000"])
+    def test_env_out_of_range_rejected(self, monkeypatch, port):
+        monkeypatch.setenv("SWINSCAN_PORT", port)
+        with pytest.raises(ConfigurationError, match="SWINSCAN_PORT"):
             SV.resolve_port(None)
 
 
@@ -652,6 +712,35 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "truncated pixel data" in err
+
+    def test_predict_rejects_image_side_over_limit(self, capsys, tmp_path,
+                                                   detect_weights_path,
+                                                   classify_weights_path):
+        image_path = tmp_path / "wide.pgm"
+        image_path.write_bytes(black_p5(SV.MAX_IMAGE_SIDE_PX + 1, 1))
+        code = SV.main([
+            "predict",
+            "--weights-detect", detect_weights_path,
+            "--weights-classify", classify_weights_path,
+            "--image", str(image_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "side limit" in err
+
+    @pytest.mark.parametrize("flag, env", [("70000", None), ("-1", None), (None, "70000")])
+    def test_serve_rejects_out_of_range_port(self, capsys, monkeypatch, detect_weights_path,
+                                             classify_weights_path, flag, env):
+        if env is None:
+            monkeypatch.delenv("SWINSCAN_PORT", raising=False)
+        else:
+            monkeypatch.setenv("SWINSCAN_PORT", env)
+        argv = ["serve", "--weights-detect", detect_weights_path,
+                "--weights-classify", classify_weights_path]
+        code = SV.main(argv + (["--port", flag] if flag is not None else []))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "outside the port range" in err
 
     def test_cli_and_service_agree(self, capsys, monkeypatch, tmp_path,
                                    detect_weights_path, classify_weights_path,
