@@ -151,6 +151,7 @@ class Batch:
 # PNM decoding / encoding
 
 _WS = frozenset(b" \t\r\n\x0b\x0c")
+_WS_TABLE = np.isin(np.arange(256), list(_WS))
 
 
 class _PnmScanner:
@@ -185,6 +186,68 @@ class _PnmScanner:
         if not tok.isdigit():
             raise PnmError(f"{what} is not a decimal number: {tok[:8]!r}", offset=start)
         return start, int(tok)
+
+
+def _ascii_values(blob: bytes, at: int, needed: int, maxval: int) -> np.ndarray:
+    """The first `needed` decimal values of the P2/P3 body at blob[at:].
+
+    Decodes in bulk with the rules of a token-by-token scan: tokens are
+    split by whitespace, a '#' that opens a token starts a comment that
+    runs to the end of its line, and tokens past `needed` are ignored.
+    The first bad token, in body order, raises its PnmError.
+    """
+    body = np.frombuffer(blob, dtype=np.uint8)[at:]
+    sep = _WS_TABLE[body]
+    hashes = np.flatnonzero(body == ord("#"))
+    if len(hashes):
+        # blob[at] is the whitespace that ends maxval, so no '#' is first;
+        # a '#' inside a comment ends at the same newline as the comment
+        hashes = hashes[sep[hashes - 1]]
+        newlines = np.flatnonzero(body == ord("\n"))
+        ends = np.append(newlines, len(body))[np.searchsorted(newlines, hashes)]
+        outer = np.diff(ends, prepend=-1) != 0
+        step = np.zeros(len(body) + 1, dtype=np.int8)
+        step[hashes[outer]] = 1
+        step[ends[outer]] = -1
+        sep |= np.cumsum(step[:-1], dtype=np.int8) > 0
+
+    # tokens [start, end) are the runs of non-separator bytes
+    change = np.flatnonzero(np.diff(np.concatenate(([False], ~sep, [False]))))
+    start, end = change[0:2 * needed:2], change[1:2 * needed:2]
+    if not len(start):
+        raise PnmError("missing pixel value", offset=len(blob))
+    digit = body[: end[-1]].astype(np.int16) - ord("0")
+    in_token = ~sep[: end[-1]]
+    bad = np.zeros(len(start), dtype=bool)
+    not_digit = np.flatnonzero(((digit < 0) | (digit > 9)) & in_token)
+    bad[np.searchsorted(start, not_digit, side="right") - 1] = True
+
+    # maxval <= 255 has three digits: a token exceeds it when a nonzero
+    # digit stands left of its last three, else its last three decide
+    length = end - start
+    value = (digit[end - 1] + np.where(length > 1, digit[end - 2], 0) * 10
+             + np.where(length > 2, digit[end - 3], 0) * 100)
+    over = value > maxval
+    long = np.flatnonzero(length > 3)
+    if len(long):
+        nonzero = np.append(np.flatnonzero((digit != 0) & in_token), end[-1])
+        first = nonzero[np.searchsorted(nonzero, start[long])]
+        over[long] |= first < end[long] - 3
+
+    if (bad | over).any():
+        i = int(np.argmax(bad | over))
+        tok = bytes(body[start[i] : end[i]])
+        if bad[i]:
+            raise PnmError(f"pixel value is not a decimal number: {tok[:8]!r}",
+                           offset=at + int(start[i]))
+        try:
+            shown = int(tok)
+        except ValueError:  # more digits than int() converts
+            shown = f"of {len(tok.lstrip(b'0'))} digits"
+        raise PnmError(f"pixel value {shown} exceeds maxval {maxval}", offset=at + int(start[i]))
+    if len(start) < needed:
+        raise PnmError("missing pixel value", offset=len(blob))
+    return value.astype(np.float64)
 
 
 def load_pnm(data: bytes) -> np.ndarray:
@@ -236,12 +299,7 @@ def load_pnm(data: bytes) -> np.ndarray:
                 f"truncated pixel data: {left} bytes cannot hold {needed} values",
                 offset=len(scan.blob),
             )
-        values = np.empty(needed)
-        for i in range(needed):
-            at, v = scan.integer("pixel value")
-            if v > maxval:
-                raise PnmError(f"pixel value {v} exceeds maxval {maxval}", offset=at)
-            values[i] = v
+        values = _ascii_values(scan.blob, scan.pos, needed, maxval)
 
     if channels == 1:
         img = np.repeat(values.reshape(1, height, width), 3, axis=0)

@@ -133,6 +133,11 @@ def connected_components(mask) -> tuple[np.ndarray, list[int]]:
     Returns (labels, areas): labels is an int array with background 0
     and regions numbered densely from 1 in scan order; areas[i] is the
     pixel count of label i + 1.
+
+    Run-based two-scan labelling (He, Chao and Suzuki, IEEE TIP 2008)
+    with the union done as array passes: each row's runs are linked to
+    the runs they overlap in the row above, then roots are merged until
+    no link joins two of them.
     """
     arr = np.asarray(mask)
     if arr.ndim != 2:
@@ -141,42 +146,47 @@ def connected_components(mask) -> tuple[np.ndarray, list[int]]:
         raise InputError(f"expected a boolean mask, got dtype {arr.dtype}")
     h, w = arr.shape
     labels = np.zeros((h, w), dtype=np.int64)
-    parent = [0]  # union-find over provisional labels, index 0 unused
+    # runs [start, end) per row as keys row * (w + 1) + col: on a
+    # zero-padded copy, the changes along each row alternate between a
+    # run's start and its end, in raster order
+    padded = np.zeros((h, w + 2), dtype=bool)
+    padded[:, 1:-1] = arr
+    change = np.flatnonzero(np.diff(padded, axis=1))
+    start, end = change[0::2], change[1::2]
+    if not len(start):
+        return labels, []
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    # run a overlaps run b of the row above when s_a < e_b and s_b < e_a;
+    # shifted up a row, those runs form one index range [lo, hi)
+    lo = np.searchsorted(end, start - (w + 1), side="right")
+    hi = np.searchsorted(start, end - (w + 1), side="left")
+    count = hi - lo
+    a = np.repeat(np.arange(len(start)), count)
+    b = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
 
-    for r in range(h):
-        for c in range(w):
-            if not arr[r, c]:
-                continue
-            up = int(labels[r - 1, c]) if r else 0
-            left = int(labels[r, c - 1]) if c else 0
-            if not up and not left:
-                parent.append(len(parent))
-                labels[r, c] = len(parent) - 1
-            elif up and left:
-                ru, rl = find(up), find(left)
-                labels[r, c] = min(ru, rl)
-                parent[max(ru, rl)] = min(ru, rl)
-            else:
-                labels[r, c] = find(up or left)
-    dense: dict[int, int] = {}
-    areas: list[int] = []
-    for r in range(h):
-        for c in range(w):
-            if not arr[r, c]:
-                continue
-            root = find(int(labels[r, c]))
-            if root not in dense:
-                dense[root] = len(dense) + 1
-                areas.append(0)
-            labels[r, c] = dense[root]
-            areas[dense[root] - 1] += 1
-    return labels, areas
+    # hook each larger root to the smallest root it touches, then jump
+    # pointers to the roots; a round removes at least one root, and a
+    # component ends rooted at its lowest run, its first in scan order
+    parent = np.arange(len(start))
+    while True:
+        ra, rb = parent[a], parent[b]
+        join = ra != rb
+        if not join.any():
+            break
+        a, b, ra, rb = a[join], b[join], ra[join], rb[join]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+    root = parent == np.arange(len(parent))
+    dense = (np.cumsum(root) - 1)[parent]
+    run_len = end - start
+    labels.ravel()[np.flatnonzero(arr)] = np.repeat(dense + 1, run_len)
+    areas = np.bincount(dense, weights=run_len).astype(np.int64)
+    return labels, areas.tolist()
 
 
 def _largest_label(areas: list[int]) -> int:

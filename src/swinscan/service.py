@@ -547,14 +547,24 @@ def parse_pdf(data: bytes) -> PdfInfo:
     if not re.search(rb"/Root \d+ 0 R", trailer):
         raise PdfFormatError("trailer has no /Root", offset=trailer_at)
 
-    pages_at = data.find(b"/Type /Pages")
+    # pages are counted in the object dictionaries the xref points at,
+    # never inside a stream, whose bytes may spell anything
+    pages_at, declared, actual = -1, None, 0
+    for at in offsets.values():
+        end = data.find(b"\nendobj", at)
+        end = len(data) if end < 0 else end
+        stream = data.find(b"stream\n", at, end)
+        head = data[at : end if stream < 0 else stream]
+        tree = re.search(rb"/Type /Pages\b", head)
+        if tree and pages_at < 0:
+            pages_at = at + tree.start()
+            declared = re.search(rb"/Count (\d+)", head)
+        actual += len(re.findall(rb"/Type /Page\b", head))
     if pages_at < 0:
         raise PdfFormatError("no page tree object", offset=0)
-    declared = re.search(rb"/Count (\d+)", data[pages_at : data.index(b">>", pages_at)])
     if not declared:
         raise PdfFormatError("page tree lacks /Count", offset=pages_at)
     page_count = int(declared.group(1))
-    actual = len(re.findall(rb"/Type /Page[^s]", data))
     if actual != page_count:
         raise PdfFormatError(
             f"declared {page_count} pages but found {actual}", offset=pages_at

@@ -111,6 +111,103 @@ class TestLoadPnm:
             D.load_pnm(b"")
 
 
+def token_loop_values(blob, at, needed, maxval):
+    """The P2/P3 body decoder before the bulk one: one token at a time."""
+    scan = D._PnmScanner(blob)
+    scan.pos = at
+    values = np.empty(needed)
+    for i in range(needed):
+        start, v = scan.integer("pixel value")
+        if v > maxval:
+            raise PnmError(f"pixel value {v} exceeds maxval {maxval}", offset=start)
+        values[i] = v
+    return values
+
+
+def outcome(decode, blob, at, needed, maxval):
+    try:
+        return decode(blob, at, needed, maxval).tolist()
+    except PnmError as exc:
+        return str(exc), exc.offset, type(exc.offset)
+
+
+HEADER = b"P2\n3 2\n255"  # the body starts right after the maxval digits
+
+
+class TestAsciiBody:
+    """_ascii_values against the token loop it replaced, on one header."""
+
+    @pytest.mark.parametrize("body", [
+        b"\n1 2 3\n4 5 6\n",
+        b"\n1 # comment\n2 3\n# whole line\n4 5 6",
+        b" 1#notcomment 2",  # '#' inside a token: not a decimal number
+        b"\n1 2 3 4 5 6 # comment with # inside and no newline",
+        b"\n1\t2\r\n3\x0b4\x0c5  6",
+        b"\n007 0255 000 00 0 01",
+        b"\n1 2 3 4 5 6 7 x # trailing tokens are ignored",
+        b"\n#\n#x\n1 2 3 4 5 6\n",
+        b"\n1 2 3 4 5 6#",  # the last token holds a '#'
+        b"\n1 x 2 3 4 5",
+        b"\n1 -2 3 4 5 6",
+        b"\n1 +2 3 4 5 6",
+        b"\n1 2 \xff 4 5 6",
+        b"\n1 2 abcdefghijk 4 5 6",
+        b"\n1 256 3 4 5 6",
+        b"\n1 2 0256 4 5 6",
+        b"\n1 2 0001000 4 5 6",
+        b"\n1 2 3 " + b"9" * 25 + b" 5 6",
+        b"\n1 999 x 4 5 6",  # the first bad token decides
+        b"\n1 x 999 4 5 6",
+        b"\n1 2 3 4 5",
+        b"\n1 2 3 4 5 # only a comment left",
+        b"\n1 2 3 4 5\n\n\t ",
+        b"",
+        b"   ",
+    ])
+    def test_matches_token_loop(self, body):
+        blob = HEADER + body
+        assert outcome(D._ascii_values, blob, len(HEADER), 6, 255) == outcome(
+            token_loop_values, blob, len(HEADER), 6, 255
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_bodies_match_token_loop(self, seed):
+        pieces = [b" ", b"\n", b"\t", b"\r", b"#", b"# c\n", b"#x", b"0", b"00", b"7",
+                  b"12", b"99", b"255", b"256", b"0001", b"0000", b"1000", b"x", b"-1",
+                  b"\xff", b"9" * 25, b"0" * 30 + b"5", b"1#", b"\n#a b\n"]
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            body = b" " + b"".join(pieces[i] for i in rng.integers(0, len(pieces), 20))
+            needed = int(rng.integers(1, 8))
+            maxval = int(rng.choice([1, 7, 99, 255]))
+            blob = HEADER + body
+            assert outcome(D._ascii_values, blob, len(HEADER), needed, maxval) == outcome(
+                token_loop_values, blob, len(HEADER), needed, maxval
+            ), body
+
+    def test_leading_zeros_beyond_int_digit_limit(self):
+        # int() refuses strings of over 4300 digits; the value is still 1
+        blob = b"P2\n2 1\n255\n" + b"0" * 5000 + b"1 2\n"
+        assert np.array_equal(D.load_pnm(blob)[0, 0], [1 / 255, 2 / 255])
+
+    def test_value_beyond_int_digit_limit_exceeds_maxval(self):
+        head = b"P2\n2 1\n255\n1 "
+        with pytest.raises(PnmError, match="pixel value of 5000 digits exceeds maxval 255") as err:
+            D.load_pnm(head + b"9" * 5000 + b"\n")
+        assert err.value.offset == len(head)
+
+    @pytest.mark.parametrize("body, message, offset", [
+        (b"\n1 12x\n", "pixel value is not a decimal number: b'12x'", 13),
+        (b"\n1 # c\n300\n", "pixel value 300 exceeds maxval 255", 17),
+        (b"\n1 # c\n     ", "missing pixel value", 22),
+    ])
+    def test_errors_through_load_pnm(self, body, message, offset):
+        with pytest.raises(PnmError) as err:
+            D.load_pnm(b"P2\n2 1\n255" + body)
+        assert str(err.value).startswith(message)
+        assert err.value.offset == offset
+
+
 class TestWritePnm:
     def test_roundtrip_all_formats(self):
         rng = np.random.default_rng(0)

@@ -100,3 +100,25 @@ def test_init_weights():
     assert digest.hexdigest() == (
         "ace78fd75d47c7290c1e7b19bb551f40a13995667440421d7b8c93ec34574f10"
     )
+
+
+def _scan(kind, h, w, rng):
+    # the report-512 request images: a bright disk or a blank field
+    # under gaussian noise, gray replicated over three channels
+    plane = np.full((h, w), 0.1)
+    if kind == "disk":
+        yy, xx = np.mgrid[0:h, 0:w]
+        radius = 11.0 * min(h, w) / 64.0
+        plane[(yy - h / 2.0 + 0.5) ** 2 + (xx - w / 2.0 + 0.5) ** 2 <= radius ** 2] = 0.875
+    plane = np.clip(plane + rng.normal(0.0, 0.05, size=plane.shape), 0.0, 1.0)
+    return SEG.rgb_from_unit(np.repeat(plane[None], 3, axis=0))
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("disk", "c403d4bc2dcf28f822abe77629048e716cca22cc3c390820b86227176390ca1d"),
+    ("blank", "3883265c7ce0675d0f1ce53f5b44cef898d453d1177f12a82941e6a61f815a6f"),
+])
+def test_segment_512(kind, digest):
+    result = SEG.segment(_scan(kind, 512, 448, np.random.default_rng(0)), pixel_spacing_mm=0.5)
+    measures = repr((result.area_px, result.area_mm2, result.bbox, result.centroid))
+    assert sha(result.highlighted.tobytes() + measures.encode("ascii")) == digest

@@ -375,6 +375,21 @@ class TestPdf:
         )
         assert image.tobytes() in SV.write_pdf(sample_report(), image)
 
+    def test_page_names_in_image_bytes_not_counted(self):
+        # raw RGB that spells "/Type /PageX" three times: only object
+        # dictionaries hold pages, stream payloads may hold any bytes
+        image = np.frombuffer(b"/Type /PageX" * 3, dtype=np.uint8).reshape(1, 12, 3)
+        pdf = SV.write_pdf(sample_report(with_classification=False), image)
+        assert pdf.count(b"/Type /Page") == 5  # the page tree, one page, three in pixels
+        assert SV.parse_pdf(pdf).page_count == 1
+
+    def test_page_count_mismatch_detected(self):
+        pdf = SV.write_pdf(sample_report(with_classification=False),
+                           np.zeros((8, 8, 3), dtype=np.uint8))
+        with pytest.raises(PdfFormatError, match="declared 2 pages but found 1") as exc_info:
+            SV.parse_pdf(pdf.replace(b"/Count 1", b"/Count 2"))
+        assert exc_info.value.offset == pdf.index(b"/Type /Pages")
+
     def test_service_pdf_passes_reparse(self, service, disk):
         pdf = service.handle_report_pdf(request_body(disk))
         info = SV.parse_pdf(pdf)
