@@ -10,6 +10,7 @@ feeds the model (trainer, predictor) so raw pixels stay inspectable.
 
 import csv
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,31 +104,25 @@ class DatasetManifest:
 
 def load_manifest(path: str) -> DatasetManifest:
     """Read a `path,task,class` CSV (UTF-8, LF endings)."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"manifest {path} is not UTF-8 text") from exc
+    if rows[:1] != [["path", "task", "class"]]:
+        raise InputError(f"manifest {path}: expected header path,task,class")
     entries = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["path", "task", "class"]:
-            raise InputError(f"manifest {path}: expected header path,task,class")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise InputError(f"manifest {path} line {line_no}: expected 3 fields")
-            try:
-                label_for(row[1], row[2])
-            except (InputError, LabelError) as exc:
-                raise InputError(f"manifest {path} line {line_no}: {exc}") from exc
-            entries.append(ManifestEntry(row[0], row[1], row[2]))
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise InputError(f"manifest {path} line {line_no}: expected 3 fields")
+        try:
+            label_for(row[1], row[2])
+        except (InputError, LabelError) as exc:
+            raise InputError(f"manifest {path} line {line_no}: {exc}") from exc
+        entries.append(ManifestEntry(row[0], row[1], row[2]))
     return DatasetManifest(entries, base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def save_manifest(manifest: DatasetManifest, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["path", "task", "class"])
-        for e in manifest.entries:
-            writer.writerow([e.path, e.task, e.class_name])
 
 
 @dataclass
@@ -154,38 +149,28 @@ _WS = frozenset(b" \t\r\n\x0b\x0c")
 _WS_TABLE = np.isin(np.arange(256), list(_WS))
 
 
-class _PnmScanner:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
+# A header token opens the rest of the current line, or a later line,
+# after only blanks and is no '#': the lines skipped are blank or comments.
+# Lazy single-byte repeats keep memory constant, where a repeated group
+# such as (?:\s|#[^\n]*)* stacks backtracking state for every comment.
+_FIELD = re.compile(rb"(?s)(?:.*?\n)??[ \t\r\v\f]*([^\s#]\S*)")
 
-    def skip_space(self):
-        blob = self.blob
-        while self.pos < len(blob):
-            c = blob[self.pos]
-            if c in _WS:
-                self.pos += 1
-            elif c == ord("#"):
-                while self.pos < len(blob) and blob[self.pos] != ord("\n"):
-                    self.pos += 1
-            else:
-                break
 
-    def token(self, what: str):
-        self.skip_space()
-        start = self.pos
-        blob = self.blob
-        while self.pos < len(blob) and blob[self.pos] not in _WS:
-            self.pos += 1
-        if self.pos == start:
-            raise PnmError(f"missing {what}", offset=start)
-        return start, blob[start : self.pos]
+def _header_field(blob: bytes, pos: int, what: str):
+    """(start, end) of the first header token at or after blob[pos]."""
+    match = _FIELD.match(blob, pos)
+    if match is None:
+        raise PnmError(f"missing {what}", offset=len(blob))
+    return match.span(1)
 
-    def integer(self, what: str):
-        start, tok = self.token(what)
-        if not tok.isdigit():
-            raise PnmError(f"{what} is not a decimal number: {tok[:8]!r}", offset=start)
-        return start, int(tok)
+
+def _header_integer(blob: bytes, pos: int, what: str):
+    """(start, end, value) of the decimal header token at or after blob[pos]."""
+    start, end = _header_field(blob, pos, what)
+    token = blob[start:end]
+    if not token.isdigit():
+        raise PnmError(f"{what} is not a decimal number: {token[:8]!r}", offset=start)
+    return start, end, int(token)
 
 
 def _ascii_values(blob: bytes, at: int, needed: int, maxval: int) -> np.ndarray:
@@ -257,32 +242,33 @@ def load_pnm(data: bytes) -> np.ndarray:
     maxval <= 255 is supported; malformed input raises PnmError with
     the offending byte offset.
     """
-    scan = _PnmScanner(bytes(data))
+    blob = bytes(data)
     try:
-        at, magic = scan.token("magic number")
+        at, pos = _header_field(blob, 0, "magic number")
     except PnmError:
         raise PnmError("empty input", offset=0)
+    magic = blob[at:pos]
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         raise PnmError(f"unsupported magic {magic[:2]!r}", offset=at)
-    _, width = scan.integer("width")
-    _, height = scan.integer("height")
+    _, pos, width = _header_integer(blob, pos, "width")
+    _, pos, height = _header_integer(blob, pos, "height")
     if width < 1 or height < 1:
         raise PnmError(f"degenerate image extents {width}x{height}", offset=at)
-    max_at, maxval = scan.integer("maxval")
+    max_at, pos, maxval = _header_integer(blob, pos, "maxval")
     if maxval < 1 or maxval > 255:
         raise PnmError(f"maxval {maxval} outside [1, 255]", offset=max_at)
 
     channels = 3 if magic in (b"P3", b"P6") else 1
     needed = width * height * channels
     if magic in (b"P5", b"P6"):
-        if scan.pos >= len(scan.blob) or scan.blob[scan.pos] not in _WS:
-            raise PnmError("missing separator after maxval", offset=scan.pos)
-        start = scan.pos + 1
-        payload = scan.blob[start : start + needed]
+        if pos >= len(blob) or blob[pos] not in _WS:
+            raise PnmError("missing separator after maxval", offset=pos)
+        start = pos + 1
+        payload = blob[start : start + needed]
         if len(payload) < needed:
             raise PnmError(
                 f"truncated pixel data: {len(payload)} of {needed} bytes",
-                offset=len(scan.blob),
+                offset=len(blob),
             )
         values = np.frombuffer(payload, dtype=np.uint8)
         if maxval < 255 and np.any(values > maxval):
@@ -293,13 +279,13 @@ def load_pnm(data: bytes) -> np.ndarray:
         # every ASCII value takes a separator and a digit; checking that
         # before allocating keeps a huge declared extent from reserving
         # memory the body cannot fill
-        left = len(scan.blob) - scan.pos
+        left = len(blob) - pos
         if left < 2 * needed:
             raise PnmError(
                 f"truncated pixel data: {left} bytes cannot hold {needed} values",
-                offset=len(scan.blob),
+                offset=len(blob),
             )
-        values = _ascii_values(scan.blob, scan.pos, needed, maxval)
+        values = _ascii_values(blob, pos, needed, maxval)
 
     if channels == 1:
         img = np.repeat(values.reshape(1, height, width), 3, axis=0)
@@ -392,9 +378,3 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry) -> Sample:
         raise PnmError(f"{path}: {exc}", offset=exc.offset) from exc
     image = np.clip(resize_bilinear(image, TARGET_SIZE), 0.0, 1.0)
     return Sample(image, label_for(entry.task, entry.class_name), entry.path, entry.task)
-
-
-def load_dataset(manifest: DatasetManifest, entries):
-    """Load the given entries of a manifest into preprocessed Samples."""
-    return [load_sample(manifest, e) for e in entries]
-

@@ -10,6 +10,7 @@ Weight files use the "SWNW" container described next to
 :func:`save_weights`; round trips are bit exact.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -413,7 +414,7 @@ def patch_merging(tokens: T.Tensor, weights: dict) -> T.Tensor:
 # full forward pass
 
 
-def _block(x, weights, prefix, heads, window_size, shift, counter):
+def _block(x, weights, prefix, heads, window_size, shift):
     b, h, w, c = x.shape
     p = weights.subset(prefix)
 
@@ -427,9 +428,7 @@ def _block(x, weights, prefix, heads, window_size, shift, counter):
         mask = None
     windows = window_partition(x, window_size)
     attn_w = {key[5:]: t for key, t in p.items() if key.startswith("attn.")}
-    windows = window_attention(
-        windows, attn_w, p["attn.bias_table"], heads, mask=mask, counter=counter
-    )
+    windows = window_attention(windows, attn_w, p["attn.bias_table"], heads, mask=mask)
     x = window_reverse(windows, b, h, w, window_size)
     if shift:
         x = cyclic_shift(x, -shift)
@@ -441,9 +440,7 @@ def _block(x, weights, prefix, heads, window_size, shift, counter):
     return T.add(x, y)
 
 
-def forward_batch(
-    images: np.ndarray, weights: ModelWeights, counter: MacCounter = None
-) -> T.Tensor:
+def forward_batch(images: np.ndarray, weights: ModelWeights) -> T.Tensor:
     """Logits for a batch of normalized images, shape (B, num_classes)."""
     config = weights.config
     images = np.asarray(images, dtype=np.float64)
@@ -462,7 +459,6 @@ def forward_batch(
                 config.num_heads[s],
                 config.window_size,
                 shift,
-                counter,
             )
         if s + 1 < len(config.depths):
             x = patch_merging(x, weights.subset(f"merge{s}."))
@@ -594,14 +590,20 @@ def load_weights(path: str) -> ModelWeights:
     params = {}
     for _ in range(count):
         name_at = r.pos
-        name = r.take(r.u32()).decode("utf-8")
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WeightFormatError("parameter name is not UTF-8", offset=name_at) from exc
         if name in params:
             raise WeightFormatError(f"duplicate parameter {name}", offset=name_at)
         rank = r.u32()
         shape = tuple(r.u32() for _ in range(rank))
-        size = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        raw = r.take(8 * size)
-        data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        raw = r.take(8 * math.prod(shape))  # exact: no int64 wraparound
+        try:
+            data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        except ValueError as exc:  # no values, but extents past numpy's size limit
+            raise WeightFormatError(f"parameter {name} extents {list(shape)} too large",
+                                    offset=name_at) from exc
         params[name] = T.Tensor(data, requires_grad=True)
     if r.pos != len(blob):
         raise WeightFormatError("trailing bytes after last parameter", offset=r.pos)

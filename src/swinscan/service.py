@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -261,14 +262,13 @@ class PredictionService:
                  clock=default_clock):
         self.detect_weights = M.load_weights(detect_weights_path)
         self.classify_weights = M.load_weights(classify_weights_path)
-        if self.detect_weights.config.num_classes != len(D.DETECT_CLASSES):
-            raise ConfigurationError(
-                f"detection weights have a {self.detect_weights.config.num_classes}-way head"
-            )
-        if self.classify_weights.config.num_classes != len(D.CLASSIFY_CLASSES):
-            raise ConfigurationError(
-                f"classification weights have a {self.classify_weights.config.num_classes}-way head"
-            )
+        heads = {"detection": (self.detect_weights, D.DETECT_CLASSES),
+                 "classification": (self.classify_weights, D.CLASSIFY_CLASSES)}
+        for name, (weights, classes) in heads.items():
+            if weights.config.num_classes != len(classes):
+                raise ConfigurationError(
+                    f"{name} weights have a {weights.config.num_classes}-way head"
+                )
         self.model_versions = {
             "detect": file_digest(detect_weights_path),
             "classify": file_digest(classify_weights_path),
@@ -584,6 +584,14 @@ _SERIES_COLORS = (
 )
 
 
+def _svg_text(x, y, text, size=10, anchor=None, rotate=None) -> str:
+    """One text element; x and y are written as given, so callers format them."""
+    placed = f' text-anchor="{anchor}"' if anchor else ""
+    turned = f' transform="rotate({rotate} {x} {y})"' if rotate is not None else ""
+    return (f'<text x="{x}" y="{y}"{placed} font-family="sans-serif" '
+            f'font-size="{size}"{turned}>{text}</text>')
+
+
 def _svg_frame(title, title_y, left, top, plot_w, plot_h) -> list:
     """Opening tag, white background, title and the two axis lines."""
     w, h = SVG_WIDTH, SVG_HEIGHT
@@ -591,8 +599,7 @@ def _svg_frame(title, title_y, left, top, plot_w, plot_h) -> list:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
         f'<rect width="{w}" height="{h}" fill="white"/>',
-        f'<text x="{left}" y="{title_y}" font-family="sans-serif" font-size="13">'
-        f"{title}</text>",
+        _svg_text(left, title_y, title, size=13),
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
         f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
         f'y2="{top + plot_h}" stroke="black"/>',
@@ -622,15 +629,9 @@ def render_history_plot(history) -> str:
             f'<line x1="{left - 4}" y1="{ty:.2f}" x2="{left + plot_w}" y2="{ty:.2f}" '
             'stroke="#dddddd"/>'
         )
-        parts.append(
-            f'<text x="{left - 8}" y="{ty + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{tick:g}</text>'
-        )
+        parts.append(_svg_text(left - 8, f"{ty + 4:.2f}", f"{tick:g}", anchor="end"))
     for i, em in enumerate(history):
-        parts.append(
-            f'<text x="{x(i):.2f}" y="{top + plot_h + 16}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{em.epoch}</text>'
-        )
+        parts.append(_svg_text(f"{x(i):.2f}", top + plot_h + 16, em.epoch, anchor="middle"))
     for row, (name, color) in enumerate(_SERIES_COLORS):
         points = " ".join(
             f"{x(i):.2f},{y(getattr(em, name)):.2f}" for i, em in enumerate(history)
@@ -643,10 +644,7 @@ def render_history_plot(history) -> str:
             f'<line x1="{left + plot_w + 12}" y1="{ly}" x2="{left + plot_w + 32}" '
             f'y2="{ly}" stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(
-            f'<text x="{left + plot_w + 38}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="11">{name}</text>'
-        )
+        parts.append(_svg_text(left + plot_w + 38, ly + 4, name, size=11))
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -669,10 +667,7 @@ def render_comparison_plot() -> str:
     parts = _svg_frame("Accuracy by algorithm", 18, left, top, plot_w, plot_h)
     for tick in (0, 25, 50, 75, 100):
         ty = top + (1.0 - tick / 100.0) * plot_h
-        parts.append(
-            f'<text x="{left - 8}" y="{ty + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{tick}</text>'
-        )
+        parts.append(_svg_text(left - 8, f"{ty + 4:.2f}", tick, anchor="end"))
     for i, (name, value, label) in enumerate(bars):
         final = i == len(bars) - 1
         bar_w = slot * 0.7
@@ -685,16 +680,9 @@ def render_comparison_plot() -> str:
             f'<rect{extra} x="{bx:.2f}" y="{by:.2f}" width="{bar_w:.2f}" '
             f'height="{bar_h:.2f}" fill="{fill}"/>'
         )
-        parts.append(
-            f'<text x="{bx + bar_w / 2:.2f}" y="{by - 4:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{label}</text>'
-        )
+        parts.append(_svg_text(f"{bx + bar_w / 2:.2f}", f"{by - 4:.2f}", label, anchor="middle"))
         lx, ly = left + i * slot + slot / 2.0, top + plot_h + 14
-        parts.append(
-            f'<text x="{lx:.2f}" y="{ly:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10" '
-            f'transform="rotate(-40 {lx:.2f} {ly:.2f})">{name}</text>'
-        )
+        parts.append(_svg_text(f"{lx:.2f}", f"{ly:.2f}", name, anchor="end", rotate=-40))
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -815,17 +803,11 @@ def _task_samples(manifest_path: str, task: str):
     entries = [e for e in manifest.entries if e.task == task]
     if not entries:
         raise EmptyInputError(f"manifest has no {task!r} entries")
-    return D.load_dataset(manifest, entries)
+    return [D.load_sample(manifest, e) for e in entries]
 
 
 def _cmd_train(args) -> int:
-    config = TR.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        weight_decay=args.weight_decay,
-        seed=args.seed,
-    )
+    config = TR.TrainConfig(**{name: getattr(args, name) for name in _TRAIN_FLAGS})
     samples = _task_samples(args.manifest, args.task)
     classes = len(D.classes_for_task(args.task))
     weights = M.ModelWeights.init(M.default_config(classes), seed=args.seed)
@@ -868,12 +850,16 @@ def _cmd_serve(args) -> int:
     service = PredictionService(args.weights_detect, args.weights_classify)
     server = create_server(service, resolve_port(args.port))
     host, port = server.server_address[:2]
-    print(f"serving on http://{host}:{port}", file=sys.stderr)
+    # a process started with SIGINT ignored, as a shell's background job
+    # is, would otherwise never stop on it
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
+        print(f"serving on http://{host}:{port}", file=sys.stderr)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGINT, previous)
         server.server_close()
     return 0
 
@@ -899,6 +885,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# TrainConfig field -> its `train` flag; the defaults are TrainConfig's
+_TRAIN_FLAGS = {"seed": "--seed", "epochs": "--epochs", "batch_size": "--batch-size",
+                "learning_rate": "--lr", "weight_decay": "--weight-decay"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="swinscan", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
@@ -907,11 +898,10 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--task", required=True, choices=[D.TASK_DETECT, D.TASK_CLASSIFY])
     train.add_argument("--manifest", required=True)
     train.add_argument("--out", required=True, help="weight file to write")
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--epochs", type=int, default=3)
-    train.add_argument("--batch-size", type=int, default=32)
-    train.add_argument("--lr", type=float, default=3e-4)
-    train.add_argument("--weight-decay", type=float, default=0.01)
+    defaults = TR.TrainConfig()
+    for name, flag in _TRAIN_FLAGS.items():
+        value = getattr(defaults, name)
+        train.add_argument(flag, dest=name, type=type(value), default=value)
     train.add_argument("--log", help="optional epoch metrics CSV")
     train.set_defaults(func=_cmd_train)
 
@@ -920,9 +910,11 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--manifest", required=True)
     evaluate.set_defaults(func=_cmd_eval)
 
-    predict = sub.add_parser("predict", help="diagnose one image, write a PDF")
-    predict.add_argument("--weights-detect", required=True)
-    predict.add_argument("--weights-classify", required=True)
+    weights = argparse.ArgumentParser(add_help=False)
+    weights.add_argument("--weights-detect", required=True)
+    weights.add_argument("--weights-classify", required=True)
+
+    predict = sub.add_parser("predict", parents=[weights], help="diagnose one image, write a PDF")
     predict.add_argument("--image", required=True, help="PNM image file")
     predict.add_argument("--pdf", help="report PDF to write")
     predict.add_argument("--task", default="full", choices=list(VALID_TASKS))
@@ -930,9 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--patient-ref")
     predict.set_defaults(func=_cmd_predict)
 
-    serve = sub.add_parser("serve", help="run the JSON-over-HTTP service")
-    serve.add_argument("--weights-detect", required=True)
-    serve.add_argument("--weights-classify", required=True)
+    serve = sub.add_parser("serve", parents=[weights], help="run the JSON-over-HTTP service")
     serve.add_argument("--port", type=int, default=None,
                        help=f"default: SWINSCAN_PORT or {DEFAULT_PORT}")
     serve.set_defaults(func=_cmd_serve)

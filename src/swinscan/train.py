@@ -218,8 +218,12 @@ def read_epoch_metrics(path: str):
 
     A malformed row raises InputError naming the file and line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), start=1) if ln]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text") from exc
+    rows = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln]
     if not rows or rows[0][1] != _CSV_HEADER:
         raise EmptyInputError(f"{path} is not an epoch metrics CSV")
     history = []

@@ -5,6 +5,7 @@ Detection set: bright centered disk ("Yes") versus near-blank noise
 the three tumor classes.  Everything is deterministic per seed.
 """
 
+import csv
 import os
 
 import numpy as np
@@ -81,6 +82,15 @@ def classification_samples(n=48, seed=0):
     return samples
 
 
+def save_manifest(manifest, path):
+    """Write a manifest as the `path,task,class` CSV that load_manifest reads."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["path", "task", "class"])
+        for e in manifest.entries:
+            writer.writerow([e.path, e.task, e.class_name])
+
+
 def write_dataset(samples, directory):
     """Write samples as P6 files plus a manifest.csv; returns its path."""
     os.makedirs(directory, exist_ok=True)
@@ -93,5 +103,5 @@ def write_dataset(samples, directory):
         entries.append(D.ManifestEntry(name, s.task, class_name))
     manifest = D.DatasetManifest(entries, base_dir=directory)
     path = os.path.join(directory, "manifest.csv")
-    D.save_manifest(manifest, path)
+    save_manifest(manifest, path)
     return path

@@ -3,10 +3,14 @@
 bench/spans.py skips any layer it cannot find, so a rename would read as
 zero time in that layer instead of failing.  This test loads spans.py
 from its file, without changing it or sys.path, and resolves every name.
+It also pins the entry points the benchmark starts the service through.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 
@@ -53,3 +57,20 @@ def test_every_layer_resolves():
 def test_every_tensor_op_and_the_tape_hook_resolve():
     names = [("tensor", op) for op in SPANS.TENSOR_OPS] + [("tensor", "Tape.record")]
     assert _unresolved(names) == []
+
+
+def test_service_entry_points_resolve():
+    # bench/launcher.py calls service.main; acceptance check 09 also
+    # calls service.create_server
+    assert _unresolved([("service", "main"), ("service", "create_server")]) == []
+
+
+def test_service_module_runs_as_a_script():
+    # bench/serve.py starts the server with `python -m swinscan.service`
+    src = str(Path(importlib.import_module("swinscan").__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-m", "swinscan.service", "--help"], env=env,
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0
+    assert b"serve" in done.stdout

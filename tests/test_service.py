@@ -1,10 +1,16 @@
 import base64
 import json
+import os
+import signal
 import socket
+import struct
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -660,6 +666,38 @@ class TestCli:
         assert err.count("\n") == 1 and f"{csv} line 2" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", [
+        "weight-name", "weight-extents", "weight-zero-extent", "manifest", "epoch-csv",
+    ])
+    def test_unreadable_operator_file_is_data_error(self, capsys, tmp_path,
+                                                    detect_weights_path, case):
+        blob = open(detect_weights_path, "rb").read()
+        # magic, version and the config block of a real file, then one parameter
+        head = blob[:8 + 4 * len(M._config_words(M.default_config(2)))] + struct.pack("<I", 1)
+        named = head + struct.pack("<I", 1) + b"x"
+        content, message = {
+            "weight-name": (head + struct.pack("<I", 2) + b"\xff\xfe",
+                            "parameter name is not UTF-8"),
+            # 8 * 2**64 bytes of values, past what an int64 product holds
+            "weight-extents": (named + struct.pack("<5I", 4, *[65536] * 4),
+                               "truncated weight file"),
+            "weight-zero-extent": (named + struct.pack("<5I", 4, 0, *[2 ** 32 - 1] * 3),
+                                   "extents [0, 4294967295, 4294967295, 4294967295] too large"),
+            "manifest": (b"path,task,class\n\xff.pnm,detect,Yes\n", "is not UTF-8 text"),
+            "epoch-csv": (b"epoch,steps,mean_loss,accuracy,precision,recall,f1\n\xff\n",
+                          "is not UTF-8 text"),
+        }[case]
+        path = tmp_path / "operator-file"
+        path.write_bytes(content)
+        out = str(tmp_path / "out")
+        argv = {
+            "manifest": ["train", "--task", "detect", "--manifest", str(path), "--out", out],
+            "epoch-csv": ["plot", "--history", str(path), "--out", out],
+        }.get(case, ["eval", "--weights", str(path), "--manifest", str(tmp_path / "none.csv")])
+        assert SV.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
     def test_plot_comparison(self, tmp_path):
         out = tmp_path / "cmp.svg"
         assert SV.main(["plot", "--comparison", "--out", str(out)]) == 0
@@ -756,6 +794,47 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "outside the port range" in err
+
+    def test_serve_stops_on_sigint_when_started_ignoring_it(self, detect_weights_path,
+                                                            classify_weights_path):
+        # the child ignores SIGINT before it execs the CLI, as a background
+        # job of a non-interactive shell does; an exec wrapper does that
+        # without running Python between fork and exec in this threaded process
+        wrapper = ("import os, signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+                   "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])")
+        src = str(Path(SV.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", wrapper, "-m", "swinscan.service", "serve",
+             "--weights-detect", detect_weights_path,
+             "--weights-classify", classify_weights_path, "--port", "0"],
+            env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stderr.readline().startswith(b"serving on")
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=5) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+
+    def test_train_defaults_are_train_config_defaults(self, monkeypatch, tmp_path,
+                                                      detect_samples):
+        manifest = synth.write_dataset(detect_samples[:2], str(tmp_path / "ds"))
+        seen = []
+
+        def fake_train(weights, samples, config):
+            seen.append(config)
+            return weights, [TR.EpochMetrics(1, 1, 0.0, 0.0, 0.0, 0.0, 0.0)]
+
+        monkeypatch.setattr(TR, "train", fake_train)
+        argv = ["train", "--task", "detect", "--manifest", manifest,
+                "--out", str(tmp_path / "w.swnw")]
+        assert SV.main(argv) == 0
+        assert seen == [TR.TrainConfig()]
 
     def test_cli_and_service_agree(self, capsys, monkeypatch, tmp_path,
                                    detect_weights_path, classify_weights_path,
