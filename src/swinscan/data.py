@@ -11,6 +11,7 @@ feeds the model (trainer, predictor) so raw pixels stay inspectable.
 import csv
 import os
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,8 @@ from .errors import (
     LabelError,
     PnmError,
 )
+from .model import IMAGE_SIZE
 
-TARGET_SIZE = 64  # model input side, px
 # every channel: (value - IMAGE_MEAN) / IMAGE_STD maps [0, 1] to [-1, 1]
 IMAGE_MEAN = 0.5
 IMAGE_STD = 0.5
@@ -106,9 +107,12 @@ def load_manifest(path: str) -> DatasetManifest:
     """Read a `path,task,class` CSV (UTF-8, LF endings)."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = list(reader)
     except UnicodeDecodeError as exc:
         raise InputError(f"manifest {path} is not UTF-8 text") from exc
+    except csv.Error as exc:  # e.g. a field past csv's size limit
+        raise InputError(f"manifest {path} line {reader.line_num}: {exc}") from exc
     if rows[:1] != [["path", "task", "class"]]:
         raise InputError(f"manifest {path}: expected header path,task,class")
     entries = []
@@ -117,6 +121,8 @@ def load_manifest(path: str) -> DatasetManifest:
             continue
         if len(row) != 3:
             raise InputError(f"manifest {path} line {line_no}: expected 3 fields")
+        if "\0" in row[0]:
+            raise InputError(f"manifest {path} line {line_no}: path contains a NUL byte")
         try:
             label_for(row[1], row[2])
         except (InputError, LabelError) as exc:
@@ -147,6 +153,7 @@ class Batch:
 
 _WS = frozenset(b" \t\r\n\x0b\x0c")
 _WS_TABLE = np.isin(np.arange(256), list(_WS))
+_MAX_FIELD_DIGITS = len(str(sys.maxsize))
 
 
 # A header token opens the rest of the current line, or a later line,
@@ -170,7 +177,12 @@ def _header_integer(blob: bytes, pos: int, what: str):
     token = blob[start:end]
     if not token.isdigit():
         raise PnmError(f"{what} is not a decimal number: {token[:8]!r}", offset=start)
-    return start, end, int(token)
+    digits = token.lstrip(b"0") or b"0"
+    # no accepted width, height or maxval exceeds sys.maxsize, the largest
+    # bytes length; int() would refuse a string of over 4300 digits
+    if len(digits) > _MAX_FIELD_DIGITS:
+        raise PnmError(f"{what} of {len(digits)} digits is too large", offset=start)
+    return start, end, int(digits)
 
 
 def _ascii_values(blob: bytes, at: int, needed: int, maxval: int) -> np.ndarray:
@@ -376,5 +388,5 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry) -> Sample:
         image = load_pnm(raw)
     except PnmError as exc:
         raise PnmError(f"{path}: {exc}", offset=exc.offset) from exc
-    image = np.clip(resize_bilinear(image, TARGET_SIZE), 0.0, 1.0)
+    image = np.clip(resize_bilinear(image, IMAGE_SIZE), 0.0, 1.0)
     return Sample(image, label_for(entry.task, entry.class_name), entry.path, entry.task)

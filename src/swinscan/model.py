@@ -28,59 +28,29 @@ MASK_NEG = -1e9  # finite stand-in for -inf so softmax never sees a NaN
 IN_CHANNELS = 3  # load_pnm always yields RGB
 
 
+# The one architecture, desk-scale Swin: 64 px input, 4 px patches, two
+# stages of two blocks, token grids 16x16 then 8x8.  Weight files carry
+# these values in their config block and are refused when they differ.
+IMAGE_SIZE = 64  # model input side, px; load_sample resizes to it
+PATCH_SIZE = 4
+EMBED_DIM = 32
+DEPTHS = (2, 2)
+NUM_HEADS = (2, 4)
+WINDOW_SIZE = 4
+MLP_RATIO = 4
+GRID_SIZE = IMAGE_SIZE // PATCH_SIZE
+SHIFT_SIZE = WINDOW_SIZE // 2  # cyclic shift of the odd blocks: half a window, as in Swin
+
+
 @dataclass(frozen=True)
 class SwinConfig:
-    """Architecture hyperparameters.
+    """The head size, the one setting of the architecture: 2 or 3 classes."""
 
-    The defaults are the desk-scale setup used throughout: 64 px input,
-    4 px patches, two stages of two blocks, token grids 16x16 then 8x8.
-    Inputs have IN_CHANNELS channels.
-    """
-
-    image_size: int = 64
-    patch_size: int = 4
-    embed_dim: int = 32
-    depths: tuple = (2, 2)
-    num_heads: tuple = (2, 4)
-    window_size: int = 4
-    mlp_ratio: int = 4
-    num_classes: int = 2
+    num_classes: int
 
     def __post_init__(self):
-        if self.image_size % self.patch_size != 0:
-            raise ConfigurationError(
-                f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
-            )
-        if len(self.depths) == 0 or len(self.depths) != len(self.num_heads):
-            raise ConfigurationError("depths and num_heads must be equal-length and non-empty")
         if self.num_classes not in (2, 3):
             raise ConfigurationError(f"num_classes must be 2 or 3, got {self.num_classes}")
-        side = self.image_size // self.patch_size
-        for s in range(len(self.depths)):
-            if side % self.window_size != 0:
-                raise ConfigurationError(
-                    f"stage {s} token grid {side} not divisible by window_size {self.window_size}"
-                )
-            if s + 1 < len(self.depths):
-                if side % 2 != 0:
-                    raise ConfigurationError(f"stage {s} grid {side} is odd, cannot merge")
-                side //= 2
-            if (self.embed_dim * (2 ** s)) % self.num_heads[s] != 0:
-                raise ConfigurationError(
-                    f"stage {s} channels not divisible by {self.num_heads[s]} heads"
-                )
-
-    @property
-    def grid_size(self):
-        return self.image_size // self.patch_size
-
-    @property
-    def shift_size(self):
-        """Cyclic shift of the odd blocks: half a window, as in Swin."""
-        return self.window_size // 2
-
-    def stage_dim(self, stage: int) -> int:
-        return self.embed_dim * (2 ** stage)
 
 
 def default_config(num_classes: int) -> SwinConfig:
@@ -92,8 +62,9 @@ def default_config(num_classes: int) -> SwinConfig:
 # parameters
 
 
-def _block_shapes(dim: int, heads: int, window: int, hidden: int) -> dict:
+def _block_shapes(dim: int, heads: int) -> dict:
     """Parameter name -> shape for one block, in ModelWeights.init draw order."""
+    hidden = MLP_RATIO * dim
     return {
         "norm1.gamma": (dim,),
         "norm1.beta": (dim,),
@@ -101,7 +72,7 @@ def _block_shapes(dim: int, heads: int, window: int, hidden: int) -> dict:
         "attn.qkv.bias": (3 * dim,),
         "attn.proj.weight": (dim, dim),
         "attn.proj.bias": (dim,),
-        "attn.bias_table": ((2 * window - 1) ** 2, heads),
+        "attn.bias_table": ((2 * WINDOW_SIZE - 1) ** 2, heads),
         "norm2.gamma": (dim,),
         "norm2.beta": (dim,),
         "mlp.fc1.weight": (dim, hidden),
@@ -112,24 +83,22 @@ def _block_shapes(dim: int, heads: int, window: int, hidden: int) -> dict:
 
 
 def expected_shapes(config: SwinConfig) -> dict:
-    """Canonical parameter path -> shape map declared by a config."""
-    patch_dim = IN_CHANNELS * config.patch_size ** 2
+    """Canonical parameter path -> shape map for a head size."""
     shapes = {
-        "patch_embed.proj.weight": (patch_dim, config.embed_dim),
-        "patch_embed.proj.bias": (config.embed_dim,),
+        "patch_embed.proj.weight": (IN_CHANNELS * PATCH_SIZE ** 2, EMBED_DIM),
+        "patch_embed.proj.bias": (EMBED_DIM,),
     }
-    for s, depth in enumerate(config.depths):
-        dim = config.stage_dim(s)
-        block = _block_shapes(dim, config.num_heads[s], config.window_size,
-                              config.mlp_ratio * dim)
+    for s, depth in enumerate(DEPTHS):
+        dim = EMBED_DIM * 2 ** s
+        block = _block_shapes(dim, NUM_HEADS[s])
         for b in range(depth):
             for name, shape in block.items():
                 shapes[f"stage{s}.block{b}.{name}"] = shape
-        if s + 1 < len(config.depths):
+        if s + 1 < len(DEPTHS):
             shapes[f"merge{s}.norm.gamma"] = (4 * dim,)
             shapes[f"merge{s}.norm.beta"] = (4 * dim,)
             shapes[f"merge{s}.reduce.weight"] = (4 * dim, 2 * dim)
-    final = config.stage_dim(len(config.depths) - 1)
+    final = EMBED_DIM * 2 ** (len(DEPTHS) - 1)
     shapes["head.norm.gamma"] = (final,)
     shapes["head.norm.beta"] = (final,)
     shapes["head.fc.weight"] = (final, config.num_classes)
@@ -227,16 +196,13 @@ def patch_embed(images: np.ndarray, weights: ModelWeights) -> T.Tensor:
     (B, C, H, W) images -> (B, num_patches, embed_dim): one token per
     patch, row-major over the patch grid.
     """
-    config = weights.config
     b, c, h, w = images.shape
     if c != IN_CHANNELS:
         raise InputError(f"expected {IN_CHANNELS} channels, got {c}")
-    if (h, w) != (config.image_size, config.image_size):
-        raise InputError(
-            f"expected {config.image_size}x{config.image_size} input, got {h}x{w}"
-        )
-    p = config.patch_size
-    g = config.grid_size
+    if (h, w) != (IMAGE_SIZE, IMAGE_SIZE):
+        raise InputError(f"expected {IMAGE_SIZE}x{IMAGE_SIZE} input, got {h}x{w}")
+    p = PATCH_SIZE
+    g = GRID_SIZE
     # each patch flattened channel-major, patches row-major over the grid
     x = images.reshape(b, c, g, p, g, p)
     x = x.transpose(0, 2, 4, 1, 3, 5).reshape(b, g * g, c * p * p)
@@ -293,8 +259,6 @@ def build_shift_mask(h: int, w: int, window_size: int, shift_size: int) -> np.nd
     """
     n_win = (h // window_size) * (w // window_size)
     n_tok = window_size ** 2
-    if shift_size == 0:
-        return np.zeros((n_win, n_tok, n_tok))
     # region ids in post-shift coordinates: three row bands and three
     # column bands, cut at -window_size and -shift_size
     ids = np.zeros((h, w))
@@ -414,7 +378,7 @@ def patch_merging(tokens: T.Tensor, weights: dict) -> T.Tensor:
 # full forward pass
 
 
-def _block(x, weights, prefix, heads, window_size, shift):
+def _block(x, weights, prefix, heads, shift):
     b, h, w, c = x.shape
     p = weights.subset(prefix)
 
@@ -422,14 +386,14 @@ def _block(x, weights, prefix, heads, window_size, shift):
     x = T.layer_norm(x, p["norm1.gamma"], p["norm1.beta"])
     if shift:
         x = cyclic_shift(x, shift)
-        mask = build_shift_mask(h, w, window_size, shift)
+        mask = build_shift_mask(h, w, WINDOW_SIZE, shift)
         mask = np.tile(mask, (b, 1, 1))
     else:
         mask = None
-    windows = window_partition(x, window_size)
+    windows = window_partition(x, WINDOW_SIZE)
     attn_w = {key[5:]: t for key, t in p.items() if key.startswith("attn.")}
     windows = window_attention(windows, attn_w, p["attn.bias_table"], heads, mask=mask)
-    x = window_reverse(windows, b, h, w, window_size)
+    x = window_reverse(windows, b, h, w, WINDOW_SIZE)
     if shift:
         x = cyclic_shift(x, -shift)
     x = T.add(shortcut, x)
@@ -442,25 +406,16 @@ def _block(x, weights, prefix, heads, window_size, shift):
 
 def forward_batch(images: np.ndarray, weights: ModelWeights) -> T.Tensor:
     """Logits for a batch of normalized images, shape (B, num_classes)."""
-    config = weights.config
     images = np.asarray(images, dtype=np.float64)
     b = images.shape[0]
     tokens = patch_embed(images, weights)
-    g = config.grid_size
-    x = T.reshape(tokens, (b, g, g, config.embed_dim))
+    x = T.reshape(tokens, (b, GRID_SIZE, GRID_SIZE, EMBED_DIM))
 
-    for s, depth in enumerate(config.depths):
+    for s, depth in enumerate(DEPTHS):
         for blk in range(depth):
-            shift = 0 if blk % 2 == 0 else config.shift_size
-            x = _block(
-                x,
-                weights,
-                f"stage{s}.block{blk}.",
-                config.num_heads[s],
-                config.window_size,
-                shift,
-            )
-        if s + 1 < len(config.depths):
+            shift = 0 if blk % 2 == 0 else SHIFT_SIZE
+            x = _block(x, weights, f"stage{s}.block{blk}.", NUM_HEADS[s], shift)
+        if s + 1 < len(DEPTHS):
             x = patch_merging(x, weights.subset(f"merge{s}."))
 
     _, h, w, c = x.shape
@@ -486,28 +441,17 @@ _VERSION = 1
 
 
 def _config_words(config: SwinConfig):
-    return [
-        config.image_size,
-        IN_CHANNELS,
-        config.patch_size,
-        config.embed_dim,
-        len(config.depths),
-        *config.depths,
-        *config.num_heads,
-        config.window_size,
-        config.shift_size,
-        config.mlp_ratio,
-        config.num_classes,
-    ]
+    return [IMAGE_SIZE, IN_CHANNELS, PATCH_SIZE, EMBED_DIM, len(DEPTHS), *DEPTHS, *NUM_HEADS,
+            WINDOW_SIZE, SHIFT_SIZE, MLP_RATIO, config.num_classes]
 
 
 def save_weights(path: str, weights: ModelWeights) -> None:
     """Write a SWNW weight file.
 
     Layout, all integers little-endian uint32: magic "SWNW", format
-    version, the config block (image_size, in_channels = IN_CHANNELS,
-    patch_size, embed_dim, stage count, depths, heads, window_size,
-    shift_size = window_size // 2, mlp_ratio, num_classes), parameter
+    version, the config block (IMAGE_SIZE, IN_CHANNELS, PATCH_SIZE,
+    EMBED_DIM, stage count, DEPTHS, NUM_HEADS, WINDOW_SIZE, SHIFT_SIZE,
+    MLP_RATIO, num_classes), parameter
     count, then per parameter: path length, path bytes (utf-8), rank,
     extents, and the raw float64 little-endian values.  Parameters are
     written in sorted path order.
@@ -552,8 +496,8 @@ class _Reader:
 def load_weights(path: str) -> ModelWeights:
     """Read a SWNW weight file; inverse of :func:`save_weights`.
 
-    A config block whose in_channels or shift_size slot holds another
-    value than save_weights writes raises WeightFormatError.
+    A config block that differs from the one save_weights writes, for
+    either head size, raises WeightFormatError at offset 8.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -563,27 +507,12 @@ def load_weights(path: str) -> ModelWeights:
     version = r.u32()
     if version != _VERSION:
         raise WeightFormatError(f"unsupported format version {version}", offset=4)
-    image_size, in_channels, patch_size, embed_dim, n_stages = (r.u32() for _ in range(5))
-    depths = tuple(r.u32() for _ in range(n_stages))
-    heads = tuple(r.u32() for _ in range(n_stages))
-    window_size, shift_size, mlp_ratio, num_classes = (r.u32() for _ in range(4))
-    try:
-        config = SwinConfig(
-            image_size=image_size,
-            patch_size=patch_size,
-            embed_dim=embed_dim,
-            depths=depths,
-            num_heads=heads,
-            window_size=window_size,
-            mlp_ratio=mlp_ratio,
-            num_classes=num_classes,
-        )
-    except ConfigurationError as exc:
-        raise WeightFormatError(f"config block invalid: {exc}", offset=8) from exc
-    if (in_channels, shift_size) != (IN_CHANNELS, config.shift_size):
+    # the block's last word is the head size; any other word is fixed
+    words = [r.u32() for _ in _config_words(SwinConfig(2))]
+    config = SwinConfig(3 if words[-1] == 3 else 2)
+    if words != _config_words(config):
         raise WeightFormatError(
-            f"config block invalid: in_channels {in_channels} and shift_size {shift_size}, "
-            f"expected {IN_CHANNELS} and window_size // 2 = {config.shift_size}",
+            f"config block {words} is not this architecture's {_config_words(config)}",
             offset=8,
         )
     count = r.u32()

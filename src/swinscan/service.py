@@ -277,8 +277,7 @@ class PredictionService:
 
     def run(self, request: PredictRequest):
         """Full pipeline for one request: returns (report, highlighted image)."""
-        side = self.detect_weights.config.image_size
-        resized = np.clip(D.resize_bilinear(request.image, side), 0.0, 1.0)
+        resized = np.clip(D.resize_bilinear(request.image, M.IMAGE_SIZE), 0.0, 1.0)
         normalized = D.normalize(resized)
         _, det_probs = M.forward_classify(normalized, self.detect_weights)
         detection = (int(np.argmax(det_probs)), det_probs)

@@ -245,11 +245,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         )
     out_data = a.data + b.data
     lead = a.ndim - b.ndim
-    b_shape = b.shape
 
     def bw(g: np.ndarray):
-        if g.shape == b_shape:
-            return g, g
         gb = g.sum(axis=tuple(range(lead))) if lead else g
         return g, gb
 

@@ -62,3 +62,28 @@ def check_grads(build_loss, params: list[T.Tensor], tol: float = REL_TOL) -> flo
         worst = max(worst, err)
         assert err < tol, f"gradient mismatch for shape {p.shape}: rel err {err:.3e}"
     return worst
+
+
+def check_sampled_grads(build_loss, params: list[T.Tensor], rng, samples: int = 32,
+                        tol: float = REL_TOL) -> float:
+    """check_grads at no more than `samples` random coordinates per parameter,
+    for models too large to difference in full; return worst error."""
+    analytic = analytic_grads(build_loss, params)
+    worst = 0.0
+    for p, ga in zip(params, analytic):
+        flat = p.data.reshape(-1)  # a view: the loss sees each bump
+        coords = (np.arange(flat.size) if flat.size <= samples
+                  else rng.choice(flat.size, size=samples, replace=False))
+        gn = np.zeros(len(coords))
+        for n, i in enumerate(coords):
+            orig = flat[i]
+            flat[i] = orig + FD_STEP
+            fp = float(build_loss().data)
+            flat[i] = orig - FD_STEP
+            fm = float(build_loss().data)
+            flat[i] = orig
+            gn[n] = (fp - fm) / (2.0 * FD_STEP)
+        err = max_rel_error(ga.reshape(-1)[coords], gn)
+        worst = max(worst, err)
+        assert err < tol, f"gradient mismatch for shape {p.shape}: rel err {err:.3e}"
+    return worst

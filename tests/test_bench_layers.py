@@ -3,15 +3,19 @@
 bench/spans.py skips any layer it cannot find, so a rename would read as
 zero time in that layer instead of failing.  This test loads spans.py
 from its file, without changing it or sys.path, and resolves every name.
-It also pins the entry points the benchmark starts the service through.
+It also pins the entry points the benchmark starts the service through,
+and those it builds, trains and saves models through.
 """
 
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -63,6 +67,31 @@ def test_service_entry_points_resolve():
     # bench/launcher.py calls service.main; acceptance check 09 also
     # calls service.create_server
     assert _unresolved([("service", "main"), ("service", "create_server")]) == []
+
+
+# bench/training.py and bench/workloads.py build, train and save models
+# and make requests through these names and keywords
+BENCH_ENTRY_POINTS = {
+    "model.default_config": (),
+    "model.ModelWeights.init": ("seed",),
+    "model.save_weights": (),
+    "data.Sample": (),
+    "data.write_pnm": (),
+    "train.train": (),
+    "train.TrainConfig": ("epochs", "batch_size", "learning_rate", "seed"),
+    "train.AdamW": (),
+}
+
+
+@pytest.mark.parametrize("dotted", sorted(BENCH_ENTRY_POINTS))
+def test_benchmark_entry_point_resolves(dotted):
+    module_name, *parts = dotted.split(".")
+    obj = importlib.import_module(f"swinscan.{module_name}")
+    for part in parts:
+        obj = getattr(obj, part, None)
+    assert callable(obj)
+    keywords = inspect.signature(obj).parameters
+    assert all(k in keywords for k in BENCH_ENTRY_POINTS[dotted])
 
 
 def test_service_module_runs_as_a_script():

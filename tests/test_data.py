@@ -75,6 +75,20 @@ class TestLoadPnm:
         with pytest.raises(PnmError, match="65535"):
             D.load_pnm(b"P5\n1 1\n65535\n\x00\x00")
 
+    @pytest.mark.parametrize("blob, message, offset", [
+        (b"P5 " + b"1" * 5000 + b" 1 255\n\x00", "width of 5000 digits is too large", 3),
+        (b"P5 1 1 " + b"9" * 20 + b"\n\x00", "maxval of 20 digits is too large", 7),
+    ])
+    def test_header_number_longer_than_any_accepted(self, blob, message, offset):
+        # int() would raise a plain ValueError past 4300 digits
+        with pytest.raises(PnmError, match=message) as err:
+            D.load_pnm(blob)
+        assert err.value.offset == offset
+
+    def test_header_leading_zeros_beyond_int_digit_limit(self):
+        img = D.load_pnm(b"P5 1 " + b"0" * 5000 + b"1 255\n\x07")
+        assert img.shape == (3, 1, 1) and np.all(img == 7 / 255)
+
     def test_truncated_binary_payload(self):
         blob = b"P6\n2 2\n255\n" + bytes(5)
         with pytest.raises(PnmError) as err:

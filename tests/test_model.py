@@ -5,19 +5,8 @@ from swinscan import model as M
 from swinscan import tensor as T
 from swinscan.errors import ConfigurationError, DimensionError, InputError
 
-from gradcheck import check_grads
+from gradcheck import check_sampled_grads
 
-
-TINY = M.SwinConfig(
-    image_size=8,
-    patch_size=2,
-    embed_dim=4,
-    depths=(1, 1),
-    num_heads=(1, 2),
-    window_size=2,
-    mlp_ratio=2,
-    num_classes=2,
-)
 
 
 def region_id_oracle(r, c, h, w, window, shift):
@@ -53,42 +42,33 @@ def dense_attention_oracle(x, qkv_w, qkv_b, proj_w, proj_b, heads):
 
 class TestConfig:
     def test_defaults_are_consistent(self):
-        cfg = M.default_config(2)
-        assert cfg.grid_size == 16
+        assert M.GRID_SIZE == 16
         assert M.default_config(3).num_classes == 3
-
-    def test_indivisible_patch(self):
-        with pytest.raises(ConfigurationError):
-            M.SwinConfig(image_size=65)
 
     def test_bad_class_count(self):
         with pytest.raises(ConfigurationError):
             M.SwinConfig(num_classes=5)
 
-    def test_window_must_divide_every_stage(self):
-        with pytest.raises(ConfigurationError):
-            M.SwinConfig(image_size=48, window_size=4, patch_size=4, depths=(1, 1, 1),
-                         num_heads=(1, 1, 1))
-
 
 class TestWeights:
     def test_init_covers_every_path(self):
-        w = M.ModelWeights.init(TINY, seed=0)
-        assert set(w.paths()) == set(M.expected_shapes(TINY))
+        cfg = M.default_config(2)
+        w = M.ModelWeights.init(cfg, seed=0)
+        assert set(w.paths()) == set(M.expected_shapes(cfg))
 
     def test_missing_parameter_rejected(self):
-        w = M.ModelWeights.init(TINY, seed=0)
+        w = M.ModelWeights.init(M.default_config(2), seed=0)
         params = dict(w.items())
         params.pop("head.fc.bias")
         with pytest.raises(ConfigurationError):
-            M.ModelWeights(TINY, params)
+            M.ModelWeights(w.config, params)
 
     def test_wrong_shape_rejected(self):
-        w = M.ModelWeights.init(TINY, seed=0)
+        w = M.ModelWeights.init(M.default_config(2), seed=0)
         params = dict(w.items())
         params["head.fc.bias"] = T.Tensor(np.zeros(7))
         with pytest.raises(ConfigurationError):
-            M.ModelWeights(TINY, params)
+            M.ModelWeights(w.config, params)
 
     def test_biases_zero_scales_one(self):
         w = M.ModelWeights.init(M.default_config(2), seed=3)
@@ -414,10 +394,9 @@ class TestMerging:
 class TestForward:
     def test_head_sizes(self):
         rng = np.random.default_rng(14)
-        img = rng.normal(size=(3, 8, 8))
+        img = rng.normal(size=(3, 64, 64))
         for classes in (2, 3):
-            cfg = M.SwinConfig(**{**TINY.__dict__, "num_classes": classes})
-            w = M.ModelWeights.init(cfg, seed=0)
+            w = M.ModelWeights.init(M.default_config(classes), seed=0)
             logits, probs = M.forward_classify(img, w)
             assert logits.shape == (classes,)
             assert probs.shape == (classes,)
@@ -425,16 +404,16 @@ class TestForward:
 
     def test_deterministic(self):
         rng = np.random.default_rng(15)
-        img = rng.normal(size=(3, 8, 8))
-        w = M.ModelWeights.init(TINY, seed=1)
+        img = rng.normal(size=(3, 64, 64))
+        w = M.ModelWeights.init(M.default_config(2), seed=1)
         a, _ = M.forward_classify(img, w)
         b, _ = M.forward_classify(img, w)
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_every_parameter_gets_gradient(self):
         rng = np.random.default_rng(16)
-        w = M.ModelWeights.init(TINY, seed=2)
-        images = rng.normal(size=(4, 3, 8, 8))
+        w = M.ModelWeights.init(M.default_config(2), seed=2)
+        images = rng.normal(size=(4, 3, 64, 64))
         labels = [0, 1, 0, 1]
         with T.Tape() as tape:
             for t in w.tensors():
@@ -446,8 +425,8 @@ class TestForward:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(17)
-        w = M.ModelWeights.init(TINY, seed=3)
-        images = rng.normal(size=(2, 3, 8, 8))
+        w = M.ModelWeights.init(M.default_config(2), seed=3)
+        images = rng.normal(size=(2, 3, 64, 64))
         labels = [0, 1]
         probes = [
             w["patch_embed.proj.bias"],
@@ -456,18 +435,18 @@ class TestForward:
             w["merge0.reduce.weight"],
             w["head.fc.weight"],
         ]
-        check_grads(
-            lambda: T.cross_entropy(M.forward_batch(images, w), labels), probes
+        check_sampled_grads(
+            lambda: T.cross_entropy(M.forward_batch(images, w), labels), probes, rng
         )
 
 
 class TestWeightFiles:
     def test_roundtrip_bit_exact(self, tmp_path):
-        w = M.ModelWeights.init(TINY, seed=4)
-        path = str(tmp_path / "tiny.swnw")
+        w = M.ModelWeights.init(M.default_config(3), seed=4)
+        path = str(tmp_path / "c.swnw")
         M.save_weights(path, w)
         loaded = M.load_weights(path)
-        assert loaded.config == TINY
+        assert loaded.config == w.config
         assert loaded.paths() == w.paths()
         for name, t in w.items():
             assert loaded[name].data.tobytes() == t.data.tobytes()
@@ -481,7 +460,7 @@ class TestWeightFiles:
             M.load_weights(str(path))
 
     def test_truncation_reports_offset(self, tmp_path):
-        w = M.ModelWeights.init(TINY, seed=4)
+        w = M.ModelWeights.init(M.default_config(2), seed=4)
         path = str(tmp_path / "t.swnw")
         M.save_weights(path, w)
         blob = open(path, "rb").read()
@@ -510,6 +489,22 @@ class TestWeightFiles:
         M.save_weights(str(path), M.ModelWeights.init(M.default_config(2), seed=0))
         blob = bytearray(path.read_bytes())
         blob[at : at + 4] = int(value).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WeightFormatError) as err:
+            M.load_weights(str(path))
+        assert err.value.offset == 8
+
+    @pytest.mark.parametrize("word", range(12))
+    def test_other_architecture_rejected(self, tmp_path, word):
+        # every word but the head size is fixed: a file of any other
+        # shape is refused before its parameters are read
+        from swinscan.errors import WeightFormatError
+
+        path = tmp_path / "d.swnw"
+        M.save_weights(str(path), M.ModelWeights.init(M.default_config(2), seed=0))
+        blob = bytearray(path.read_bytes())
+        at = 8 + 4 * word
+        blob[at : at + 4] = (int.from_bytes(blob[at : at + 4], "little") + 1).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(WeightFormatError) as err:
             M.load_weights(str(path))

@@ -29,12 +29,15 @@ from swinscan.errors import (
     InputError,
     PdfFormatError,
     PdfLayoutError,
+    WeightFormatError,
 )
 
 PINNED_TS = "2026-02-03T04:05:06Z"
 SVG_NS = "{http://www.w3.org/2000/svg}"
 # an ASCII PGM whose header declares far more pixels than its body holds
 OVERSIZED_ASCII_PNM = b"P2\n200000 200000\n255\n0 0\n"
+# a width of more digits than int() converts
+LONG_WIDTH_PNM = b"P5 " + b"1" * 5000 + b" 1 255\n\x00"
 
 
 def encode_image(image, fmt="P6") -> str:
@@ -311,6 +314,23 @@ class TestServicePipeline:
         with pytest.raises(ConfigurationError):
             SV.PredictionService(detect_weights_path, detect_weights_path)
 
+    def test_other_architecture_refused_at_startup(self, capsys, tmp_path,
+                                                   detect_weights_path, classify_weights_path):
+        # a 32 px classifier would load, then fail every request that
+        # reaches the classify branch as the client's 400
+        blob = bytearray(open(classify_weights_path, "rb").read())
+        blob[8:12] = struct.pack("<I", 32)  # the config block's image_size
+        mismatched = tmp_path / "classify32.swnw"
+        mismatched.write_bytes(bytes(blob))
+        with pytest.raises(WeightFormatError) as err:
+            SV.PredictionService(detect_weights_path, str(mismatched))
+        assert err.value.offset == 8
+        argv = ["serve", "--weights-detect", detect_weights_path,
+                "--weights-classify", str(mismatched), "--port", "0"]
+        assert SV.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "config block" in err
+
 
 class TestPdf:
     def test_framing(self):
@@ -539,6 +559,11 @@ class TestHttp:
         assert status == 400
         assert json.loads(payload)["error"]["code"] == "bad_image"
 
+    def test_header_number_beyond_int_digit_limit_is_bad_image(self, live_server):
+        status, _, payload = http(f"{live_server}/v1/predict", raw_request_body(LONG_WIDTH_PNM))
+        assert status == 400
+        assert json.loads(payload)["error"]["code"] == "bad_image"
+
     @pytest.mark.parametrize("route", ["/v1/predict", "/v1/report.pdf"])
     @pytest.mark.parametrize("width, height", [(2049, 1), (1, 2049)])
     def test_image_side_over_limit_is_400(self, live_server, route, width, height):
@@ -667,7 +692,8 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("case", [
-        "weight-name", "weight-extents", "weight-zero-extent", "manifest", "epoch-csv",
+        "weight-name", "weight-extents", "weight-zero-extent", "manifest", "manifest-long-field",
+        "manifest-nul-path", "epoch-csv",
     ])
     def test_unreadable_operator_file_is_data_error(self, capsys, tmp_path,
                                                     detect_weights_path, case):
@@ -684,6 +710,11 @@ class TestCli:
             "weight-zero-extent": (named + struct.pack("<5I", 4, 0, *[2 ** 32 - 1] * 3),
                                    "extents [0, 4294967295, 4294967295, 4294967295] too large"),
             "manifest": (b"path,task,class\n\xff.pnm,detect,Yes\n", "is not UTF-8 text"),
+            # csv refuses a field of over 131,072 characters
+            "manifest-long-field": (b"path,task,class\n" + b"x" * 131_073 + b",detect,Yes\n",
+                                    "line 2: field larger than field limit"),
+            "manifest-nul-path": (b"path,task,class\na.pnm,detect,Yes\nb\x00.pnm,detect,No\n",
+                                  "line 3: path contains a NUL byte"),
             "epoch-csv": (b"epoch,steps,mean_loss,accuracy,precision,recall,f1\n\xff\n",
                           "is not UTF-8 text"),
         }[case]
@@ -692,8 +723,9 @@ class TestCli:
         out = str(tmp_path / "out")
         argv = {
             "manifest": ["train", "--task", "detect", "--manifest", str(path), "--out", out],
-            "epoch-csv": ["plot", "--history", str(path), "--out", out],
-        }.get(case, ["eval", "--weights", str(path), "--manifest", str(tmp_path / "none.csv")])
+            "epoch": ["plot", "--history", str(path), "--out", out],
+        }.get(case.split("-")[0],
+              ["eval", "--weights", str(path), "--manifest", str(tmp_path / "none.csv")])
         assert SV.main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
@@ -765,6 +797,20 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "truncated pixel data" in err
+
+    def test_predict_rejects_header_number_beyond_int_digit_limit(
+            self, capsys, tmp_path, detect_weights_path, classify_weights_path):
+        image_path = tmp_path / "long-width.pgm"
+        image_path.write_bytes(LONG_WIDTH_PNM)
+        code = SV.main([
+            "predict",
+            "--weights-detect", detect_weights_path,
+            "--weights-classify", classify_weights_path,
+            "--image", str(image_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "width of 5000 digits is too large" in err
 
     def test_predict_rejects_image_side_over_limit(self, capsys, tmp_path,
                                                    detect_weights_path,

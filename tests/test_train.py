@@ -18,26 +18,12 @@ from swinscan.errors import (
 )
 
 
-def small_config(num_classes=2):
-    # a shrunken model keeps the cheap unit tests fast
-    return M.SwinConfig(
-        image_size=16,
-        patch_size=2,
-        embed_dim=4,
-        depths=(1, 1),
-        num_heads=(1, 2),
-        window_size=2,
-        mlp_ratio=2,
-        num_classes=num_classes,
-    )
-
-
-def small_samples(n=8, size=16, task=D.TASK_DETECT):
+def small_samples(n=8, task=D.TASK_DETECT):
     rng = np.random.default_rng(7)
     out = []
     k = len(D.classes_for_task(task))
     for i in range(n):
-        image = rng.uniform(0.0, 1.0, size=(3, size, size))
+        image = rng.uniform(0.0, 1.0, size=(3, M.IMAGE_SIZE, M.IMAGE_SIZE))
         out.append(
             D.Sample(image=image, label=i % k, source_path=f"mem:{i}", task=task)
         )
@@ -68,7 +54,7 @@ class TestTrainConfig:
 
 class TestOptimizer:
     def test_step_changes_every_param_with_nonzero_grad(self):
-        weights = M.ModelWeights.init(small_config(), seed=0)
+        weights = M.ModelWeights.init(M.default_config(2), seed=0)
         samples = small_samples(4)
         images = D.normalize(np.stack([s.image for s in samples]))
         params = weights.tensors()
@@ -120,7 +106,7 @@ class TestOptimizer:
 
 class TestTrain:
     def test_history_shape_and_step_counts(self):
-        weights = M.ModelWeights.init(small_config(), seed=0)
+        weights = M.ModelWeights.init(M.default_config(2), seed=0)
         samples = small_samples(10)
         cfg = TR.TrainConfig(epochs=3, batch_size=4, seed=1)
         _, history = TR.train(weights, samples, cfg)
@@ -148,7 +134,7 @@ class TestTrain:
         cfg = TR.TrainConfig(epochs=2, batch_size=4, seed=3)
         results = []
         for _ in range(2):
-            weights = M.ModelWeights.init(small_config(), seed=5)
+            weights = M.ModelWeights.init(M.default_config(2), seed=5)
             weights, history = TR.train(weights, samples, cfg)
             results.append((weights, history))
         wa, wb = results[0][0], results[1][0]
@@ -157,7 +143,7 @@ class TestTrain:
         assert results[0][1] == results[1][1]
 
     def test_training_moves_parameters(self):
-        weights = M.ModelWeights.init(small_config(), seed=0)
+        weights = M.ModelWeights.init(M.default_config(2), seed=0)
         before = {p: weights[p].data.copy() for p in weights.paths()}
         TR.train(weights, small_samples(8), TR.TrainConfig(epochs=1, batch_size=4))
         assert any(
@@ -166,7 +152,7 @@ class TestTrain:
         )
 
     def test_diverged_training_reports_step(self):
-        weights = M.ModelWeights.init(small_config(), seed=0)
+        weights = M.ModelWeights.init(M.default_config(2), seed=0)
         cfg = TR.TrainConfig(epochs=4, batch_size=4, learning_rate=1e18)
         with pytest.raises(DivergedTrainingError) as exc_info:
             TR.train(
@@ -175,18 +161,18 @@ class TestTrain:
         assert exc_info.value.step >= 1
 
     def test_empty_samples_rejected(self):
-        weights = M.ModelWeights.init(small_config(), seed=0)
+        weights = M.ModelWeights.init(M.default_config(2), seed=0)
         with pytest.raises(EmptyInputError):
             TR.train(weights, [], TR.TrainConfig())
 
     def test_mixed_tasks_rejected(self):
-        weights = M.ModelWeights.init(small_config(), seed=0)
+        weights = M.ModelWeights.init(M.default_config(2), seed=0)
         samples = small_samples(4) + small_samples(3, task=D.TASK_CLASSIFY)
         with pytest.raises(ConfigurationError):
             TR.train(weights, samples, TR.TrainConfig())
 
     def test_head_size_must_match_task(self):
-        weights = M.ModelWeights.init(small_config(num_classes=3), seed=0)
+        weights = M.ModelWeights.init(M.default_config(3), seed=0)
         with pytest.raises(ConfigurationError):
             TR.train(weights, small_samples(4), TR.TrainConfig())
 
