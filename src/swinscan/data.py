@@ -387,6 +387,6 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry) -> Sample:
     try:
         image = load_pnm(raw)
     except PnmError as exc:
-        raise PnmError(f"{path}: {exc}", offset=exc.offset) from exc
+        raise exc.in_file(path) from exc
     image = np.clip(resize_bilinear(image, IMAGE_SIZE), 0.0, 1.0)
     return Sample(image, label_for(entry.task, entry.class_name), entry.path, entry.task)

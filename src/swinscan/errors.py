@@ -38,9 +38,14 @@ class _OffsetError(SwinscanError):
 
     def __init__(self, message: str, offset: int | None = None):
         self.offset = offset
+        self.reason = message
         if offset is not None:
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
+
+    def in_file(self, path) -> "_OffsetError":
+        """The same error, naming the file whose bytes it is about."""
+        return type(self)(f"{path}: {self.reason}", offset=self.offset)
 
 
 class PnmError(_OffsetError, InputError):

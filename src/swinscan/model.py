@@ -497,10 +497,18 @@ def load_weights(path: str) -> ModelWeights:
     """Read a SWNW weight file; inverse of :func:`save_weights`.
 
     A config block that differs from the one save_weights writes, for
-    either head size, raises WeightFormatError at offset 8.
+    either head size, raises WeightFormatError at offset 8. Every
+    WeightFormatError names the path.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _parse_weights(blob)
+    except WeightFormatError as exc:
+        raise exc.in_file(path) from exc
+
+
+def _parse_weights(blob: bytes) -> ModelWeights:
     r = _Reader(blob)
     if r.take(4) != _MAGIC:
         raise WeightFormatError("bad magic, not a SWNW weight file", offset=0)

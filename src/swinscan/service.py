@@ -692,7 +692,13 @@ def render_comparison_plot() -> str:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # the base class's default, HTTP/0.9, answers a request line without a
+    # version with a bare body: no status line and no headers
+    default_request_version = "HTTP/1.1"
     server_version = "swinscan/" + __version__
+    # TCP_NODELAY: the head and the body go out as two writes, and Nagle's
+    # algorithm would hold the body until the client's delayed ACK
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):
         # requests are never persisted, not even as access log lines
@@ -705,7 +711,8 @@ class _Handler(BaseHTTPRequestHandler):
         if close:
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
         if close:
             self.close_connection = True
 
@@ -717,11 +724,26 @@ class _Handler(BaseHTTPRequestHandler):
             status, {"error": {"code": code, "message": message}}, close=close
         )
 
+    def send_error(self, code, message=None, explain=None):
+        # the base class refuses malformed HTTP with an HTML page; this
+        # reply names only the status, never the request's text
+        self._send_error_json(code, "bad_request", self.responses[code][0], close=True)
+
     def _read_body(self):
+        if "Transfer-Encoding" in self.headers:
+            # only Content-Length framing is read; a chunked body left
+            # unread would be parsed as the next request
+            self._send_error_json(400, "bad_request", "Transfer-Encoding is not supported",
+                                  close=True)
+            return None
+        lengths = {v.strip(" \t") for v in self.headers.get_all("Content-Length", ["0"])}
+        length = lengths.pop()
         try:
-            length = int(self.headers.get("Content-Length", "0") or "0")
-            if length < 0:
+            # one value of ASCII digits: int() alone also takes "5_0" or
+            # "+5", and differing repeats leave the body's end ambiguous
+            if lengths or not (length.isascii() and length.isdigit()):
                 raise ValueError(length)
+            length = int(length)  # also raises past 4300 digits
         except ValueError:
             self._send_error_json(400, "bad_request", "invalid Content-Length", close=True)
             return None
@@ -765,6 +787,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(500, "internal", "internal error", close=True)
 
     def do_GET(self):
+        # a body is read and ignored, so that it is not taken for the next request
+        if self._read_body() is None:
+            return
         if self.path == "/v1/health":
             self._send_json(200, self.server.service.health())
         else:

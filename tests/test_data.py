@@ -509,6 +509,20 @@ class TestManifestFile:
             D.load_manifest(str(path))
 
 
+class TestLoadSample:
+    def test_bad_image_error_names_the_file_once_with_its_offset(self, tmp_path):
+        (tmp_path / "scan.pnm").write_bytes(b"P5\n2 1\n255\n\x00")
+        manifest = D.DatasetManifest(
+            [D.ManifestEntry("scan.pnm", D.TASK_DETECT, "Yes")], base_dir=str(tmp_path)
+        )
+        with pytest.raises(PnmError) as err:
+            D.load_sample(manifest, manifest.entries[0])
+        message = str(err.value)
+        assert message.startswith(str(tmp_path / "scan.pnm") + ": ")
+        assert message.count("(byte offset") == 1
+        assert message.endswith(f"(byte offset {err.value.offset})")
+
+
 class TestSampleValidation:
     def test_label_out_of_range(self):
         with pytest.raises(LabelError):

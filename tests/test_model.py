@@ -456,8 +456,9 @@ class TestWeightFiles:
         path.write_bytes(b"XXXX" + b"\x00" * 32)
         from swinscan.errors import WeightFormatError
 
-        with pytest.raises(WeightFormatError):
+        with pytest.raises(WeightFormatError) as err:
             M.load_weights(str(path))
+        assert str(err.value) == f"{path}: bad magic, not a SWNW weight file (byte offset 0)"
 
     def test_truncation_reports_offset(self, tmp_path):
         w = M.ModelWeights.init(M.default_config(2), seed=4)
@@ -471,6 +472,7 @@ class TestWeightFiles:
         with pytest.raises(WeightFormatError) as err:
             M.load_weights(str(cut))
         assert err.value.offset is not None
+        assert str(err.value).startswith(f"{cut}: truncated weight file")
 
     def test_config_block_is_pinned(self, tmp_path):
         # old files keep loading and new files stay byte-identical only

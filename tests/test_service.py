@@ -1,12 +1,15 @@
 import base64
 import json
 import os
+import re
 import signal
 import socket
+import statistics
 import struct
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 import xml.etree.ElementTree as ET
@@ -325,11 +328,16 @@ class TestServicePipeline:
         with pytest.raises(WeightFormatError) as err:
             SV.PredictionService(detect_weights_path, str(mismatched))
         assert err.value.offset == 8
-        argv = ["serve", "--weights-detect", detect_weights_path,
-                "--weights-classify", str(mismatched), "--port", "0"]
-        assert SV.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "config block" in err
+        image = tmp_path / "scan.pnm"
+        image.write_bytes(black_p5(4, 4))
+        # the operator must see which of the two weight files is at fault
+        for argv in (["serve", "--port", "0"], ["predict", "--image", str(image)]):
+            argv += ["--weights-detect", detect_weights_path,
+                     "--weights-classify", str(mismatched)]
+            assert SV.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert f"{mismatched}: config block" in err and "(byte offset 8)" in err
 
 
 class TestPdf:
@@ -490,6 +498,73 @@ def http(url, data=None, method=None):
         return exc.code, dict(exc.headers), exc.read()
 
 
+class KeepAlive:
+    """One keep-alive HTTP/1.1 connection with TCP_NODELAY; each request goes out in one send."""
+
+    def __init__(self, url):
+        host, port = url.rsplit("/", 1)[1].split(":")
+        self.sock = socket.create_connection((host, int(port)), timeout=30)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.buf = bytearray()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.sock.close()
+
+    def _fill(self):
+        chunk = self.sock.recv(1 << 20)
+        if not chunk:
+            raise ConnectionError("server closed the connection")
+        self.buf += chunk
+
+    def request(self, method, path, body=b""):
+        """(status, body) of one exchange."""
+        self.sock.sendall(f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+                          f"Content-Length: {len(body)}\r\n\r\n".encode("ascii") + body)
+        while (end := self.buf.find(b"\r\n\r\n")) < 0:
+            self._fill()
+        head = bytes(self.buf[:end])
+        del self.buf[: end + 4]
+        length = int(re.search(rb"\r\nContent-Length: (\d+)", head).group(1))
+        while len(self.buf) < length:
+            self._fill()
+        reply = bytes(self.buf[:length])
+        del self.buf[:length]
+        return int(head.split()[1]), reply
+
+
+def raw_replies(url, data: bytes):
+    """[(head, body)] of every reply to `data` on one connection, until the server closes it.
+
+    A reply without a status line and a Content-Length fails the parse.
+    """
+    host, port = url.rsplit("/", 1)[1].split(":")
+    stream = b""
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(data)
+        while chunk := sock.recv(65536):
+            stream += chunk
+    replies = []
+    while stream:
+        head, sep, rest = stream.partition(b"\r\n\r\n")
+        assert sep and head.startswith(b"HTTP/1.1 "), stream[:200]
+        length = int(re.search(rb"\r\nContent-Length: (\d+)", head).group(1))
+        replies.append((head, rest[:length]))
+        stream = rest[length:]
+    return replies
+
+
+def refusal(url, data: bytes, status: int) -> dict:
+    """The error object of the one reply to `data`, which must close the connection."""
+    (head, payload), = raw_replies(url, data)
+    assert head.startswith(f"HTTP/1.1 {status} ".encode())
+    assert b"\r\nConnection: close" in head
+    assert b"\r\nContent-Type: application/json" in head
+    return json.loads(payload)["error"]
+
+
 class TestHttp:
     def test_predict_matches_in_process_handler(self, live_server, service, disk):
         body = request_body(disk, patient_ref="wire")
@@ -550,6 +625,89 @@ class TestHttp:
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"\r\nConnection: close" in head
         assert json.loads(payload)["error"]["code"] == "bad_request"
+
+    @pytest.mark.parametrize("value", [b"5_0", b"+2", b"\xb2", b""])
+    def test_non_digit_content_length_is_400(self, live_server, value):
+        # int() reads "5_0" as 50 and "+2" as 2; the body sent is as long
+        # as int() reads it, so a server that accepts the value replies
+        # instead of waiting for more bytes
+        try:
+            n = int(value.decode("latin-1"))
+        except ValueError:
+            n = 2
+        body = b"{" + b" " * (n - 2) + b"}"
+        error = refusal(live_server, b"POST /v1/predict HTTP/1.1\r\nHost: test\r\n"
+                        b"Connection: close\r\nContent-Length: " + value + b"\r\n\r\n" + body, 400)
+        assert error == {"code": "bad_request", "message": "invalid Content-Length"}
+
+    def test_differing_content_lengths_are_400(self, live_server):
+        error = refusal(live_server, b"POST /v1/predict HTTP/1.1\r\nHost: test\r\n"
+                        b"Connection: close\r\nContent-Length: 2\r\nContent-Length: 3\r\n"
+                        b"\r\n{} ", 400)
+        assert error["message"] == "invalid Content-Length"
+
+    def test_content_length_padding_is_accepted(self, live_server):
+        (head, payload), = raw_replies(live_server, b"POST /v1/predict HTTP/1.1\r\n"
+                                       b"Connection: close\r\nContent-Length: \t2 \r\n\r\n{}")
+        assert json.loads(payload)["error"]["code"] == "bad_task"
+
+    @pytest.mark.parametrize("method", ["POST", "GET"])
+    def test_transfer_encoding_is_refused_once(self, live_server, method):
+        # the chunk bytes must not be parsed as a second request
+        error = refusal(live_server, f"{method} /v1/predict HTTP/1.1\r\nHost: test\r\n".encode()
+                        + b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", 400)
+        assert error == {"code": "bad_request", "message": "Transfer-Encoding is not supported"}
+
+    def test_get_body_is_not_read_as_a_request(self, live_server):
+        replies = raw_replies(live_server, b"GET /v1/health HTTP/1.1\r\nHost: test\r\n"
+                              b"Content-Length: 8\r\n\r\nJUNK\r\n\r\n"
+                              b"GET /v1/health HTTP/1.1\r\nConnection: close\r\n\r\n")
+        assert [head.split()[1] for head, _ in replies] == [b"200", b"200"]
+        assert all(json.loads(body)["status"] == "ok" for _, body in replies)
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        pytest.param(b"GARBAGE\r\n\r\n", 400, id="one-word"),
+        # HTTP/0.9 allows only GET
+        pytest.param(b"POST /v1/predict\r\n\r\n", 400, id="http09-post"),
+        pytest.param(b"GET /v1/health HTTP/x\r\n\r\n", 400, id="bad-version"),
+        pytest.param(b"GET /v1/health HTTP/2.0\r\n\r\n", 505, id="http2"),
+        pytest.param(b"PUT /v1/predict HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501,
+                     id="put"),
+        # exactly the bytes the server reads before it refuses, so that
+        # closing leaves none unread
+        pytest.param(b"GET /" + b"a" * (65537 - 5), 414, id="long-request-line"),
+        pytest.param(b"GET /v1/health HTTP/1.1\r\nX: " + b"a" * (65537 - 3), 431,
+                     id="long-header-line"),
+        pytest.param(b"GET /v1/health HTTP/1.1\r\n" + b"X: a\r\n" * 101, 431,
+                     id="101-headers"),
+    ])
+    def test_malformed_http_gets_json_refusal(self, live_server, request_bytes, status):
+        error = refusal(live_server, request_bytes, status)
+        assert error == {"code": "bad_request",
+                         "message": SV._Handler.responses[status][0]}
+
+    def test_request_line_without_version_gets_a_status_line(self, live_server):
+        (head, payload), = raw_replies(live_server, b"GET /v1/nothing\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 404 ")
+        assert json.loads(payload)["error"]["code"] == "not_found"
+
+    def test_head_refusal_has_no_body(self, live_server):
+        (head, payload), = raw_replies(live_server, b"HEAD /v1/health HTTP/1.1\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 ") and payload == b""
+
+    def test_keep_alive_replies_do_not_wait_for_a_delayed_ack(self, live_server):
+        # with Nagle's algorithm on, a reply's body waits for the ACK of its
+        # head, which a client may delay by up to 40 ms (RFC 1122 4.2.3.2);
+        # a new connection per request, as http() opens, never shows it
+        with KeepAlive(live_server) as conn:
+            for method, path, body, status in [("GET", "/v1/health", b"", 200),
+                                               ("POST", "/v1/predict", b"{}", 400)]:
+                seconds = []
+                for _ in range(9):
+                    start = time.perf_counter()
+                    assert conn.request(method, path, body)[0] == status
+                    seconds.append(time.perf_counter() - start)
+                assert statistics.median(seconds) < 0.020, (path, seconds)
 
     def test_ascii_extents_beyond_body_is_bad_image(self, live_server):
         body = json.dumps({
