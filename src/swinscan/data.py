@@ -4,8 +4,9 @@ PNM (P2/P3/P5/P6) decoding and encoding, bilinear resizing to the
 64 px model resolution, normalization, and batching.  Train and test
 sets come as separate manifests.
 
-Sample images are kept in [0, 1]; normalization is applied by whoever
-feeds the model (trainer, predictor) so raw pixels stay inspectable.
+Sample images are kept in [0, 1] so raw pixels stay inspectable; they
+are normalized where they meet the model: by make_batches for training
+and evaluation, and by PredictionService.run for requests.
 """
 
 import csv
@@ -59,7 +60,7 @@ def label_for(task: str, class_name: str) -> int:
 
 @dataclass
 class Sample:
-    """One image with its label, pre-normalization (pixels in [0, 1])."""
+    """One image with its label, pixels in [0, 1]; make_batches normalizes."""
 
     image: np.ndarray
     label: int
@@ -129,23 +130,6 @@ def load_manifest(path: str) -> DatasetManifest:
             raise InputError(f"manifest {path} line {line_no}: {exc}") from exc
         entries.append(ManifestEntry(row[0], row[1], row[2]))
     return DatasetManifest(entries, base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-@dataclass
-class Batch:
-    images: np.ndarray  # (b, 3, 64, 64), values in [0, 1]
-    labels: tuple
-
-    def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.float64)
-        self.labels = tuple(int(l) for l in self.labels)
-        if self.images.ndim != 4 or self.images.shape[0] != len(self.labels):
-            raise InputError("batch images and labels disagree")
-        if self.images.shape[0] < 1:
-            raise EmptyInputError("empty batch")
-
-    def __len__(self):
-        return self.images.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -360,20 +344,18 @@ def normalize(image: np.ndarray) -> np.ndarray:
     return (np.asarray(image, dtype=np.float64) - IMAGE_MEAN) / IMAGE_STD
 
 
-def make_batches(samples, batch_size: int, rng):
-    """Shuffle samples with rng, then chunk them into Batches.
+def make_batches(samples, batch_size: int, order):
+    """Yield (normalized images, labels) for samples taken in order,
+    batch_size at a time; the last batch may be shorter.
 
-    All batches have batch_size items except possibly the last.
+    order is a sequence of sample indices: a permutation for a training
+    epoch, range(len(samples)) for evaluation.
     """
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    order = list(rng.permutation(len(samples)))
-    batches = []
     for at in range(0, len(order), batch_size):
         chunk = [samples[i] for i in order[at : at + batch_size]]
-        images = np.stack([s.image for s in chunk])
-        batches.append(Batch(images, tuple(s.label for s in chunk)))
-    return batches
+        yield normalize(np.stack([s.image for s in chunk])), [s.label for s in chunk]
 
 
 # ---------------------------------------------------------------------------

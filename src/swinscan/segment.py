@@ -43,11 +43,6 @@ class SegmentationResult:
     highlighted: np.ndarray | None = None
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    # np.round goes to even; intensity arithmetic rounds half away from zero
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
 def _as_8bit(image, rank: int) -> np.ndarray:
     # rank 3 is an HxWx3 RGB image, rank 2 an HxW grayscale one
     arr = np.asarray(image)
@@ -79,7 +74,9 @@ def to_grayscale(rgb) -> np.ndarray:
     """Luma conversion: Y = round(0.299 R + 0.587 G + 0.114 B)."""
     arr = _as_8bit(rgb, 3).astype(np.float64)
     y = 0.299 * arr[:, :, 0] + 0.587 * arr[:, :, 1] + 0.114 * arr[:, :, 2]
-    return np.clip(_round_half_away(y), 0, 255).astype(np.uint8)
+    # halves round up, where np.round would go to even; y is never
+    # negative and stays below 255.5, so the result fits a uint8
+    return np.floor(y + 0.5).astype(np.uint8)
 
 
 def otsu_threshold(gray) -> int:
@@ -153,8 +150,6 @@ def connected_components(mask) -> tuple[np.ndarray, list[int]]:
     padded[:, 1:-1] = arr
     change = np.flatnonzero(np.diff(padded, axis=1))
     start, end = change[0::2], change[1::2]
-    if not len(start):
-        return labels, []
 
     # run a overlaps run b of the row above when s_a < e_b and s_b < e_a;
     # shifted up a row, those runs form one index range [lo, hi)
@@ -234,7 +229,7 @@ def highlight_yellow(rgb, mask) -> np.ndarray:
     out = image.copy()
     yellow = np.asarray(YELLOW, dtype=np.float64)
     blend = (1.0 - HIGHLIGHT_ALPHA) * image[sel].astype(np.float64) + HIGHLIGHT_ALPHA * yellow
-    out[sel] = _round_half_away(blend).astype(np.uint8)
+    out[sel] = np.floor(blend + 0.5).astype(np.uint8)  # halves up, as in to_grayscale
     return out
 
 

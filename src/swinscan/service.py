@@ -699,6 +699,10 @@ class _Handler(BaseHTTPRequestHandler):
     # TCP_NODELAY: the head and the body go out as two writes, and Nagle's
     # algorithm would hold the body until the client's delayed ACK
     disable_nagle_algorithm = True
+    # seconds; StreamRequestHandler.setup sets it on each accepted socket,
+    # so a request line, headers or body that stall this long, or a
+    # keep-alive connection idle this long, is closed and frees its thread
+    timeout = 60
 
     def log_message(self, format, *args):
         # requests are never persisted, not even as access log lines
@@ -911,7 +915,7 @@ class _Parser(argparse.ArgumentParser):
 
 # TrainConfig field -> its `train` flag; the defaults are TrainConfig's
 _TRAIN_FLAGS = {"seed": "--seed", "epochs": "--epochs", "batch_size": "--batch-size",
-                "learning_rate": "--lr", "weight_decay": "--weight-decay"}
+                "learning_rate": "--lr"}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,11 +27,12 @@ __all__ = [
     "log_epoch_metrics",
 ]
 
-# AdamW moment decay rates and denominator guard
+# AdamW moment decay rates, denominator guard and decoupled weight decay
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-EVAL_CHUNK = 32  # images per forward pass in predict_labels
+WEIGHT_DECAY = 0.01
+EVAL_CHUNK = 32  # images per evaluate batch; make_batches normalizes them
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class TrainConfig:
     epochs: int = 3
     batch_size: int = 32
     learning_rate: float = 3e-4
-    weight_decay: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -78,7 +78,6 @@ class AdamW:
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
-        c = self.config
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
@@ -92,8 +91,8 @@ class AdamW:
                 self._v[i] = BETA2 * self._v[i] + (1.0 - BETA2) * g * g
                 m_hat = self._m[i] / bc1
                 v_hat = self._v[i] / bc2
-                p.data = p.data - c.learning_rate * (
-                    m_hat / (np.sqrt(v_hat) + EPS) + c.weight_decay * p.data
+                p.data = p.data - self.config.learning_rate * (
+                    m_hat / (np.sqrt(v_hat) + EPS) + WEIGHT_DECAY * p.data
                 )
 
     def zero_grads(self):
@@ -129,16 +128,15 @@ def train(weights: M.ModelWeights, samples, config: TrainConfig):
     history = []
     global_step = 0
     for epoch in range(1, config.epochs + 1):
-        batches = D.make_batches(samples, config.batch_size, rng)
+        order = rng.permutation(len(samples))
         losses = []
-        for batch in batches:
+        for images, labels in D.make_batches(samples, config.batch_size, order):
             global_step += 1
             opt.zero_grads()
-            images = D.normalize(batch.images)
             try:
                 with T.Tape() as tape:
                     logits = M.forward_batch(images, weights)
-                    loss = T.cross_entropy(logits, batch.labels)
+                    loss = T.cross_entropy(logits, labels)
                 T.backward(tape, loss)
             except NonFiniteError as exc:
                 raise DivergedTrainingError(global_step, str(exc)) from exc
@@ -148,7 +146,7 @@ def train(weights: M.ModelWeights, samples, config: TrainConfig):
         history.append(
             EpochMetrics(
                 epoch=epoch,
-                steps=len(batches),
+                steps=len(losses),
                 mean_loss=float(np.mean(losses)),
                 accuracy=_defined(report.accuracy),
                 precision=_defined(report.ppv),
@@ -164,34 +162,18 @@ def _defined(rate) -> float:
     return 0.0 if rate is None else float(rate)
 
 
-def predict_labels(weights: M.ModelWeights, samples):
-    """Argmax class ids for samples, in order."""
-    out = []
-    for at in range(0, len(samples), EVAL_CHUNK):
-        part = samples[at : at + EVAL_CHUNK]
-        images = D.normalize(np.stack([s.image for s in part]))
-        logits = M.forward_batch(images, weights)
-        out.extend(int(i) for i in np.argmax(logits.data, axis=1))
-    return out
-
-
-def evaluate(weights, samples, predict_fn=None):
-    """Confusion matrix plus the nine-measure report over samples.
-
-    predict_fn overrides the model: it maps a Sample to a class id
-    (used for oracle baselines in tests).
-    """
+def evaluate(weights, samples):
+    """Confusion matrix plus the nine-measure report over samples."""
     samples = list(samples)
     if not samples:
         raise EmptyInputError("cannot evaluate an empty sample set")
-    k = len(D.classes_for_task(samples[0].task))
-    if predict_fn is not None:
-        predicted = [int(predict_fn(s)) for s in samples]
-    else:
-        _check_task(weights, samples)
-        predicted = predict_labels(weights, samples)
+    _check_task(weights, samples)
+    predicted = []
+    for images, _ in D.make_batches(samples, EVAL_CHUNK, range(len(samples))):
+        logits = M.forward_batch(images, weights)
+        predicted.extend(int(i) for i in np.argmax(logits.data, axis=1))
     actual = [s.label for s in samples]
-    cm = MX.confusion_from_predictions(actual, predicted, k)
+    cm = MX.confusion_from_predictions(actual, predicted, weights.config.num_classes)
     return cm, MX.report_from_confusion(cm)
 
 

@@ -463,22 +463,34 @@ class TestBatches:
         return [_sample(rng.random((3, 64, 64)), label=i % 2) for i in range(n)]
 
     def test_hundred_samples(self):
-        batches = D.make_batches(self._samples(100), 32, np.random.default_rng(0))
-        assert [len(b) for b in batches] == [32, 32, 32, 4]
+        batches = D.make_batches(self._samples(100), 32, range(100))
+        assert [len(labels) for _, labels in batches] == [32, 32, 32, 4]
 
     def test_exactly_one_batch(self):
-        batches = D.make_batches(self._samples(32), 32, np.random.default_rng(0))
-        assert len(batches) == 1 and len(batches[0]) == 32
+        batches = list(D.make_batches(self._samples(32), 32, range(32)))
+        assert len(batches) == 1 and batches[0][0].shape == (32, 3, 64, 64)
 
     def test_label_multiset_preserved(self):
         samples = self._samples(77)
-        batches = D.make_batches(samples, 32, np.random.default_rng(1))
-        got = sorted(l for b in batches for l in b.labels)
+        order = np.random.default_rng(1).permutation(len(samples))
+        batches = D.make_batches(samples, 32, order)
+        got = sorted(l for _, labels in batches for l in labels)
         assert got == sorted(s.label for s in samples)
+
+    def test_images_are_normalized_stack_in_order(self):
+        samples = self._samples(10)
+        order = np.random.default_rng(2).permutation(len(samples))
+        batches = list(D.make_batches(samples, 4, order))
+        assert [len(labels) for _, labels in batches] == [4, 4, 2]
+        for at, (images, labels) in zip(range(0, 10, 4), batches):
+            chunk = [samples[i] for i in order[at : at + 4]]
+            expected = D.normalize(np.stack([s.image for s in chunk]))
+            assert images.tobytes() == expected.tobytes()
+            assert labels == [s.label for s in chunk]
 
     def test_bad_batch_size(self):
         with pytest.raises(ConfigurationError):
-            D.make_batches(self._samples(4), 0, np.random.default_rng(0))
+            list(D.make_batches(self._samples(4), 0, range(4)))
 
 
 class TestManifestFile:

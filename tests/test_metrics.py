@@ -75,6 +75,21 @@ class TestConfusion:
         with pytest.raises(ContractError):
             cm.tp
 
+    def test_oracle_predictor_is_perfect(self):
+        actual = [i % 2 for i in range(10)]
+        cm = MX.confusion_from_predictions(actual, actual, 2)
+        report = MX.report_from_confusion(cm)
+        assert report.accuracy == 1.0
+        assert report.error_rate == 0.0
+        assert sum(cm.counts[i][i] for i in range(cm.k)) == len(actual)
+
+    def test_constant_predictor_on_balanced_set(self):
+        actual = [i % 2 for i in range(10)]
+        cm = MX.confusion_from_predictions(actual, [1] * len(actual), 2)
+        report = MX.report_from_confusion(cm)
+        assert report.accuracy == 0.5
+        assert cm.fp == 5 and cm.tp == 5
+
 
 class TestSingleMeasures:
     def test_sensitivity_values(self):

@@ -64,6 +64,11 @@ def solid_rgb(h, w, color):
     return np.full((h, w, 3), color, dtype=np.uint8)
 
 
+def round_half_away_oracle(x):
+    # round half away from zero, for either sign
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
 class TestGrayscale:
     def test_white_maps_to_255(self):
         assert S.to_grayscale(solid_rgb(2, 2, (255, 255, 255)))[0, 0] == 255
@@ -81,6 +86,19 @@ class TestGrayscale:
     def test_half_rounds_away_from_zero(self):
         # 0.114 * 250 = 28.5; banker's rounding would give 28
         assert S.to_grayscale(solid_rgb(1, 1, (0, 0, 250)))[0, 0] == 29
+
+    def test_every_rgb_triple_matches_oracle(self):
+        # all 2^24 triples, 16 red levels (2^20 pixels) at a time
+        g, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        for r0 in range(0, 256, 16):
+            rgb = np.empty((16, 256, 256, 3), dtype=np.uint8)
+            rgb[..., 0] = np.arange(r0, r0 + 16)[:, None, None]
+            rgb[..., 1], rgb[..., 2] = g, b
+            rgb = rgb.reshape(16 * 256, 256, 3)
+            arr = rgb.astype(np.float64)
+            y = 0.299 * arr[:, :, 0] + 0.587 * arr[:, :, 1] + 0.114 * arr[:, :, 2]
+            expected = np.clip(round_half_away_oracle(y), 0, 255).astype(np.uint8)
+            assert np.array_equal(S.to_grayscale(rgb), expected), r0
 
     def test_shape_and_dtype(self):
         gray = S.to_grayscale(solid_rgb(3, 4, (9, 9, 9)))
@@ -236,8 +254,10 @@ class TestConnectedComponents:
         assert sum(areas) == int(mask.sum())
 
     def test_empty_mask(self):
-        labels, areas = S.connected_components(np.zeros((4, 4), dtype=bool))
-        assert areas == [] and not labels.any()
+        for shape in ((4, 4), (0, 5), (5, 0), (0, 0)):
+            labels, areas = S.connected_components(np.zeros(shape, dtype=bool))
+            assert areas == [], shape
+            assert labels.shape == shape and labels.dtype == np.int64 and not labels.any()
 
     def test_rejects_non_boolean(self):
         with pytest.raises(InputError):
@@ -309,6 +329,14 @@ class TestHighlight:
         mask[0, 0] = True
         out = S.highlight_yellow(rgb, mask)
         assert tuple(out[0, 0]) == (128, 128, 0)
+
+    def test_every_channel_value_matches_oracle(self):
+        rgb = np.repeat(np.arange(256, dtype=np.uint8), 3).reshape(1, 256, 3)
+        out = S.highlight_yellow(rgb, np.ones((1, 256), dtype=bool))
+        blend = (1.0 - S.HIGHLIGHT_ALPHA) * rgb.astype(np.float64) + S.HIGHLIGHT_ALPHA * (
+            np.asarray(S.YELLOW, dtype=np.float64)
+        )
+        assert np.array_equal(out, round_half_away_oracle(blend).astype(np.uint8))
 
     def test_unmasked_pixels_bit_identical(self):
         rng = np.random.default_rng(4)

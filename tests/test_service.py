@@ -709,6 +709,20 @@ class TestHttp:
                     seconds.append(time.perf_counter() - start)
                 assert statistics.median(seconds) < 0.020, (path, seconds)
 
+    @pytest.mark.parametrize("sent", [b"GET /v1/health\r\n", b""], ids=["partial", "idle"])
+    def test_stalled_connection_is_closed_after_the_timeout(self, live_server, monkeypatch,
+                                                             sent):
+        # a request that never completes, or no request at all, would
+        # otherwise hold its handler thread for as long as the client waits;
+        # the served timeout is a minute, shortened here to keep the test fast
+        assert SV._Handler.timeout == 60
+        monkeypatch.setattr(SV._Handler, "timeout", 0.5)
+        host, port = live_server.rsplit("/", 1)[1].split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(sent)
+            assert sock.recv(65536) == b""
+        assert http(f"{live_server}/v1/health")[0] == 200
+
     def test_ascii_extents_beyond_body_is_bad_image(self, live_server):
         body = json.dumps({
             "image": base64.b64encode(OVERSIZED_ASCII_PNM).decode("ascii"), "task": "full",

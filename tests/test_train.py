@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -7,6 +8,7 @@ import pytest
 import synth
 from conftest import DETECT_RECIPE
 from swinscan import data as D
+from swinscan import metrics as MX
 from swinscan import model as M
 from swinscan import tensor as T
 from swinscan import train as TR
@@ -30,13 +32,21 @@ def small_samples(n=8, task=D.TASK_DETECT):
     return out
 
 
+def weights_digest(weights):
+    digest = hashlib.sha256()
+    for path in weights.paths():
+        digest.update(path.encode())
+        digest.update(weights[path].data.tobytes())
+    return digest.hexdigest()
+
+
 class TestTrainConfig:
     def test_defaults(self):
         cfg = TR.TrainConfig()
         assert cfg.epochs == 3
         assert cfg.batch_size == 32
         assert cfg.learning_rate == 3e-4
-        assert cfg.weight_decay == 0.01
+        assert TR.WEIGHT_DECAY == 0.01
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -88,8 +98,8 @@ class TestOptimizer:
         # adaptive update moves every coordinate by about lr at step one,
         # so the gate runs at a deliberately small rate.
         samples = synth.detection_samples(64, seed=0)
-        batch = D.make_batches(samples, 32, np.random.default_rng(0))[0]
-        images = D.normalize(batch.images)
+        order = np.random.default_rng(0).permutation(len(samples))
+        images, labels = next(D.make_batches(samples, 32, order))
         weights = M.ModelWeights.init(M.default_config(2), seed=0)
         opt = TR.AdamW(weights.tensors(), TR.TrainConfig(learning_rate=1e-5))
         losses = []
@@ -97,7 +107,7 @@ class TestOptimizer:
             opt.zero_grads()
             with T.Tape() as tape:
                 logits = M.forward_batch(images, weights)
-                loss = T.cross_entropy(logits, batch.labels)
+                loss = T.cross_entropy(logits, labels)
             T.backward(tape, loss)
             losses.append(loss.item())
             opt.step()
@@ -142,6 +152,31 @@ class TestTrain:
             assert wa[path].data.tobytes() == wb[path].data.tobytes(), path
         assert results[0][1] == results[1][1]
 
+    def test_matches_explicit_loop(self):
+        # oracle: the step sequence written out by hand, one permutation
+        # of the seeded generator per epoch
+        samples = small_samples(10)
+        cfg = TR.TrainConfig(epochs=2, batch_size=4, seed=3)
+        trained, _ = TR.train(M.ModelWeights.init(M.default_config(2), seed=5), samples, cfg)
+        weights = M.ModelWeights.init(M.default_config(2), seed=5)
+        opt = TR.AdamW(weights.tensors(), cfg)
+        rng = np.random.default_rng(cfg.seed)
+        steps = 0
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(samples))
+            for at in range(0, len(samples), cfg.batch_size):
+                chunk = [samples[i] for i in order[at : at + cfg.batch_size]]
+                images = D.normalize(np.stack([s.image for s in chunk]))
+                opt.zero_grads()
+                with T.Tape() as tape:
+                    logits = M.forward_batch(images, weights)
+                    loss = T.cross_entropy(logits, [s.label for s in chunk])
+                T.backward(tape, loss)
+                opt.step()
+                steps += 1
+        assert steps == 6
+        assert weights_digest(trained) == weights_digest(weights)
+
     def test_training_moves_parameters(self):
         weights = M.ModelWeights.init(M.default_config(2), seed=0)
         before = {p: weights[p].data.copy() for p in weights.paths()}
@@ -178,23 +213,26 @@ class TestTrain:
 
 
 class TestEvaluate:
-    def test_oracle_predictor_is_perfect(self):
-        samples = small_samples(10)
-        cm, report = TR.evaluate(None, samples, predict_fn=lambda s: s.label)
-        assert report.accuracy == 1.0
-        assert report.error_rate == 0.0
-        assert sum(cm.counts[i][i] for i in range(cm.k)) == len(samples)
-
-    def test_constant_predictor_on_balanced_set(self):
-        samples = small_samples(10)  # labels alternate 0,1
-        cm, report = TR.evaluate(None, samples, predict_fn=lambda s: 1)
-        assert report.accuracy == 0.5
-        assert cm.fp == 5 and cm.tp == 5
+    def test_matches_argmax_of_forward_batch_chunks(self, detect_model):
+        # 45 = 32 + 13 samples; labels drawn independently of the images,
+        # so a prediction paired with the wrong sample can change the counts
+        weights, _ = detect_model
+        rng = np.random.default_rng(11)
+        samples = [
+            D.Sample(s.image, int(rng.integers(2)), s.source_path, s.task)
+            for s in synth.detection_samples(45, seed=5)
+        ]
+        predicted = []
+        for at in (0, 32):
+            images = D.normalize(np.stack([s.image for s in samples[at : at + 32]]))
+            predicted.extend(np.argmax(M.forward_batch(images, weights).data, axis=1))
+        expected = MX.confusion_from_predictions([s.label for s in samples], predicted, 2)
+        cm, report = TR.evaluate(weights, samples)
+        assert cm == expected
+        assert report == MX.report_from_confusion(expected)
 
     def test_report_matches_recomputation_from_matrix(self, detect_model,
                                                       detect_samples):
-        import swinscan.metrics as MX
-
         weights, _ = detect_model
         cm, report = TR.evaluate(weights, detect_samples)
         again = MX.report_from_confusion(cm)
@@ -208,7 +246,7 @@ class TestEvaluate:
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyInputError):
-            TR.evaluate(None, [], predict_fn=lambda s: 0)
+            TR.evaluate(M.ModelWeights.init(M.default_config(2), seed=0), [])
 
 
 class TestWeightsRoundTrip:
