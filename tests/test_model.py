@@ -7,6 +7,8 @@ from swinscan.errors import ConfigurationError, DimensionError, InputError
 
 from gradcheck import check_sampled_grads
 
+# a numpy overflow or invalid-operation warning fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def region_id_oracle(r, c, h, w, window, shift):

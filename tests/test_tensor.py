@@ -14,6 +14,71 @@ from swinscan.errors import (
 
 from gradcheck import check_grads, numeric_grad, max_rel_error
 
+# numpy reports overflow and invalid operations as RuntimeWarning; every
+# kernel here must keep them inside its own np.errstate
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+_S = 0.7978845608028654  # sqrt(2/pi), as in tensor.py
+_C = 0.044715
+
+
+def gelu_pow_oracle(xd, g):
+    """The GELU forward and backward as first written, with ``**``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.tanh(_S * (xd + _C * xd ** 3))
+        out = 0.5 * xd * (1.0 + t)
+        sech2 = 1.0 - t * t
+        d_inner = _S * (1.0 + 3.0 * _C * xd ** 2)
+        gx = g * (0.5 * (1.0 + t) + 0.5 * xd * sech2 * d_inner)
+    return out, gx
+
+
+def gelu_product_reference(xd, g):
+    """Out-of-place GELU with the cube as a product: the in-place kernel's
+    operation tree, one fresh array per step."""
+    t = np.tanh(_S * (xd + _C * (xd * xd * xd)))
+    out = 0.5 * xd * (1.0 + t)
+    sech2 = 1.0 - t * t
+    d_inner = _S * (1.0 + 3.0 * _C * (xd * xd))
+    gx = g * (0.5 * (1.0 + t) + 0.5 * xd * sech2 * d_inner)
+    return out, gx
+
+
+def layer_norm_reference(xd, gamma, beta, g):
+    """Out-of-place layer norm with np.var, and its backward."""
+    mu = xd.mean(axis=-1, keepdims=True)
+    var = xd.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + T.LAYER_NORM_EPS)
+    xhat = (xd - mu) * inv_std
+    out = xhat * gamma + beta
+    gx_hat = g * gamma
+    m1 = gx_hat.mean(axis=-1, keepdims=True)
+    m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+    gx = inv_std * (gx_hat - m1 - xhat * m2)
+    axes = tuple(range(g.ndim - 1))
+    return out, gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+def forward_backward(op, inputs, g):
+    """Output data of ``op`` and its recorded backward applied to ``g``."""
+    tensors = [T.Tensor(a, requires_grad=True) for a in inputs]
+    with T.Tape() as tape:
+        out = op(*tensors)
+    (node,) = tape.nodes
+    return out.data, node.backward_fn(g)
+
+
+# signed zeros, subnormals and magnitudes from 1e-300 to 1e100
+_GELU_GRID = np.array(
+    [
+        0.0, 5e-324, 3e-320, 1e-310, 1e-300, 1e-8, 0.5, 1.0, 3.0, 8.0,
+        1e3, 1e100,
+    ]
+)
+_GELU_GRID = np.concatenate([_GELU_GRID, -_GELU_GRID])
+
+_ODD_SHAPES = [(1,), (7,), (3, 5), (2, 3, 17), (1, 1, 1, 129), (5, 1, 33)]
+
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Naive triple loop, the independent reference for matmul."""
@@ -122,6 +187,31 @@ class TestLayerNorm:
         with pytest.raises(DimensionError):
             T.layer_norm(T.Tensor(np.zeros((2, 4))), T.Tensor(np.ones(3)), T.Tensor(np.zeros(4)))
 
+    @pytest.mark.parametrize("shape", [(32, 256, 128)] + _ODD_SHAPES)
+    def test_bitwise_equal_to_out_of_place_reference(self, shape):
+        rng = np.random.default_rng(31)
+        c = shape[-1]
+        xd = rng.normal(loc=0.3, scale=2.0, size=shape)
+        gamma, beta = rng.normal(size=c), rng.normal(size=c)
+        g = rng.normal(size=shape)
+        saved = [a.copy() for a in (xd, gamma, beta, g)]
+        out, grads = forward_backward(T.layer_norm, [xd, gamma, beta], g)
+        expected = layer_norm_reference(xd, gamma, beta, g)
+        assert out.tobytes() == expected[0].tobytes()
+        for got, want in zip(grads, expected[1:]):
+            assert got.tobytes() == want.tobytes()
+        for a, b in zip((xd, gamma, beta, g), saved):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("shape", [(32, 256, 128), (3, 5), (2, 3, 17)])
+    def test_variance_steps_equal_np_var(self, shape):
+        # layer_norm takes the variance as the mean of the squared centred
+        # values; this is what np.var computes today, bit for bit
+        xd = np.random.default_rng(32).normal(loc=5.0, size=shape)
+        xc = xd - xd.mean(axis=-1, keepdims=True)
+        var = (xc * xc).mean(axis=-1, keepdims=True)
+        assert var.tobytes() == xd.var(axis=-1, keepdims=True).tobytes()
+
 
 class TestGelu:
     def test_zero(self):
@@ -130,6 +220,56 @@ class TestGelu:
     def test_asymptotes(self):
         assert abs(T.gelu(T.Tensor([10.0])).data[0] - 10.0) < 1e-6
         assert abs(T.gelu(T.Tensor([-10.0])).data[0]) < 1e-6
+
+    def test_rank_zero(self):
+        out, (gx,) = forward_backward(T.gelu, [np.array(1.5)], np.array(2.0))
+        want_out, want_gx = gelu_product_reference(np.float64(1.5), 2.0)
+        assert out == want_out and gx == want_gx
+
+    def test_matches_pow_formula_on_grid(self):
+        g = np.linspace(-1.5, 2.0, _GELU_GRID.size)
+        out, (gx,) = forward_backward(T.gelu, [_GELU_GRID], g)
+        want_out, want_gx = gelu_pow_oracle(_GELU_GRID, g)
+        for got, want in ((out, want_out), (gx, want_gx)):
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    def test_matches_pow_formula_densely(self):
+        # In the negative tail 1 + t cancels, and a one-ULP change of t is
+        # a large relative change of a tiny value; both outputs carry that
+        # ULP times about |x|, so compare on the scale of max(|value|, |x|, 1).
+        xd = np.linspace(-12.0, 12.0, 240_001)
+        g = np.ones_like(xd)
+        out, (gx,) = forward_backward(T.gelu, [xd], g)
+        want_out, want_gx = gelu_pow_oracle(xd, g)
+        scale = np.maximum(np.abs(xd), 1.0)
+        for got, want in ((out, want_out), (gx, want_gx)):
+            assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(np.abs(want), scale))
+
+    @pytest.mark.parametrize("shape", [(32, 256, 128)] + _ODD_SHAPES)
+    def test_bitwise_equal_to_out_of_place_reference(self, shape):
+        rng = np.random.default_rng(33)
+        xd = rng.normal(scale=3.0, size=shape)
+        g = rng.normal(size=shape)
+        saved_x, saved_g = xd.copy(), g.copy()
+        tensor = T.Tensor(xd, requires_grad=True)
+        with T.Tape() as tape:
+            out = T.gelu(tensor)
+        (node,) = tape.nodes
+        (gx,) = node.backward_fn(g)
+        want_out, want_gx = gelu_product_reference(xd, g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert gx.tobytes() == want_gx.tobytes()
+        # the kernel writes into neither its input, its seed gradient nor
+        # what it saved for the backward: a second backward is the same
+        assert xd.tobytes() == saved_x.tobytes() and g.tobytes() == saved_g.tobytes()
+        assert node.backward_fn(g)[0].tobytes() == gx.tobytes()
+
+    def test_gradient_finite_where_square_overflows(self):
+        x = T.Tensor([1e160, -1e160, 1e300, -1e300], requires_grad=True)
+        with T.Tape() as tape:
+            loss = T.total_sum(T.gelu(x))
+        T.backward(tape, loss)
+        assert np.array_equal(x.grad, [1.0, 0.0, 1.0, 0.0])
 
 
 class TestCrossEntropy:

@@ -19,6 +19,9 @@ from swinscan.errors import (
     InputError,
 )
 
+# a numpy overflow or invalid-operation warning fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def small_samples(n=8, task=D.TASK_DETECT):
     rng = np.random.default_rng(7)
