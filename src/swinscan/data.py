@@ -4,9 +4,13 @@ PNM (P2/P3/P5/P6) decoding and encoding, bilinear resizing to the
 64 px model resolution, normalization, and batching.  Train and test
 sets come as separate manifests.
 
-Sample images are kept in [0, 1] so raw pixels stay inspectable; they
-are normalized where they meet the model: by make_batches for training
-and evaluation, and by PredictionService.run for requests.
+A decoded image stays the bytes its file stores: (H, W, 3) uint8 with
+the header's maxval.  Only resize_bilinear turns values into floats,
+and only for the rows it samples, so no full-resolution float image is
+ever built.  Its 64 px result and sample images are kept in [0, 1] so
+raw pixels stay inspectable; they are normalized where they meet the
+model: by make_batches for training and evaluation, and by
+PredictionService.run for requests.
 """
 
 import csv
@@ -228,17 +232,18 @@ def _ascii_values(blob: bytes, at: int, needed: int, maxval: int) -> np.ndarray:
         raise PnmError(f"pixel value {shown} exceeds maxval {maxval}", offset=at + int(start[i]))
     if len(start) < needed:
         raise PnmError("missing pixel value", offset=len(blob))
-    return value.astype(np.float64)
+    return value.astype(np.uint8)
 
 
-def load_pnm(data: bytes) -> np.ndarray:
-    """Decode P2/P3/P5/P6 bytes to a 3xHxW array scaled to [0, 1].
+def pnm_header(blob: bytes):
+    """(magic, width, height, maxval, end) of a P2/P3/P5/P6 image.
 
-    Grayscale inputs are replicated across the 3 channels.  Only
-    maxval <= 255 is supported; malformed input raises PnmError with
-    the offending byte offset.
+    end is the offset just past the maxval field.  Besides the header,
+    this checks only that the bytes after it can hold the declared
+    values; no pixel value is read, so a caller can refuse an image on
+    its extents before load_pnm decodes the body.  A malformed or
+    truncated image raises PnmError with the offending byte offset.
     """
-    blob = bytes(data)
     try:
         at, pos = _header_field(blob, 0, "magic number")
     except PnmError:
@@ -254,23 +259,13 @@ def load_pnm(data: bytes) -> np.ndarray:
     if maxval < 1 or maxval > 255:
         raise PnmError(f"maxval {maxval} outside [1, 255]", offset=max_at)
 
-    channels = 3 if magic in (b"P3", b"P6") else 1
-    needed = width * height * channels
+    needed = width * height * (3 if magic in (b"P3", b"P6") else 1)
     if magic in (b"P5", b"P6"):
         if pos >= len(blob) or blob[pos] not in _WS:
             raise PnmError("missing separator after maxval", offset=pos)
-        start = pos + 1
-        payload = blob[start : start + needed]
-        if len(payload) < needed:
-            raise PnmError(
-                f"truncated pixel data: {len(payload)} of {needed} bytes",
-                offset=len(blob),
-            )
-        values = np.frombuffer(payload, dtype=np.uint8)
-        if maxval < 255 and np.any(values > maxval):
-            i = int(np.argmax(values > maxval))
-            raise PnmError(f"pixel value {values[i]} exceeds maxval {maxval}", offset=start + i)
-        values = values.astype(np.float64)
+        left = len(blob) - (pos + 1)
+        if left < needed:
+            raise PnmError(f"truncated pixel data: {left} of {needed} bytes", offset=len(blob))
     else:
         # every ASCII value takes a separator and a digit; checking that
         # before allocating keeps a huge declared extent from reserving
@@ -281,13 +276,34 @@ def load_pnm(data: bytes) -> np.ndarray:
                 f"truncated pixel data: {left} bytes cannot hold {needed} values",
                 offset=len(blob),
             )
+    return magic, width, height, maxval, pos
+
+
+def load_pnm(data: bytes):
+    """Decode P2/P3/P5/P6 bytes to (pixels, maxval).
+
+    pixels is an (H, W, 3) uint8 array of the values as stored, each at
+    most maxval; grayscale inputs are replicated across the 3 channels.
+    Only maxval <= 255 is supported; malformed input raises PnmError
+    with the offending byte offset.
+    """
+    blob = bytes(data)
+    magic, width, height, maxval, pos = pnm_header(blob)
+    channels = 3 if magic in (b"P3", b"P6") else 1
+    needed = width * height * channels
+    if magic in (b"P5", b"P6"):
+        start = pos + 1  # past the one separator byte
+        values = np.frombuffer(blob, dtype=np.uint8, count=needed, offset=start)
+        if maxval < 255 and np.any(values > maxval):
+            i = int(np.argmax(values > maxval))
+            raise PnmError(f"pixel value {values[i]} exceeds maxval {maxval}", offset=start + i)
+    else:
         values = _ascii_values(blob, pos, needed, maxval)
 
+    pixels = values.reshape(height, width, channels)
     if channels == 1:
-        img = np.repeat(values.reshape(1, height, width), 3, axis=0)
-    else:
-        img = values.reshape(height, width, 3).transpose(2, 0, 1)
-    return img / float(maxval)
+        pixels = np.repeat(pixels, 3, axis=2)
+    return pixels, maxval
 
 
 def write_pnm(image: np.ndarray, fmt: str = "P6") -> bytes:
@@ -325,18 +341,24 @@ def _axis_positions(src: int, dst: int):
     return np.clip(lo, 0, src - 1), np.clip(lo + 1, 0, src - 1), t
 
 
-def resize_bilinear(image: np.ndarray, target_size: int) -> np.ndarray:
-    """Separable bilinear resize of a 3xHxW image to a square side."""
-    image = np.asarray(image, dtype=np.float64)
-    _, h, w = image.shape
+def resize_bilinear(pixels: np.ndarray, maxval: int, target_size: int) -> np.ndarray:
+    """Separable bilinear resize of (H, W, 3) stored values at maxval to
+    a (3, side, side) float image in [0, 1]."""
+    h, w, _ = pixels.shape
     if h < 1 or w < 1 or target_size < 1:
         raise EmptyInputError("resize requires positive extents")
+    scale = float(maxval)
     if h == w == target_size:
-        return image.copy()
-    lo0, lo1, t = _axis_positions(h, target_size)
-    rows = image[:, lo0, :] * (1.0 - t)[None, :, None] + image[:, lo1, :] * t[None, :, None]
-    lo0, lo1, t = _axis_positions(w, target_size)
-    return rows[:, :, lo0] * (1.0 - t)[None, None, :] + rows[:, :, lo1] * t[None, None, :]
+        out = pixels / scale
+    else:
+        # only the sampled rows become floats, each value as v / maxval:
+        # the bits of resizing the whole image converted to [0, 1]
+        lo0, lo1, t = _axis_positions(h, target_size)
+        rows = (pixels[lo0] / scale * (1.0 - t)[:, None, None]
+                + pixels[lo1] / scale * t[:, None, None])
+        lo0, lo1, t = _axis_positions(w, target_size)
+        out = rows[:, lo0] * (1.0 - t)[None, :, None] + rows[:, lo1] * t[None, :, None]
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 def normalize(image: np.ndarray) -> np.ndarray:
@@ -367,8 +389,8 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry) -> Sample:
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        image = load_pnm(raw)
+        pixels, maxval = load_pnm(raw)
     except PnmError as exc:
         raise exc.in_file(path) from exc
-    image = np.clip(resize_bilinear(image, IMAGE_SIZE), 0.0, 1.0)
+    image = np.clip(resize_bilinear(pixels, maxval, IMAGE_SIZE), 0.0, 1.0)
     return Sample(image, label_for(entry.task, entry.class_name), entry.path, entry.task)

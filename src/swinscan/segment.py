@@ -6,8 +6,10 @@ the affected area.  It feeds the report with a pixel count, a bounding
 box, a centroid, and a yellow-highlighted overlay image.
 
 Images here are 8-bit: RGB arrays are (H, W, 3) uint8 and grayscale
-arrays are (H, W) uint8.  rgb_from_unit converts from the (3, H, W)
-float images the model side uses.
+arrays are (H, W) uint8.  rgb_from_stored brings decoded pixels at any
+PNM maxval to that scale, with the rounding rgb_from_unit applies to a
+(3, H, W) float image in [0, 1]; the tests draw their images as such
+floats.
 """
 
 from dataclasses import dataclass, replace
@@ -17,8 +19,8 @@ import numpy as np
 from .errors import DimensionError, EmptyInputError, InputError
 
 __all__ = [
-    "SegmentationResult", "rgb_from_unit", "to_grayscale", "otsu_threshold",
-    "threshold_mask", "connected_components", "estimate_size",
+    "SegmentationResult", "rgb_from_stored", "rgb_from_unit", "to_grayscale",
+    "otsu_threshold", "threshold_mask", "connected_components", "estimate_size",
     "highlight_yellow", "segment",
 ]
 
@@ -55,7 +57,17 @@ def _as_8bit(image, rank: int) -> np.ndarray:
         raise InputError(f"expected 8-bit integers, got dtype {arr.dtype}")
     if arr.min() < 0 or arr.max() > 255:
         raise InputError("pixel values must lie in [0, 255]")
-    return arr.astype(np.uint8)
+    return arr.astype(np.uint8, copy=False)
+
+
+def rgb_from_stored(pixels: np.ndarray, maxval: int) -> np.ndarray:
+    """(H, W, 3) values stored at maxval, each at most maxval, as 8-bit
+    RGB: v becomes the byte rgb_from_unit gives for v / maxval."""
+    if maxval == 255:
+        # floor(v / 255 * 255 + 0.5) == v for every byte v
+        return pixels
+    levels = np.arange(maxval + 1) / float(maxval)
+    return np.floor(levels * 255.0 + 0.5).astype(np.uint8)[pixels]
 
 
 def rgb_from_unit(image) -> np.ndarray:
@@ -72,11 +84,17 @@ def rgb_from_unit(image) -> np.ndarray:
 
 def to_grayscale(rgb) -> np.ndarray:
     """Luma conversion: Y = round(0.299 R + 0.587 G + 0.114 B)."""
-    arr = _as_8bit(rgb, 3).astype(np.float64)
-    y = 0.299 * arr[:, :, 0] + 0.587 * arr[:, :, 1] + 0.114 * arr[:, :, 2]
+    arr = _as_8bit(rgb, 3)
+    # the sum of 0.299 R + 0.587 G + 0.114 B in that order, built in
+    # place on float64 products of the uint8 channels
+    y = np.multiply(arr[:, :, 0], 0.299, dtype=np.float64)
+    term = np.multiply(arr[:, :, 1], 0.587, dtype=np.float64)
+    y += term
+    y += np.multiply(arr[:, :, 2], 0.114, out=term)
     # halves round up, where np.round would go to even; y is never
     # negative and stays below 255.5, so the result fits a uint8
-    return np.floor(y + 0.5).astype(np.uint8)
+    y += 0.5
+    return np.floor(y, out=y).astype(np.uint8)
 
 
 def otsu_threshold(gray) -> int:

@@ -77,12 +77,13 @@ PUBLISHED_ACCURACY_PCT = 99.81
 class PredictRequest:
     """A decoded prediction request.
 
-    image is the decoded picture as a 3xHxW float array in [0, 1], at
-    its original resolution.  patient_ref is echoed into the report and
-    never stored.
+    pixels is the decoded picture at its original resolution, as the
+    (H, W, 3) uint8 values its PNM stores, each at most maxval.
+    patient_ref is echoed into the report and never stored.
     """
 
-    image: np.ndarray
+    pixels: np.ndarray
+    maxval: int
     task: str
     pixel_spacing_mm: float | None = None
     patient_ref: str | None = None
@@ -125,16 +126,16 @@ def parse_request(body: bytes) -> PredictRequest:
     except (binascii.Error, ValueError) as exc:
         raise RequestError(400, "bad_encoding", f"image is not valid base64: {exc}")
     try:
-        image = D.load_pnm(raw)
+        _, width, height, _, _ = D.pnm_header(raw)
+        if max(height, width) > MAX_IMAGE_SIDE_PX:
+            # refused on the header, before any pixel is decoded
+            raise RequestError(
+                400, "image_too_large",
+                f"{width}x{height} image exceeds the {MAX_IMAGE_SIDE_PX} px side limit",
+            )
+        pixels, maxval = D.load_pnm(raw)
     except PnmError as exc:
         raise RequestError(400, "bad_image", f"image bytes are not a readable PNM: {exc}")
-    height, width = image.shape[1:]
-    if max(height, width) > MAX_IMAGE_SIDE_PX:
-        # refused before any model or segmentation work
-        raise RequestError(
-            400, "image_too_large",
-            f"{width}x{height} image exceeds the {MAX_IMAGE_SIDE_PX} px side limit",
-        )
 
     spacing = obj.get("pixel_spacing_mm")
     if spacing is not None:
@@ -153,7 +154,8 @@ def parse_request(body: bytes) -> PredictRequest:
         raise RequestError(400, "bad_patient_ref", "patient_ref must be text")
 
     return PredictRequest(
-        image=image, task=task, pixel_spacing_mm=spacing, patient_ref=patient_ref
+        pixels=pixels, maxval=maxval, task=task, pixel_spacing_mm=spacing,
+        patient_ref=patient_ref,
     )
 
 
@@ -277,7 +279,9 @@ class PredictionService:
 
     def run(self, request: PredictRequest):
         """Full pipeline for one request: returns (report, highlighted image)."""
-        resized = np.clip(D.resize_bilinear(request.image, M.IMAGE_SIZE), 0.0, 1.0)
+        resized = np.clip(
+            D.resize_bilinear(request.pixels, request.maxval, M.IMAGE_SIZE), 0.0, 1.0
+        )
         normalized = D.normalize(resized)
         _, det_probs = M.forward_classify(normalized, self.detect_weights)
         detection = (int(np.argmax(det_probs)), det_probs)
@@ -287,7 +291,9 @@ class PredictionService:
             classification = (int(np.argmax(cls_probs)), cls_probs)
         # segmentation stays at the original resolution: size estimates
         # on the model's downscaled grid would be meaningless
-        seg = SEG.segment(SEG.rgb_from_unit(request.image), request.pixel_spacing_mm)
+        seg = SEG.segment(
+            SEG.rgb_from_stored(request.pixels, request.maxval), request.pixel_spacing_mm
+        )
         report = build_report(
             detection,
             classification,

@@ -6,6 +6,7 @@ import pytest
 
 import synth
 from swinscan import data as D
+from swinscan import segment as SEG
 from swinscan.errors import (
     ConfigurationError,
     EmptyInputError,
@@ -13,6 +14,20 @@ from swinscan.errors import (
     LabelError,
     PnmError,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def unit(decoded):
+    """load_pnm's (pixels, maxval) as the 3xHxW float image in [0, 1]
+    it decoded to before pixels stayed uint8."""
+    pixels, maxval = decoded
+    assert pixels.dtype == np.uint8 and pixels.ndim == 3 and pixels.shape[2] == 3
+    return pixels.transpose(2, 0, 1) / float(maxval)
+
+
+def unit_load_pnm(blob):
+    return unit(D.load_pnm(blob))
 
 
 def bilinear_oracle(img, th, tw):
@@ -41,30 +56,34 @@ def bilinear_oracle(img, th, tw):
 
 class TestLoadPnm:
     def test_p5_single_gray_pixel(self):
-        img = D.load_pnm(b"P5\n1 1\n255\n" + bytes([128]))
+        pixels, maxval = D.load_pnm(b"P5\n1 1\n255\n" + bytes([128]))
+        assert pixels.shape == (1, 1, 3) and pixels.dtype == np.uint8 and maxval == 255
+        assert np.all(pixels == 128)
+        img = unit((pixels, maxval))
         assert img.shape == (3, 1, 1)
         assert np.all(img == 128 / 255)
 
     def test_p3_red_pixel(self):
-        img = D.load_pnm(b"P3\n1 1\n255\n255 0 0\n")
+        img = unit_load_pnm(b"P3\n1 1\n255\n255 0 0\n")
         assert np.array_equal(img[:, 0, 0], [1.0, 0.0, 0.0])
 
     def test_p6_known_pixels(self):
         # 2x2: red, green / blue, mid-gray
         payload = bytes([255, 0, 0, 0, 255, 0, 0, 0, 255, 100, 100, 100])
-        img = D.load_pnm(b"P6\n2 2\n255\n" + payload)
+        img = unit_load_pnm(b"P6\n2 2\n255\n" + payload)
         assert np.array_equal(img[:, 0, 0], [1.0, 0.0, 0.0])
         assert np.array_equal(img[:, 0, 1], [0.0, 1.0, 0.0])
         assert np.array_equal(img[:, 1, 0], [0.0, 0.0, 1.0])
         assert np.array_equal(img[:, 1, 1], np.full(3, 100 / 255))
 
     def test_p2_ascii_with_comment(self):
-        img = D.load_pnm(b"P2\n# a comment\n2 1\n255\n0 255\n")
+        img = unit_load_pnm(b"P2\n# a comment\n2 1\n255\n0 255\n")
         assert np.array_equal(img[0, 0], [0.0, 1.0])
 
     def test_low_maxval_scaling(self):
-        img = D.load_pnm(b"P2\n1 1\n7\n7\n")
-        assert np.all(img == 1.0)
+        pixels, maxval = D.load_pnm(b"P2\n1 1\n7\n7\n")
+        assert maxval == 7 and np.all(pixels == 7)
+        assert np.all(unit((pixels, maxval)) == 1.0)
 
     def test_bad_magic_offset_zero(self):
         with pytest.raises(PnmError) as err:
@@ -86,7 +105,7 @@ class TestLoadPnm:
         assert err.value.offset == offset
 
     def test_header_leading_zeros_beyond_int_digit_limit(self):
-        img = D.load_pnm(b"P5 1 " + b"0" * 5000 + b"1 255\n\x07")
+        img = unit_load_pnm(b"P5 1 " + b"0" * 5000 + b"1 255\n\x07")
         assert img.shape == (3, 1, 1) and np.all(img == 7 / 255)
 
     def test_truncated_binary_payload(self):
@@ -125,6 +144,13 @@ class TestLoadPnm:
     def test_empty_input(self):
         with pytest.raises(PnmError):
             D.load_pnm(b"")
+
+    def test_header_reads_no_pixel_value(self):
+        blob = b"P5 # c\n3 2 7\n" + bytes([0, 1, 2, 3, 4, 200])
+        assert D.pnm_header(blob) == (b"P5", 3, 2, 7, 12)
+        with pytest.raises(PnmError, match="pixel value 200 exceeds maxval 7"):
+            D.load_pnm(blob)
+        assert D.pnm_header(b"P2 2 1 255 x y") == (b"P2", 2, 1, 255, 10)
 
 
 class PnmScanner:
@@ -282,7 +308,7 @@ class TestAsciiBody:
     def test_leading_zeros_beyond_int_digit_limit(self):
         # int() refuses strings of over 4300 digits; the value is still 1
         blob = b"P2\n2 1\n255\n" + b"0" * 5000 + b"1 2\n"
-        assert np.array_equal(D.load_pnm(blob)[0, 0], [1 / 255, 2 / 255])
+        assert np.array_equal(unit_load_pnm(blob)[0, 0], [1 / 255, 2 / 255])
 
     def test_value_beyond_int_digit_limit_exceeds_maxval(self):
         head = b"P2\n2 1\n255\n1 "
@@ -303,6 +329,8 @@ class TestAsciiBody:
 
 
 def pnm_outcome(decode, blob):
+    """decode(blob) as (shape, bytes) of a 3xHxW float image, or the
+    PnmError message and offset."""
     try:
         img = decode(blob)
         return img.shape, img.tobytes()
@@ -343,7 +371,7 @@ class TestPnmHeader:
         (b"P5 1 1 0\n\x00", "maxval 0 outside"),
     ])
     def test_matches_scanner(self, blob, message):
-        got = pnm_outcome(D.load_pnm, blob)
+        got = pnm_outcome(unit_load_pnm, blob)
         assert got == pnm_outcome(scanner_load_pnm, blob)
         if message is None:
             assert isinstance(got[1], bytes)
@@ -354,8 +382,8 @@ class TestPnmHeader:
     def test_each_whitespace_byte_separates(self, ws):
         sep = bytes([ws])
         blob = sep.join([b"P5", b"2", b"1", b"255", b"\x01\x02"])
-        assert pnm_outcome(D.load_pnm, blob) == pnm_outcome(scanner_load_pnm, blob)
-        assert np.array_equal(D.load_pnm(blob)[0, 0], [1 / 255, 2 / 255])
+        assert pnm_outcome(unit_load_pnm, blob) == pnm_outcome(scanner_load_pnm, blob)
+        assert np.array_equal(unit_load_pnm(blob)[0, 0], [1 / 255, 2 / 255])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_headers_match_scanner(self, seed):
@@ -371,7 +399,7 @@ class TestPnmHeader:
         for _ in range(500):
             blob = sep() + b"".join(f[int(rng.integers(0, len(f)))] + sep() for f in fields)
             blob += rng.integers(0, 256, int(rng.integers(0, 14)), dtype=np.uint8).tobytes()
-            assert pnm_outcome(D.load_pnm, blob) == pnm_outcome(scanner_load_pnm, blob), blob
+            assert pnm_outcome(unit_load_pnm, blob) == pnm_outcome(scanner_load_pnm, blob), blob
 
     @pytest.mark.parametrize("skipped, seconds", [
         (b"#" + b"x" * 6_000_000 + b"\n", 0.5),  # the byte scanner took 2.5 s
@@ -380,7 +408,7 @@ class TestPnmHeader:
     def test_long_header_comments_decode_in_one_pass(self, skipped, seconds):
         blob = b"P5\n" + skipped + b"1 1\n255\n\x07"
         start = time.perf_counter()
-        img = D.load_pnm(blob)
+        img = unit_load_pnm(blob)
         assert time.perf_counter() - start < seconds
         assert np.all(img == 7 / 255)
 
@@ -392,7 +420,7 @@ class TestWritePnm:
         gray = np.repeat(gray_plane[None], 3, axis=0)
         color = rng.integers(0, 256, size=(3, 5, 4)) / 255.0
         for fmt, img in [("P2", gray), ("P5", gray), ("P3", color), ("P6", color)]:
-            back = D.load_pnm(D.write_pnm(img, fmt))
+            back = unit_load_pnm(D.write_pnm(img, fmt))
             assert np.array_equal(back, img), fmt
 
     def test_gray_format_needs_equal_channels(self):
@@ -404,29 +432,79 @@ class TestWritePnm:
 class TestResize:
     def test_identity(self):
         rng = np.random.default_rng(2)
-        img = rng.random((3, 64, 64))
-        assert np.array_equal(D.resize_bilinear(img, 64), img)
+        pixels = rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8)
+        out = D.resize_bilinear(pixels, 255, 64)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, pixels.transpose(2, 0, 1) / 255.0)
 
     def test_constant_stays_constant(self):
-        img = np.full((3, 5, 7), 0.37)
-        out = D.resize_bilinear(img, 64)
+        pixels = np.full((5, 7, 3), 37, dtype=np.uint8)
+        out = D.resize_bilinear(pixels, 100, 64)
         assert np.all(out == 0.37)
 
     def test_row_upsample_closed_form(self):
-        img = np.array([0.0, 1.0]).reshape(1, 1, 2).repeat(3, axis=0)
-        out = D.resize_bilinear(img, 4)
+        pixels = np.array([0, 255], dtype=np.uint8).reshape(1, 2, 1).repeat(3, axis=2)
+        out = D.resize_bilinear(pixels, 255, 4)
         assert np.max(np.abs(out[0, 0] - [0.0, 0.25, 0.75, 1.0])) < 1e-12
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(3)
-        for (h, w, side) in [(5, 7, 64), (100, 80, 64), (3, 3, 8), (3, 3, 2)]:
-            img = rng.random((3, h, w))
-            got = D.resize_bilinear(img, side)
-            assert np.max(np.abs(got - bilinear_oracle(img, side, side))) < 1e-12
+        for (h, w, side, maxval) in [(5, 7, 64, 255), (100, 80, 64, 7), (3, 3, 8, 100),
+                                     (3, 3, 2, 1)]:
+            pixels = rng.integers(0, maxval + 1, size=(h, w, 3), dtype=np.uint8)
+            got = D.resize_bilinear(pixels, maxval, side)
+            oracle = bilinear_oracle(unit((pixels, maxval)), side, side)
+            assert np.max(np.abs(got - oracle)) < 1e-12
 
     def test_zero_extent_rejected(self):
         with pytest.raises(EmptyInputError):
-            D.resize_bilinear(np.zeros((3, 0, 4)), 64)
+            D.resize_bilinear(np.zeros((0, 4, 3), dtype=np.uint8), 255, 64)
+
+
+def float_resize_bilinear(image, target_size):
+    """resize_bilinear before pixels stayed uint8: the whole 3xHxW
+    [0, 1] float image in, a 3 x side x side image out."""
+    _, h, w = image.shape
+    if h == w == target_size:
+        return image.copy()
+    lo0, lo1, t = D._axis_positions(h, target_size)
+    rows = image[:, lo0, :] * (1.0 - t)[None, :, None] + image[:, lo1, :] * t[None, :, None]
+    lo0, lo1, t = D._axis_positions(w, target_size)
+    return rows[:, :, lo0] * (1.0 - t)[None, None, :] + rows[:, :, lo1] * t[None, None, :]
+
+
+def encode_pnm(values, fmt, maxval):
+    """PNM bytes of (H, W, C) stored values, C = 1 for P2/P5, 3 for P3/P6."""
+    h, w, _ = values.shape
+    header = f"{fmt}\n{w} {h}\n{maxval}\n".encode("ascii")
+    raster = values.reshape(h, -1)
+    if fmt in ("P5", "P6"):
+        return header + raster.tobytes()
+    return header + "\n".join(" ".join(map(str, row)) for row in raster.tolist()).encode() + b"\n"
+
+
+class TestStoredPixelsAgainstFloatPath:
+    """The uint8 request path against the float path it replaced:
+    scanner_load_pnm (the float decoder), float_resize_bilinear and
+    rgb_from_unit must see the same bits."""
+
+    @pytest.mark.parametrize("maxval", [255, 100])
+    @pytest.mark.parametrize("fmt", ["P2", "P3", "P5", "P6"])
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 97), (97, 1), (63, 63), (64, 64), (65, 65),
+                                      (512, 256), (2048, 3)])
+    def test_model_input_and_segmenter_bytes(self, h, w, fmt, maxval):
+        rng = np.random.default_rng([h, w, maxval])
+        channels = 3 if fmt in ("P3", "P6") else 1
+        blob = encode_pnm(rng.integers(0, maxval + 1, size=(h, w, channels), dtype=np.uint8),
+                          fmt, maxval)
+        oracle = scanner_load_pnm(blob)
+        pixels, got_maxval = D.load_pnm(blob)
+        assert got_maxval == maxval and pixels.shape == (h, w, 3)
+        model_input = D.resize_bilinear(pixels, maxval, 64)
+        want = float_resize_bilinear(oracle, 64)
+        assert model_input.shape == want.shape == (3, 64, 64)
+        assert model_input.tobytes() == want.tobytes()
+        assert np.array_equal(SEG.rgb_from_stored(pixels, maxval), SEG.rgb_from_unit(oracle))
 
 
 class TestNormalize:

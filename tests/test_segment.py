@@ -7,6 +7,8 @@ import pytest
 from swinscan import segment as S
 from swinscan.errors import DimensionError, EmptyInputError, InputError
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def otsu_oracle(gray: np.ndarray) -> int:
     """Exhaustive 256-candidate scan in exact rational arithmetic."""
@@ -88,7 +90,8 @@ class TestGrayscale:
         assert S.to_grayscale(solid_rgb(1, 1, (0, 0, 250)))[0, 0] == 29
 
     def test_every_rgb_triple_matches_oracle(self):
-        # all 2^24 triples, 16 red levels (2^20 pixels) at a time
+        # all 2^24 triples, 16 red levels (2^20 pixels) at a time, against
+        # the out-of-place float sum the in-place kernel replaced
         g, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
         for r0 in range(0, 256, 16):
             rgb = np.empty((16, 256, 256, 3), dtype=np.uint8)
@@ -104,6 +107,16 @@ class TestGrayscale:
         gray = S.to_grayscale(solid_rgb(3, 4, (9, 9, 9)))
         assert gray.shape == (3, 4) and gray.dtype == np.uint8
 
+    def test_read_only_input_is_not_written(self):
+        # decoded P6 pixels are a read-only view of the request bytes
+        rgb = np.random.default_rng(4).integers(0, 256, size=(6, 5, 3), dtype=np.uint8)
+        view = np.frombuffer(rgb.tobytes(), dtype=np.uint8).reshape(rgb.shape)
+        assert not view.flags.writeable
+        gray = S.to_grayscale(view)
+        result = S.segment(view)
+        assert np.array_equal(view, rgb)
+        assert gray.flags.writeable and result.highlighted.flags.writeable
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionError):
             S.to_grayscale(np.zeros((4, 4), dtype=np.uint8))
@@ -111,6 +124,20 @@ class TestGrayscale:
             S.to_grayscale(np.zeros((2, 2, 3), dtype=np.float64))
         with pytest.raises(InputError):
             S.to_grayscale(np.full((2, 2, 3), 300, dtype=np.int64))
+
+
+class TestRgbFromStored:
+    def test_every_maxval_and_value_matches_rgb_from_unit(self):
+        for maxval in range(1, 256):
+            levels = np.arange(maxval + 1, dtype=np.uint8).reshape(1, -1, 1)
+            pixels = np.repeat(levels, 3, axis=2)
+            want = S.rgb_from_unit(pixels.transpose(2, 0, 1) / float(maxval))
+            got = S.rgb_from_stored(pixels, maxval)
+            assert got.dtype == np.uint8 and np.array_equal(got, want), maxval
+
+    def test_full_scale_pixels_pass_through(self):
+        pixels = solid_rgb(2, 3, (1, 2, 3))
+        assert S.rgb_from_stored(pixels, 255) is pixels
 
 
 class TestRgbFromUnit:

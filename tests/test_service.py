@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import os
 import re
@@ -104,7 +105,15 @@ class TestParseRequest:
         assert req.task == "detect"
         assert req.pixel_spacing_mm == 0.5
         assert req.patient_ref == "case-7"
-        assert req.image.shape == (3, 64, 64)
+        assert req.pixels.shape == (64, 64, 3) and req.maxval == 255
+
+    def test_holds_the_stored_bytes_and_no_float_image(self, disk):
+        req = SV.parse_request(request_body(disk))
+        arrays = [getattr(req, f.name) for f in dataclasses.fields(req)
+                  if isinstance(getattr(req, f.name), np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is req.pixels
+        assert req.pixels.dtype == np.uint8
+        assert np.array_equal(req.pixels, SEG.rgb_from_unit(disk))  # as write_pnm stored it
 
     def test_unknown_fields_ignored(self, disk):
         req = SV.parse_request(request_body(disk, extra_field=123, another="x"))
@@ -172,9 +181,23 @@ class TestParseRequest:
         assert exc_info.value.status == 400
         assert exc_info.value.code == "image_too_large"
 
+    @pytest.mark.parametrize("raw", [
+        black_p5(2049, 2049),
+        b"P2 1 4097 255\n" + b"x " * 4097,  # no value would decode
+    ], ids=["P5-2049x2049", "P2-1x4097-bad-values"])
+    def test_image_side_over_limit_refused_before_the_body_is_decoded(self, raw,
+                                                                       monkeypatch):
+        def decode(_):
+            raise AssertionError("the pixel data was decoded")
+
+        monkeypatch.setattr(D, "load_pnm", decode)
+        with pytest.raises(SV.RequestError) as exc_info:
+            SV.parse_request(raw_request_body(raw))
+        assert exc_info.value.code == "image_too_large"
+
     def test_image_side_at_limit_accepted(self):
         req = SV.parse_request(raw_request_body(black_p5(SV.MAX_IMAGE_SIDE_PX, 1)))
-        assert req.image.shape == (3, 1, SV.MAX_IMAGE_SIDE_PX)
+        assert req.pixels.shape == (1, SV.MAX_IMAGE_SIDE_PX, 3)
 
     def test_binary_pixel_over_maxval_is_bad_image(self):
         with pytest.raises(SV.RequestError) as exc_info:
