@@ -178,18 +178,6 @@ class ModelWeights:
 # window mechanics
 
 
-class MacCounter:
-    """Accumulates multiply-accumulate counts for attention calls."""
-
-    __slots__ = ("macs",)
-
-    def __init__(self):
-        self.macs = 0
-
-    def add(self, n):
-        self.macs += int(n)
-
-
 def patch_embed(images: np.ndarray, weights: ModelWeights) -> T.Tensor:
     """Flatten non-overlapping patches and project them linearly.
 
@@ -210,33 +198,31 @@ def patch_embed(images: np.ndarray, weights: ModelWeights) -> T.Tensor:
     return T.add(tokens, weights["patch_embed.proj.bias"])
 
 
-def window_partition(tokens: T.Tensor, window_size: int) -> T.Tensor:
-    """Split a (B, H, W, C) token grid into windows.
+def window_partition(tokens: T.Tensor) -> T.Tensor:
+    """Split a (B, H, W, C) token grid into WINDOW_SIZE windows.
 
     The result stacks windows along the first axis, shape
-    (B * num_windows, window_size**2, C): images in batch order, windows
+    (B * num_windows, WINDOW_SIZE**2, C): images in batch order, windows
     in row-major grid order, tokens row-major within each window.
     """
     b, h, w, c = tokens.shape
-    if h % window_size != 0 or w % window_size != 0:
-        raise ConfigurationError(
-            f"grid {h}x{w} not divisible by window_size {window_size}"
-        )
-    hw, ww = h // window_size, w // window_size
-    x = T.reshape(tokens, (b, hw, window_size, ww, window_size, c))
+    ws = WINDOW_SIZE
+    if h % ws != 0 or w % ws != 0:
+        raise ConfigurationError(f"grid {h}x{w} not divisible by window size {ws}")
+    x = T.reshape(tokens, (b, h // ws, ws, w // ws, ws, c))
     x = T.permute(x, (0, 1, 3, 2, 4, 5))
-    return T.reshape(x, (b * hw * ww, window_size * window_size, c))
+    return T.reshape(x, (b * (h // ws) * (w // ws), ws * ws, c))
 
 
-def window_reverse(windows: T.Tensor, b: int, h: int, w: int, window_size: int) -> T.Tensor:
+def window_reverse(windows: T.Tensor, b: int, h: int, w: int) -> T.Tensor:
     """Exact inverse of :func:`window_partition`: windows -> (B, H, W, C)."""
     n_win, n_tok, c = windows.shape
-    if n_win * n_tok != b * h * w or n_tok != window_size ** 2:
+    ws = WINDOW_SIZE
+    if n_win * n_tok != b * h * w or n_tok != ws ** 2:
         raise DimensionError(
             f"{n_win} windows of {n_tok} tokens cannot tile {b} grids of {h}x{w}"
         )
-    hw, ww = h // window_size, w // window_size
-    x = T.reshape(windows, (b, hw, ww, window_size, window_size, c))
+    x = T.reshape(windows, (b, h // ws, w // ws, ws, ws, c))
     x = T.permute(x, (0, 1, 3, 2, 4, 5))
     return T.reshape(x, (b, h, w, c))
 
@@ -250,67 +236,65 @@ def cyclic_shift(tokens: T.Tensor, shift: int) -> T.Tensor:
     return T.roll(tokens, (-shift, -shift), (axis_h, axis_h + 1))
 
 
-def build_shift_mask(h: int, w: int, window_size: int, shift_size: int) -> np.ndarray:
-    """Per-window additive attention mask for a shifted grid.
+def build_shift_mask(h: int, w: int) -> np.ndarray:
+    """Per-window additive attention mask for a grid shifted by SHIFT_SIZE.
 
     Tokens that originated in different regions before the cyclic shift
     must not attend to each other; those pairs get MASK_NEG, all others
-    zero.  Shape (num_windows, window_size**2, window_size**2).
+    zero.  Shape (num_windows, WINDOW_SIZE**2, WINDOW_SIZE**2).
     """
-    n_win = (h // window_size) * (w // window_size)
-    n_tok = window_size ** 2
+    ws = WINDOW_SIZE
     # region ids in post-shift coordinates: three row bands and three
-    # column bands, cut at -window_size and -shift_size
+    # column bands, cut at -WINDOW_SIZE and -SHIFT_SIZE
     ids = np.zeros((h, w))
-    cut = (slice(0, -window_size), slice(-window_size, -shift_size), slice(-shift_size, None))
+    cut = (slice(0, -ws), slice(-ws, -SHIFT_SIZE), slice(-SHIFT_SIZE, None))
     region = 0
     for rows in cut:
         for cols in cut:
             ids[rows, cols] = region
             region += 1
     win_ids = (
-        ids.reshape(h // window_size, window_size, w // window_size, window_size)
+        ids.reshape(h // ws, ws, w // ws, ws)
         .transpose(0, 2, 1, 3)
-        .reshape(n_win, n_tok)
+        .reshape((h // ws) * (w // ws), ws * ws)
     )
     diff = win_ids[:, :, None] - win_ids[:, None, :]
     return np.where(diff == 0, 0.0, MASK_NEG)
 
 
-def relative_bias_index(window_size: int) -> np.ndarray:
-    """Map every token pair to its slot in the (2w-1)**2 bias table.
+def relative_bias_index() -> np.ndarray:
+    """Map every token pair of a window to its slot in the
+    (2 * WINDOW_SIZE - 1)**2 bias table, shape (WINDOW_SIZE**2,) * 2.
 
     Pairs with the same (row delta, col delta) share a slot.
     """
-    coords = np.stack(
-        np.meshgrid(np.arange(window_size), np.arange(window_size), indexing="ij"), axis=-1
-    ).reshape(-1, 2)
-    delta = coords[:, None, :] - coords[None, :, :] + window_size - 1
-    return delta[:, :, 0] * (2 * window_size - 1) + delta[:, :, 1]
+    ws = WINDOW_SIZE
+    coords = np.stack(np.meshgrid(np.arange(ws), np.arange(ws), indexing="ij"), axis=-1)
+    coords = coords.reshape(-1, 2)
+    delta = coords[:, None, :] - coords[None, :, :] + ws - 1
+    return delta[:, :, 0] * (2 * ws - 1) + delta[:, :, 1]
 
 
-def window_attention(
-    windows: T.Tensor,
-    weights: dict,
-    bias_table: T.Tensor,
-    num_heads: int,
-    mask: np.ndarray = None,
-    counter: MacCounter = None,
-) -> T.Tensor:
-    """Multi-head self-attention inside each window.
+_BIAS_INDEX = relative_bias_index().reshape(-1)  # flat, for take_rows
 
-    ``weights`` maps "qkv.weight", "qkv.bias", "proj.weight", and
-    "proj.bias" to tensors.  ``mask`` is an additive per-window matrix
-    (entries 0 or MASK_NEG) applied before the softmax; ``bias_table``
-    supplies the relative position bias.
+
+def window_attention(windows: T.Tensor, weights: dict, mask: np.ndarray = None) -> T.Tensor:
+    """Multi-head self-attention inside each window of WINDOW_SIZE**2 tokens.
+
+    ``weights`` maps "qkv.weight", "qkv.bias", "proj.weight" and
+    "proj.bias" to the projections, and "bias_table" to the
+    ((2 * WINDOW_SIZE - 1)**2, heads) relative position bias, whose
+    column count is the head count.  ``mask`` is an additive per-window
+    matrix (entries 0 or MASK_NEG) applied before the softmax.
     """
     n_win, n_tok, c = windows.shape
+    if n_tok != WINDOW_SIZE ** 2:
+        raise DimensionError(f"{n_tok} tokens per window, expected {WINDOW_SIZE ** 2}")
+    bias_table = weights["bias_table"]
+    num_heads = bias_table.shape[1]
     if c % num_heads != 0:
         raise ConfigurationError(f"channels {c} not divisible by {num_heads} heads")
     dh = c // num_heads
-    window_size = int(round(n_tok ** 0.5))
-    if window_size ** 2 != n_tok:
-        raise DimensionError(f"{n_tok} tokens per window is not a square count")
 
     qkv = T.add(T.matmul(windows, weights["qkv.weight"]), weights["qkv.bias"])
     qkv = T.reshape(qkv, (n_win, n_tok, 3, num_heads, dh))
@@ -322,8 +306,7 @@ def window_attention(
     attn = T.matmul(q, T.permute(k, (0, 1, 3, 2)))
     attn = T.scale(attn, 1.0 / np.sqrt(dh))
 
-    idx = relative_bias_index(window_size).reshape(-1)
-    bias = T.take_rows(bias_table, idx)
+    bias = T.take_rows(bias_table, _BIAS_INDEX)
     bias = T.permute(T.reshape(bias, (n_tok, n_tok, num_heads)), (2, 0, 1))
     attn = T.add(attn, bias)
 
@@ -338,17 +321,7 @@ def window_attention(
     attn = T.softmax_lastdim(attn)
     out = T.matmul(attn, v)
     out = T.reshape(T.permute(out, (0, 2, 1, 3)), (n_win, n_tok, c))
-    out = T.add(T.matmul(out, weights["proj.weight"]), weights["proj.bias"])
-
-    if counter is not None:
-        per_window = (
-            n_tok * c * 3 * c            # qkv projection
-            + num_heads * n_tok * n_tok * dh  # logits
-            + num_heads * n_tok * n_tok * dh  # weighted values
-            + n_tok * c * c              # output projection
-        )
-        counter.add(n_win * per_window)
-    return out
+    return T.add(T.matmul(out, weights["proj.weight"]), weights["proj.bias"])
 
 
 def merge_neighborhoods(tokens: T.Tensor) -> T.Tensor:
@@ -378,24 +351,24 @@ def patch_merging(tokens: T.Tensor, weights: dict) -> T.Tensor:
 # full forward pass
 
 
-def _block(x, weights, prefix, heads, shift):
+def _block(x, weights, prefix, shifted):
     b, h, w, c = x.shape
     p = weights.subset(prefix)
 
     shortcut = x
     x = T.layer_norm(x, p["norm1.gamma"], p["norm1.beta"])
-    if shift:
-        x = cyclic_shift(x, shift)
-        mask = build_shift_mask(h, w, WINDOW_SIZE, shift)
+    if shifted:
+        x = cyclic_shift(x, SHIFT_SIZE)
+        mask = build_shift_mask(h, w)
         mask = np.tile(mask, (b, 1, 1))
     else:
         mask = None
-    windows = window_partition(x, WINDOW_SIZE)
+    windows = window_partition(x)
     attn_w = {key[5:]: t for key, t in p.items() if key.startswith("attn.")}
-    windows = window_attention(windows, attn_w, p["attn.bias_table"], heads, mask=mask)
-    x = window_reverse(windows, b, h, w, WINDOW_SIZE)
-    if shift:
-        x = cyclic_shift(x, -shift)
+    windows = window_attention(windows, attn_w, mask=mask)
+    x = window_reverse(windows, b, h, w)
+    if shifted:
+        x = cyclic_shift(x, -SHIFT_SIZE)
     x = T.add(shortcut, x)
 
     y = T.layer_norm(x, p["norm2.gamma"], p["norm2.beta"])
@@ -413,8 +386,7 @@ def forward_batch(images: np.ndarray, weights: ModelWeights) -> T.Tensor:
 
     for s, depth in enumerate(DEPTHS):
         for blk in range(depth):
-            shift = 0 if blk % 2 == 0 else SHIFT_SIZE
-            x = _block(x, weights, f"stage{s}.block{blk}.", NUM_HEADS[s], shift)
+            x = _block(x, weights, f"stage{s}.block{blk}.", shifted=blk % 2 == 1)
         if s + 1 < len(DEPTHS):
             x = patch_merging(x, weights.subset(f"merge{s}."))
 

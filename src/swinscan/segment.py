@@ -25,7 +25,6 @@ __all__ = [
 ]
 
 YELLOW = (255, 255, 0)
-HIGHLIGHT_ALPHA = 0.5  # weight of YELLOW in a highlighted pixel
 
 
 @dataclass(frozen=True)
@@ -235,7 +234,11 @@ def estimate_size(regions, pixel_spacing_mm: float | None = None) -> Segmentatio
 
 
 def highlight_yellow(rgb, mask) -> np.ndarray:
-    """Blend masked pixels halfway toward pure yellow; others pass through."""
+    """Blend masked pixels halfway toward pure YELLOW; others pass through.
+
+    Each masked channel value v becomes 0.5 * v + 0.5 * Y rounded half
+    up, computed exactly in integers as (v + Y + 1) >> 1.
+    """
     image = _as_8bit(rgb, 3)
     sel = np.asarray(mask)
     if sel.shape != image.shape[:2]:
@@ -245,9 +248,10 @@ def highlight_yellow(rgb, mask) -> np.ndarray:
     if sel.dtype != bool:
         raise InputError(f"expected a boolean mask, got dtype {sel.dtype}")
     out = image.copy()
-    yellow = np.asarray(YELLOW, dtype=np.float64)
-    blend = (1.0 - HIGHLIGHT_ALPHA) * image[sel].astype(np.float64) + HIGHLIGHT_ALPHA * yellow
-    out[sel] = np.floor(blend + 0.5).astype(np.uint8)  # halves up, as in to_grayscale
+    blend = image[sel].astype(np.uint16)
+    blend += np.asarray(YELLOW, dtype=np.uint16) + 1
+    blend >>= 1
+    out[sel] = blend
     return out
 
 

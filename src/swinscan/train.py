@@ -195,10 +195,29 @@ def log_epoch_metrics(history, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _epoch_row(ln: str) -> EpochMetrics:
+    names = _CSV_HEADER.split(",")
+    parts = ln.split(",")
+    if len(parts) != len(names):
+        raise ValueError(f"expected {len(names)} fields, got {len(parts)}")
+    for name, text in zip(names[:2], parts[:2]):
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"{name} {text!r} is not a count in ASCII digits")
+    loss, *rates = (float(v) for v in parts[2:])
+    if not 0.0 <= loss < np.inf:  # false for NaN too
+        raise ValueError(f"mean_loss {loss} is not a finite value >= 0")
+    for name, v in zip(names[3:], rates):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} {v} is not within [0, 1]")
+    return EpochMetrics(int(parts[0]), int(parts[1]), loss, *rates)
+
+
 def read_epoch_metrics(path: str):
     """Parse a CSV written by log_epoch_metrics.
 
-    A malformed row raises InputError naming the file and line.
+    epoch and steps are ASCII digit runs; every other field is finite,
+    mean_loss at least 0 and the four rates within [0, 1].  Any other
+    row raises InputError naming the file and line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -210,13 +229,8 @@ def read_epoch_metrics(path: str):
         raise EmptyInputError(f"{path} is not an epoch metrics CSV")
     history = []
     for line_no, ln in rows[1:]:
-        parts = ln.split(",")
         try:
-            if len(parts) != 7:
-                raise ValueError(f"expected 7 fields, got {len(parts)}")
-            history.append(
-                EpochMetrics(int(parts[0]), int(parts[1]), *(float(v) for v in parts[2:]))
-            )
+            history.append(_epoch_row(ln))
         except ValueError as exc:
             raise InputError(f"{path} line {line_no}: {exc}") from exc
     return history

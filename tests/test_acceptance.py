@@ -194,12 +194,12 @@ def test_02_windowed_attention_matches_dense_oracle(capsys):
     with _verdict(capsys, "02 windowed attention matches the dense oracle"):
         # window == full grid, zero bias, no shift: global attention
         rng = np.random.default_rng(201)
-        c, heads, side = 8, 2, 4
+        c, heads, win = 8, 2, M.WINDOW_SIZE
         weights = _attn_weights(rng, c)
-        grid = rng.normal(size=(side, side, c))
-        wins = M.window_partition(T.Tensor(grid[None]), side)
-        table = T.Tensor(np.zeros(((2 * side - 1) ** 2, heads)))
-        out = M.window_attention(wins, weights, table, num_heads=heads)
+        grid = rng.normal(size=(win, win, c))
+        wins = M.window_partition(T.Tensor(grid[None]))
+        weights["bias_table"] = T.Tensor(np.zeros(((2 * win - 1) ** 2, heads)))
+        out = M.window_attention(wins, weights)
         oracle = dense_attention_oracle(
             grid.reshape(-1, c),
             weights["qkv.weight"].data,
@@ -212,17 +212,17 @@ def test_02_windowed_attention_matches_dense_oracle(capsys):
 
         # shift masks: tokens constant per pre-shift region stay constant
         h = w = 8
-        win, shift, c, heads = 4, 2, 4, 2
+        shift, c, heads = M.SHIFT_SIZE, 4, 2
         values = {rid: rng.normal(size=c) for rid in range(9)}
         grid = np.zeros((h, w, c))
         for r in range(h):
             for col in range(w):
                 grid[r, col] = values[region_id_oracle(r, col, h, w, win, shift)]
         weights = _attn_weights(rng, c)
-        table = T.Tensor(rng.normal(size=((2 * win - 1) ** 2, heads), scale=0.5))
-        mask = M.build_shift_mask(h, w, win, shift)
-        wins = M.window_partition(T.Tensor(grid[None]), win)
-        out = M.window_attention(wins, weights, table, heads, mask=mask).data
+        weights["bias_table"] = T.Tensor(rng.normal(size=((2 * win - 1) ** 2, heads), scale=0.5))
+        mask = M.build_shift_mask(h, w)
+        wins = M.window_partition(T.Tensor(grid[None]))
+        out = M.window_attention(wins, weights, mask=mask).data
         n_side = w // win
         by_region = {}
         for r in range(h):
@@ -240,27 +240,29 @@ def test_02_windowed_attention_matches_dense_oracle(capsys):
 # 3: complexity
 
 
-def test_03_attention_cost_linear_in_token_count(capsys):
+def test_03_attention_cost_linear_in_token_count(capsys, monkeypatch):
     with _verdict(capsys, "03 attention cost is linear in image size"):
         rng = np.random.default_rng(301)
-        c, heads, win = 8, 2, 4
+        c, heads, win = 8, 2, M.WINDOW_SIZE
         weights = _attn_weights(rng, c)
-        table = T.Tensor(np.zeros(((2 * win - 1) ** 2, heads)))
+        weights["bias_table"] = T.Tensor(np.zeros(((2 * win - 1) ** 2, heads)))
+        matmul = T.matmul
         macs = {}
+
+        def counted(a, b):
+            # (..., m, k) @ (..., k, n): a.size * n multiply-accumulates
+            macs[side] += a.size * b.shape[-1]
+            return matmul(a, b)
+
         for side in (16, 32):
             grid = rng.normal(size=(side, side, c))
-            counter = M.MacCounter()
-            M.window_attention(
-                M.window_partition(T.Tensor(grid[None]), win),
-                weights,
-                table,
-                heads,
-                counter=counter,
-            )
-            macs[side] = counter.macs
-        # 4x the pixels must cost 4x the multiply-accumulates
-        ratio = macs[32] / macs[16]
-        assert abs(ratio - 4.0) <= 0.4, f"MAC ratio {ratio:.3f}"
+            wins = M.window_partition(T.Tensor(grid[None]))
+            macs[side] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(T, "matmul", counted)
+                M.window_attention(wins, weights)
+        # 4x the pixels must cost exactly 4x the multiply-accumulates
+        assert macs[32] == 4 * macs[16], f"MAC ratio {macs[32] / macs[16]:.3f}"
 
 
 # ---------------------------------------------------------------------------

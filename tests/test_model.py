@@ -113,19 +113,19 @@ class TestPatchEmbed:
 class TestWindowPartition:
     def test_counts(self):
         x = T.Tensor(np.arange(2 * 16 * 16 * 2, dtype=float).reshape(2, 16, 16, 2))
-        wins = M.window_partition(x, 8)
-        assert wins.shape == (8, 64, 2)
+        wins = M.window_partition(x)
+        assert wins.shape == (32, 16, 2)
 
     def test_single_window_keeps_order(self):
         x = np.arange(4 * 4 * 3, dtype=float).reshape(1, 4, 4, 3)
-        wins = M.window_partition(T.Tensor(x), 4)
+        wins = M.window_partition(T.Tensor(x))
         assert np.array_equal(wins.data, x.reshape(1, 16, 3))
 
     def test_roundtrip_exact(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 8, 8, 4))
-        wins = M.window_partition(T.Tensor(x), 4)
-        back = M.window_reverse(wins, 2, 8, 8, 4)
+        wins = M.window_partition(T.Tensor(x))
+        back = M.window_reverse(wins, 2, 8, 8)
         assert np.array_equal(back.data, x)
 
     def test_row_major_window_order(self):
@@ -134,33 +134,33 @@ class TestWindowPartition:
         for wy in range(2):
             for wx in range(2):
                 x[wy * 4 : wy * 4 + 4, wx * 4 : wx * 4 + 4, 0] = 2 * wy + wx
-        wins = M.window_partition(T.Tensor(x[None]), 4).data
+        wins = M.window_partition(T.Tensor(x[None])).data
         for i in range(4):
             assert np.all(wins[i] == i)
 
     def test_indivisible_grid(self):
         with pytest.raises(ConfigurationError):
-            M.window_partition(T.Tensor(np.zeros((1, 6, 6, 1))), 4)
+            M.window_partition(T.Tensor(np.zeros((1, 6, 6, 1))))
 
 
 class TestWindowReverse:
     def test_single_window_identity(self):
         rng = np.random.default_rng(3)
         w = rng.normal(size=(1, 16, 3))
-        out = M.window_reverse(T.Tensor(w), 1, 4, 4, 4)
+        out = M.window_reverse(T.Tensor(w), 1, 4, 4)
         assert np.array_equal(out.data, w.reshape(1, 4, 4, 3))
 
     def test_order_sensitivity(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 8, 8, 2))
-        wins = M.window_partition(T.Tensor(x), 4).data.copy()
+        wins = M.window_partition(T.Tensor(x)).data.copy()
         wins[[0, 1]] = wins[[1, 0]]
-        swapped = M.window_reverse(T.Tensor(wins), 1, 8, 8, 4)
+        swapped = M.window_reverse(T.Tensor(wins), 1, 8, 8)
         assert not np.array_equal(swapped.data, x)
 
     def test_inconsistent_counts(self):
         with pytest.raises(DimensionError):
-            M.window_reverse(T.Tensor(np.zeros((3, 16, 2))), 1, 8, 8, 4)
+            M.window_reverse(T.Tensor(np.zeros((3, 16, 2))), 1, 8, 8)
 
 
 class TestCyclicShift:
@@ -182,100 +182,123 @@ class TestCyclicShift:
         assert np.array_equal(out, [[d, c], [b, a]])
 
 
-class TestShiftMask:
-    def test_zero_shift_all_zero(self):
-        mask = M.build_shift_mask(8, 8, 4, 0)
-        assert mask.shape == (4, 16, 16)
-        assert np.all(mask == 0.0)
+WIN, SHIFT = M.WINDOW_SIZE, M.SHIFT_SIZE
 
+
+class TestShiftMask:
     def test_matches_region_oracle(self):
-        for (h, w, win, shift) in [(4, 4, 4, 2), (8, 8, 4, 2), (8, 8, 4, 1), (12, 12, 4, 2)]:
-            mask = M.build_shift_mask(h, w, win, shift)
-            n_side = w // win
-            for wy in range(h // win):
+        for (h, w) in [(4, 4), (8, 8), (12, 12)]:
+            mask = M.build_shift_mask(h, w)
+            n_side = w // WIN
+            for wy in range(h // WIN):
                 for wx in range(n_side):
                     widx = wy * n_side + wx
                     coords = [
-                        (wy * win + i, wx * win + j)
-                        for i in range(win)
-                        for j in range(win)
+                        (wy * WIN + i, wx * WIN + j)
+                        for i in range(WIN)
+                        for j in range(WIN)
                     ]
-                    ids = [region_id_oracle(r, c, h, w, win, shift) for r, c in coords]
+                    ids = [region_id_oracle(r, c, h, w, WIN, SHIFT) for r, c in coords]
                     for i in range(len(ids)):
                         for j in range(len(ids)):
                             want = 0.0 if ids[i] == ids[j] else M.MASK_NEG
                             assert mask[widx, i, j] == want
 
     def test_single_window_quadrants(self):
-        mask = M.build_shift_mask(4, 4, 4, 2)
-        ids = [region_id_oracle(r, c, 4, 4, 4, 2) for r in range(4) for c in range(4)]
+        mask = M.build_shift_mask(4, 4)
+        ids = [region_id_oracle(r, c, 4, 4, WIN, SHIFT) for r in range(4) for c in range(4)]
         assert len(set(ids)) == 4  # the lone window splits into 4 regions
+        assert len({tuple(row) for row in mask[0]}) == 4
 
     def test_interior_windows_unmasked(self):
-        mask = M.build_shift_mask(8, 8, 4, 2)
+        mask = M.build_shift_mask(8, 8)
         assert np.all(mask[0] == 0.0)  # top-left window crosses no region cut
         for widx in (1, 2, 3):
             assert np.any(mask[widx] == M.MASK_NEG)
 
     def test_symmetry(self):
-        mask = M.build_shift_mask(8, 8, 4, 2)
+        mask = M.build_shift_mask(8, 8)
         assert np.array_equal(mask, np.swapaxes(mask, 1, 2))
 
 
-class TestRelativeBiasIndex:
-    def test_window_one(self):
-        assert np.array_equal(M.relative_bias_index(1), [[0]])
+def _check_equal_offsets_share_slot(idx, ws):
+    """Equal (row, col) offsets share a slot, and the slots are exactly
+    0 .. (2 * ws - 1)**2 - 1, one per achievable offset."""
+    assert idx.shape == (ws ** 2, ws ** 2)
+    coords = [(r, c) for r in range(ws) for c in range(ws)]
+    seen = {}
+    for i, (ri, ci) in enumerate(coords):
+        for j, (rj, cj) in enumerate(coords):
+            key = (ri - rj, ci - cj)
+            if key in seen:
+                assert idx[i, j] == seen[key]
+            else:
+                seen[key] = idx[i, j]
+    n_slots = (2 * ws - 1) ** 2
+    assert len(set(seen.values())) == len(seen) == n_slots
+    assert set(seen.values()) == set(range(n_slots))
 
-    def test_window_two_uses_nine_slots(self):
-        idx = M.relative_bias_index(2)
+
+class TestRelativeBiasIndex:
+    # relative_bias_index() reads WINDOW_SIZE when called, so the smaller
+    # windows are reached by patching the constant; the import-time
+    # _BIAS_INDEX the forward pass uses is unaffected
+    def test_window_one(self, monkeypatch):
+        monkeypatch.setattr(M, "WINDOW_SIZE", 1)
+        assert np.array_equal(M.relative_bias_index(), [[0]])
+
+    def test_window_two_uses_nine_slots(self, monkeypatch):
+        monkeypatch.setattr(M, "WINDOW_SIZE", 2)
+        idx = M.relative_bias_index()
         assert idx.shape == (4, 4)
         assert len(np.unique(idx)) == 9
 
-    def test_equal_offsets_share_slot_w3(self):
-        idx = M.relative_bias_index(3)
-        coords = [(r, c) for r in range(3) for c in range(3)]
-        seen = {}
-        for i, (ri, ci) in enumerate(coords):
-            for j, (rj, cj) in enumerate(coords):
-                key = (ri - rj, ci - cj)
-                if key in seen:
-                    assert idx[i, j] == seen[key]
-                else:
-                    seen[key] = idx[i, j]
-        # bijective over achievable offsets
-        assert len(set(seen.values())) == len(seen) == 25
+    def test_equal_offsets_share_slot_w3(self, monkeypatch):
+        monkeypatch.setattr(M, "WINDOW_SIZE", 3)
+        _check_equal_offsets_share_slot(M.relative_bias_index(), 3)  # 25 slots
+
+    def test_equal_offsets_share_slot(self):
+        # the architecture's window: 7 row deltas x 7 column deltas
+        _check_equal_offsets_share_slot(M.relative_bias_index(), WIN)
+        assert np.array_equal(M._BIAS_INDEX, M.relative_bias_index().reshape(-1))
 
 
-def _attn_weights(rng, c):
+def _attn_weights(rng, c, table):
     return {
         "qkv.weight": T.Tensor(rng.normal(size=(c, 3 * c), scale=0.2), requires_grad=True),
         "qkv.bias": T.Tensor(rng.normal(size=3 * c, scale=0.2), requires_grad=True),
         "proj.weight": T.Tensor(rng.normal(size=(c, c), scale=0.2), requires_grad=True),
         "proj.bias": T.Tensor(rng.normal(size=c, scale=0.2), requires_grad=True),
+        "bias_table": T.Tensor(table),
     }
+
+
+def _zero_table(heads):
+    return np.zeros(((2 * WIN - 1) ** 2, heads))
 
 
 class TestWindowAttention:
     def test_single_token_equals_value_projection(self):
+        # one token repeated over a whole window: whatever the attention
+        # weights, the window averages copies of its own value
         rng = np.random.default_rng(7)
         c = 6
-        weights = _attn_weights(rng, c)
+        table = rng.normal(size=((2 * WIN - 1) ** 2, 2))
+        weights = _attn_weights(rng, c, table)
         weights["proj.weight"] = T.Tensor(np.eye(c))
         weights["proj.bias"] = T.Tensor(np.zeros(c))
-        x = rng.normal(size=(1, 1, c))
-        table = T.Tensor(np.zeros((1, 2)))
-        out = M.window_attention(T.Tensor(x), weights, table, num_heads=2)
-        expected = x[0] @ weights["qkv.weight"].data[:, 2 * c :] + weights["qkv.bias"].data[2 * c :]
-        assert np.max(np.abs(out.data[0] - expected)) < 1e-12
+        x = np.repeat(rng.normal(size=(2, 1, c)), WIN ** 2, axis=1)
+        out = M.window_attention(T.Tensor(x), weights)
+        expected = x @ weights["qkv.weight"].data[:, 2 * c :] + weights["qkv.bias"].data[2 * c :]
+        assert np.max(np.abs(out.data - expected)) < 1e-12
 
     def test_matches_dense_oracle_on_full_grid(self):
         rng = np.random.default_rng(8)
-        c, heads, side = 8, 2, 4
-        weights = _attn_weights(rng, c)
-        grid = rng.normal(size=(side, side, c))
-        wins = M.window_partition(T.Tensor(grid[None]), side)
-        table = T.Tensor(np.zeros(((2 * side - 1) ** 2, heads)))
-        out = M.window_attention(wins, weights, table, num_heads=heads)
+        c, heads = 8, 2
+        weights = _attn_weights(rng, c, _zero_table(heads))
+        grid = rng.normal(size=(WIN, WIN, c))
+        wins = M.window_partition(T.Tensor(grid[None]))
+        out = M.window_attention(wins, weights)
         oracle = dense_attention_oracle(
             grid.reshape(-1, c),
             weights["qkv.weight"].data,
@@ -298,40 +321,39 @@ class TestWindowAttention:
             "qkv.bias": T.Tensor(np.zeros(3 * c)),
             "proj.weight": T.Tensor(np.eye(c)),
             "proj.bias": T.Tensor(np.zeros(c)),
+            "bias_table": T.Tensor(_zero_table(1)),
         }
         rng = np.random.default_rng(9)
-        x = rng.normal(size=(2, 4, c))
-        table = T.Tensor(np.zeros((9, 1)))
-        out = M.window_attention(T.Tensor(x), weights, table, num_heads=1)
+        x = rng.normal(size=(2, WIN ** 2, c))
+        out = M.window_attention(T.Tensor(x), weights)
         assert np.max(np.abs(out.data - x.mean(axis=1, keepdims=True))) < 1e-12
 
     def test_mask_blocks_cross_region_mixing(self):
         rng = np.random.default_rng(10)
         h = w = 8
-        win, shift, c, heads = 4, 2, 4, 2
+        c, heads = 4, 2
         values = {rid: rng.normal(size=c) for rid in range(9)}
         grid = np.zeros((h, w, c))
         for r in range(h):
             for col in range(w):
-                grid[r, col] = values[region_id_oracle(r, col, h, w, win, shift)]
-        weights = _attn_weights(rng, c)
-        table = T.Tensor(rng.normal(size=((2 * win - 1) ** 2, heads), scale=0.5))
-        mask = M.build_shift_mask(h, w, win, shift)
-        wins = M.window_partition(T.Tensor(grid[None]), win)
-        out = M.window_attention(wins, weights, table, heads, mask=mask).data
+                grid[r, col] = values[region_id_oracle(r, col, h, w, WIN, SHIFT)]
+        weights = _attn_weights(rng, c, rng.normal(size=((2 * WIN - 1) ** 2, heads), scale=0.5))
+        mask = M.build_shift_mask(h, w)
+        wins = M.window_partition(T.Tensor(grid[None]))
+        out = M.window_attention(wins, weights, mask=mask).data
         back = np.zeros_like(grid)
-        n_side = w // win
-        for wy in range(h // win):
+        n_side = w // WIN
+        for wy in range(h // WIN):
             for wx in range(n_side):
                 widx = wy * n_side + wx
-                back[wy * win : (wy + 1) * win, wx * win : (wx + 1) * win] = out[
+                back[wy * WIN : (wy + 1) * WIN, wx * WIN : (wx + 1) * WIN] = out[
                     widx
-                ].reshape(win, win, c)
+                ].reshape(WIN, WIN, c)
         # same region id -> identical output token, anywhere on the grid
         by_region = {}
         for r in range(h):
             for col in range(w):
-                rid = region_id_oracle(r, col, h, w, win, shift)
+                rid = region_id_oracle(r, col, h, w, WIN, SHIFT)
                 if rid in by_region:
                     assert np.max(np.abs(back[r, col] - by_region[rid])) < 1e-9
                 else:
@@ -339,27 +361,16 @@ class TestWindowAttention:
 
     def test_head_divisibility(self):
         rng = np.random.default_rng(11)
-        weights = _attn_weights(rng, 6)
+        weights = _attn_weights(rng, 6, _zero_table(4))
         with pytest.raises(ConfigurationError):
-            M.window_attention(
-                T.Tensor(rng.normal(size=(1, 4, 6))), weights, T.Tensor(np.zeros((9, 4))), 4
-            )
+            M.window_attention(T.Tensor(rng.normal(size=(1, WIN ** 2, 6))), weights)
 
-    def test_mac_count_scales_with_window_count(self):
+    @pytest.mark.parametrize("n_tok", [1, 4, 9, 15, 17, 64])
+    def test_other_token_count_rejected(self, n_tok):
         rng = np.random.default_rng(12)
-        c, heads, win = 8, 2, 4
-        weights = _attn_weights(rng, c)
-        table = T.Tensor(np.zeros(((2 * win - 1) ** 2, heads)))
-        macs = {}
-        for side in (16, 32):
-            grid = rng.normal(size=(side, side, c))
-            counter = M.MacCounter()
-            M.window_attention(
-                M.window_partition(T.Tensor(grid[None]), win), weights, table, heads,
-                counter=counter,
-            )
-            macs[side] = counter.macs
-        assert macs[32] == 4 * macs[16]
+        weights = _attn_weights(rng, 4, _zero_table(2))
+        with pytest.raises(DimensionError):
+            M.window_attention(T.Tensor(rng.normal(size=(2, n_tok, 4))), weights)
 
 
 class TestMerging:

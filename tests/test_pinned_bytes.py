@@ -14,6 +14,7 @@ from swinscan import data as D
 from swinscan import model as M
 from swinscan import segment as SEG
 from swinscan import service as SV
+from swinscan import tensor as T
 from swinscan import train as TR
 
 PINNED_TS = "2026-02-03T04:05:06Z"
@@ -122,3 +123,29 @@ def test_segment_512(kind, digest):
     result = SEG.segment(_scan(kind, 512, 448, np.random.default_rng(0)), pixel_spacing_mm=0.5)
     measures = repr((result.area_px, result.area_mm2, result.bbox, result.centroid))
     assert sha(result.highlighted.tobytes() + measures.encode("ascii")) == digest
+
+
+def _forward_backward(num_classes):
+    # one batch-4 forward pass, its loss, and every parameter gradient
+    weights = M.ModelWeights.init(M.default_config(num_classes), seed=0)
+    images = np.random.default_rng(1).normal(size=(4, 3, 64, 64))
+    labels = [k % num_classes for k in range(4)]
+    with T.Tape() as tape:
+        for tensor in weights.tensors():
+            tape.watch(tensor)
+        logits = M.forward_batch(images, weights)
+        loss = T.cross_entropy(logits, labels)
+    T.backward(tape, loss)
+    digest = hashlib.sha256(logits.data.tobytes() + loss.data.tobytes())
+    for path, tensor in weights.items():
+        digest.update(path.encode("ascii"))
+        digest.update(np.ascontiguousarray(tensor.grad).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("num_classes, digest", [
+    (2, "9eae60f06f4f7f6521b1521a736f120e4dfbee2251c34cb338c8228c9c9200af"),
+    (3, "a6f3bc2cebb2b230de508e7bd3f042c9abb9817e3f7062b90a8de0c0a4ed1609"),
+])
+def test_forward_backward(num_classes, digest):
+    assert _forward_backward(num_classes) == digest

@@ -360,9 +360,8 @@ class TestHighlight:
     def test_every_channel_value_matches_oracle(self):
         rgb = np.repeat(np.arange(256, dtype=np.uint8), 3).reshape(1, 256, 3)
         out = S.highlight_yellow(rgb, np.ones((1, 256), dtype=bool))
-        blend = (1.0 - S.HIGHLIGHT_ALPHA) * rgb.astype(np.float64) + S.HIGHLIGHT_ALPHA * (
-            np.asarray(S.YELLOW, dtype=np.float64)
-        )
+        # the half blend in float64, rounded half up
+        blend = 0.5 * rgb.astype(np.float64) + 0.5 * np.asarray(S.YELLOW, dtype=np.float64)
         assert np.array_equal(out, round_half_away_oracle(blend).astype(np.uint8))
 
     def test_unmasked_pixels_bit_identical(self):

@@ -886,6 +886,17 @@ class TestCli:
         assert err.count("\n") == 1 and f"{csv} line 2" in err
         assert not out.exists()
 
+    def test_plot_out_of_range_history_is_data_error(self, capsys, tmp_path):
+        # NaN, infinity and a negative rate once drew points off the canvas
+        csv = tmp_path / "epochs.csv"
+        csv.write_text("epoch,steps,mean_loss,accuracy,precision,recall,f1\n"
+                       "1,2,nan,inf,-5,0.5,0.5\n")
+        out = tmp_path / "history.svg"
+        assert SV.main(["plot", "--history", str(csv), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{csv} line 2: mean_loss nan" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", [
         "weight-name", "weight-extents", "weight-zero-extent", "manifest", "manifest-long-field",
         "manifest-nul-path", "epoch-csv",

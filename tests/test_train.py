@@ -303,6 +303,37 @@ class TestEpochCsv:
         with pytest.raises(InputError, match=re.escape(f"{path} line 5")):
             TR.read_epoch_metrics(str(path))
 
+    @pytest.mark.parametrize("row, field", [
+        ("1,2,nan,0.5,0.5,0.5,0.5", "mean_loss"),
+        ("1,2,inf,0.5,0.5,0.5,0.5", "mean_loss"),
+        ("1,2,-0.5,0.5,0.5,0.5,0.5", "mean_loss"),
+        ("1,2,0.5,inf,0.5,0.5,0.5", "accuracy"),
+        ("1,2,0.5,0.5,-5,0.5,0.5", "precision"),
+        ("1,2,0.5,0.5,0.5,1.000000001,0.5", "recall"),
+        ("1,2,0.5,0.5,0.5,0.5,nan", "f1"),
+        ("1_0,2,0.5,0.5,0.5,0.5,0.5", "epoch"),
+        ("+1,2,0.5,0.5,0.5,0.5,0.5", "epoch"),
+        (" 1,2,0.5,0.5,0.5,0.5,0.5", "epoch"),
+        ("\u0661,2,0.5,0.5,0.5,0.5,0.5", "epoch"),
+        ("1,-2,0.5,0.5,0.5,0.5,0.5", "steps"),
+        ("1,,0.5,0.5,0.5,0.5,0.5", "steps"),
+    ])
+    def test_value_no_run_writes_rejected(self, tmp_path, row, field):
+        path = tmp_path / "epochs.csv"
+        path.write_text(TR._CSV_HEADER + "\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(InputError, match=re.escape(f"{path} line 2: {field} ")):
+            TR.read_epoch_metrics(str(path))
+
+    def test_extreme_logged_values_round_trip(self, tmp_path):
+        # the bounds themselves and a large loss are values a run can write
+        history = [
+            TR.EpochMetrics(1, 1, 0.0, 0.0, 0.0, 0.0, 0.0),
+            TR.EpochMetrics(12, 345, 1e6, 1.0, 1.0, 1.0, 1.0),
+        ]
+        path = tmp_path / "epochs.csv"
+        TR.log_epoch_metrics(history, str(path))
+        assert TR.read_epoch_metrics(str(path)) == history
+
     def test_empty_history_rejected(self, tmp_path):
         with pytest.raises(EmptyInputError):
             TR.log_epoch_metrics([], str(tmp_path / "epochs.csv"))
