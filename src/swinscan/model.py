@@ -194,8 +194,8 @@ def patch_embed(images: np.ndarray, weights: ModelWeights) -> T.Tensor:
     # each patch flattened channel-major, patches row-major over the grid
     x = images.reshape(b, c, g, p, g, p)
     x = x.transpose(0, 2, 4, 1, 3, 5).reshape(b, g * g, c * p * p)
-    tokens = T.matmul(T.Tensor(x), weights["patch_embed.proj.weight"])
-    return T.add(tokens, weights["patch_embed.proj.bias"])
+    return T.linear(T.Tensor(x), weights["patch_embed.proj.weight"],
+                    weights["patch_embed.proj.bias"])
 
 
 def window_partition(tokens: T.Tensor) -> T.Tensor:
@@ -285,7 +285,12 @@ def window_attention(windows: T.Tensor, weights: dict, mask: np.ndarray = None) 
     "proj.bias" to the projections, and "bias_table" to the
     ((2 * WINDOW_SIZE - 1)**2, heads) relative position bias, whose
     column count is the head count.  ``mask`` is an additive per-window
-    matrix (entries 0 or MASK_NEG) applied before the softmax.
+    matrix (entries 0 or MASK_NEG) applied before the softmax; one of
+    another shape raises DimensionError.
+
+    Three tape nodes: the qkv ``T.linear``, one ``T.attention`` for the
+    scores, bias, mask, softmax and weighted sum, and the output
+    ``T.linear``.
     """
     n_win, n_tok, c = windows.shape
     if n_tok != WINDOW_SIZE ** 2:
@@ -294,34 +299,9 @@ def window_attention(windows: T.Tensor, weights: dict, mask: np.ndarray = None) 
     num_heads = bias_table.shape[1]
     if c % num_heads != 0:
         raise ConfigurationError(f"channels {c} not divisible by {num_heads} heads")
-    dh = c // num_heads
-
-    qkv = T.add(T.matmul(windows, weights["qkv.weight"]), weights["qkv.bias"])
-    qkv = T.reshape(qkv, (n_win, n_tok, 3, num_heads, dh))
-    qkv = T.permute(qkv, (2, 0, 3, 1, 4))
-    q = T.reshape(T.slice_axis(qkv, 0, 0, 1), (n_win, num_heads, n_tok, dh))
-    k = T.reshape(T.slice_axis(qkv, 0, 1, 2), (n_win, num_heads, n_tok, dh))
-    v = T.reshape(T.slice_axis(qkv, 0, 2, 3), (n_win, num_heads, n_tok, dh))
-
-    attn = T.matmul(q, T.permute(k, (0, 1, 3, 2)))
-    attn = T.scale(attn, 1.0 / np.sqrt(dh))
-
-    bias = T.take_rows(bias_table, _BIAS_INDEX)
-    bias = T.permute(T.reshape(bias, (n_tok, n_tok, num_heads)), (2, 0, 1))
-    attn = T.add(attn, bias)
-
-    if mask is not None:
-        if mask.shape != (n_win, n_tok, n_tok):
-            raise DimensionError(
-                f"mask shape {list(mask.shape)} does not match {n_win} windows of {n_tok} tokens"
-            )
-        full = np.repeat(mask[:, None, :, :], num_heads, axis=1)
-        attn = T.add(attn, T.Tensor(full))
-
-    attn = T.softmax_lastdim(attn)
-    out = T.matmul(attn, v)
-    out = T.reshape(T.permute(out, (0, 2, 1, 3)), (n_win, n_tok, c))
-    return T.add(T.matmul(out, weights["proj.weight"]), weights["proj.bias"])
+    qkv = T.linear(windows, weights["qkv.weight"], weights["qkv.bias"])
+    out = T.attention(qkv, bias_table, _BIAS_INDEX, mask)
+    return T.linear(out, weights["proj.weight"], weights["proj.bias"])
 
 
 def merge_neighborhoods(tokens: T.Tensor) -> T.Tensor:
@@ -372,8 +352,8 @@ def _block(x, weights, prefix, shifted):
     x = T.add(shortcut, x)
 
     y = T.layer_norm(x, p["norm2.gamma"], p["norm2.beta"])
-    y = T.gelu(T.add(T.matmul(y, p["mlp.fc1.weight"]), p["mlp.fc1.bias"]))
-    y = T.add(T.matmul(y, p["mlp.fc2.weight"]), p["mlp.fc2.bias"])
+    y = T.gelu(T.linear(y, p["mlp.fc1.weight"], p["mlp.fc1.bias"]))
+    y = T.linear(y, p["mlp.fc2.weight"], p["mlp.fc2.bias"])
     return T.add(x, y)
 
 
@@ -394,7 +374,7 @@ def forward_batch(images: np.ndarray, weights: ModelWeights) -> T.Tensor:
     x = T.reshape(x, (b, h * w, c))
     x = T.layer_norm(x, weights["head.norm.gamma"], weights["head.norm.beta"])
     pooled = T.reduce_mean(x, axis=1)
-    return T.add(T.matmul(pooled, weights["head.fc.weight"]), weights["head.fc.bias"])
+    return T.linear(pooled, weights["head.fc.weight"], weights["head.fc.bias"])
 
 
 def forward_classify(image: np.ndarray, weights: ModelWeights):

@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 YELLOW = (255, 255, 0)
+# pixels per np.bincount call in otsu_threshold: each call widens its
+# block to int64, 512 KiB here instead of 8 bytes per pixel of the image
+_HIST_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,16 @@ def to_grayscale(rgb) -> np.ndarray:
     return np.floor(y, out=y).astype(np.uint8)
 
 
+def _histogram(arr: np.ndarray) -> np.ndarray:
+    """int64 count of each level 0-255 in a uint8 array, np.bincount over
+    _HIST_BLOCK pixels at a time."""
+    flat = arr.reshape(-1)
+    hist = np.zeros(256, dtype=np.int64)
+    for start in range(0, flat.size, _HIST_BLOCK):
+        hist += np.bincount(flat[start:start + _HIST_BLOCK], minlength=256)
+    return hist
+
+
 def otsu_threshold(gray) -> int:
     """Histogram threshold maximizing between-class variance.
 
@@ -109,7 +122,7 @@ def otsu_threshold(gray) -> int:
     lo, hi = int(arr.min()), int(arr.max())
     if lo == hi:
         return lo
-    hist = np.bincount(arr.ravel(), minlength=256)
+    hist = _histogram(arr)
     total = int(arr.size)
     total_sum = int(np.dot(np.arange(256, dtype=np.int64), hist))
     best_t, best_num, best_den = 0, -1, 1

@@ -2,8 +2,10 @@
 
 Design notes:
 
-* Values are numpy float64 arrays; every completed operation checks its
-  output for NaN/Inf and raises ``NonFiniteError`` instead of propagating.
+* Values are numpy float64 arrays.  Each node checks its own output, and
+  ``backward`` each gradient a node returns, for NaN/Inf and raises
+  ``NonFiniteError`` naming the op instead of propagating.  Values inside
+  a fused node are not checked; a NaN there reaches its output.
 * Differentiation is eager: while a ``Tape`` is active, each operation
   whose inputs touch the graph appends one node holding the saved values
   its backward rule needs.  ``backward`` replays the nodes in reverse.
@@ -20,6 +22,15 @@ Design notes:
   plain out-of-place expression, swapping operands only where IEEE
   addition and multiplication commute, so every rounding is the same;
   ``tests/test_tensor.py`` holds those expressions and compares bitwise.
+  ``gelu`` runs that sequence on _GELU_BLOCK elements at a time, so its
+  operands stay in cache; each element sees the same operations.
+* Per-node cost, not arithmetic, dominates a training step, so the model
+  uses fused nodes: ``linear`` for ``add(matmul(x, w), b)``, and
+  ``attention`` for the window-attention chain from the packed q/k/v to
+  the merged heads.  Each evaluates the chain's expressions on the same
+  memory layouts and gives the same bits, values and gradients; the
+  unfused ops (``scale``, ``take_rows``, ``slice_axis``, ...) stay as the
+  oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -38,6 +49,9 @@ from .errors import (
 
 _SQRT_2_OVER_PI = 0.7978845608028654  # sqrt(2/pi)
 _GELU_C = 0.044715
+# elements per gelu pass: the six 128 KiB blocks of a backward pass fit in
+# a 1 MiB L2, where whole 8 MB training activations do not
+_GELU_BLOCK = 16384
 LAYER_NORM_EPS = 1e-5  # variance guard in layer_norm
 
 
@@ -260,6 +274,109 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _finish("add", (a, b), out_data, bw)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` as one node.
+
+    ``w`` is rank 2, shared across the leading dims of ``x``, and ``b``
+    has one entry per column of ``w``.  Forward and backward evaluate the
+    expressions of ``add(matmul(x, w), b)``.  An input that needs no
+    gradient gets ``None``: image patches cost no ``g @ w.T``.
+    """
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise DimensionError(
+            f"linear shapes incompatible: {list(x.shape)} @ {list(w.shape)} + {list(b.shape)}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        out_data = x.data @ w.data
+        out_data += b.data
+    x_data, w_data = x.data, w.data
+    needs = (x.requires_grad, w.requires_grad, b.requires_grad)
+
+    def bw(g: np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            gx = g @ w_data.T if needs[0] else None
+            gw = (x_data.reshape(-1, w_data.shape[0]).T @ g.reshape(-1, g.shape[-1])
+                  if needs[1] else None)
+            gb = g.sum(axis=tuple(range(g.ndim - 1))) if needs[2] else None
+        return gx, gw, gb
+
+    return _finish("linear", (x, w, b), out_data, bw)
+
+
+def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
+              mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head self-attention from packed projections, as one node.
+
+    ``qkv`` is (windows, tokens, 3 * C): q, k and v in that order, each
+    split into ``bias_table.shape[1]`` heads.  Row ``index[i * tokens + j]``
+    of ``bias_table`` is added to the score of token ``i`` attending to
+    ``j``, and ``mask`` (windows, tokens, tokens), if given, to every
+    head's scores.  Returns the heads' outputs merged, (windows, tokens, C).
+
+    Computes what the chain ``slice_axis`` -> q @ k^T -> ``scale`` ->
+    ``add`` of the ``take_rows`` bias -> ``add`` of the mask ->
+    ``softmax_lastdim`` -> @ v computes, with the same expressions on the
+    same layouts, but in one score buffer.
+    """
+    if (qkv.ndim != 3 or bias_table.ndim != 2 or bias_table.shape[1] == 0
+            or qkv.shape[2] % (3 * bias_table.shape[1])
+            or np.shape(index) != (qkv.shape[1] ** 2,)):
+        raise DimensionError(
+            f"attention over {list(qkv.shape)} with a {list(bias_table.shape)} bias table "
+            f"and {np.size(index)} index entries"
+        )
+    n_win, n_tok, c3 = qkv.shape
+    if mask is not None and mask.shape != (n_win, n_tok, n_tok):
+        raise DimensionError(
+            f"mask shape {list(mask.shape)} does not match {n_win} windows of {n_tok} tokens"
+        )
+    table_shape = bias_table.shape
+    heads = table_shape[1]
+    c, dh = c3 // 3, c3 // (3 * heads)
+    f = float(1.0 / np.sqrt(dh))
+    # contiguous copies, the layouts slice_axis gave the chain's matmuls
+    parts = qkv.data.reshape(n_win, n_tok, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    q, k, v = parts[0].copy(), parts[1].copy(), parts[2].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = q @ np.swapaxes(k, -1, -2)
+        p *= f
+        p += bias_table.data[index].reshape(n_tok, n_tok, heads).transpose(2, 0, 1)
+        if mask is not None:
+            p += mask[:, None]
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        out_data = (p @ v).transpose(0, 2, 1, 3).reshape(n_win, n_tok, c)
+    needs = (qkv.requires_grad, bias_table.requires_grad)
+
+    def bw(g: np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_out = g.reshape(n_win, n_tok, heads, dh).transpose(0, 2, 1, 3)
+            gs = g_out @ np.swapaxes(v, -1, -2)
+            gv = np.swapaxes(p, -1, -2) @ g_out
+            # softmax: p * (gs - sum(gs * p)), in gs
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            g_table = None
+            if needs[1]:
+                g_table = np.zeros(table_shape, dtype=np.float64)
+                g_bias = gs.sum(axis=(0,)).transpose(1, 2, 0).reshape(-1, heads)
+                np.add.at(g_table, index, g_bias)
+            if not needs[0]:
+                return None, g_table
+            gs *= f
+            g_qkv = np.empty((n_win, n_tok, 3, heads, dh))
+            slots = g_qkv.transpose(2, 0, 3, 1, 4)
+            # The chain summed three zero-padded slot gradients, turning
+            # any -0.0 into +0.0; adding 0.0 as each slot is filled does too.
+            np.add(gs @ k, 0.0, out=slots[0])
+            np.add(np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2), 0.0, out=slots[1])
+            np.add(gv, 0.0, out=slots[2])
+        return g_qkv.reshape(n_win, n_tok, c3), g_table
+
+    return _finish("attention", (qkv, bias_table), out_data, bw)
+
+
 def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply by a python scalar."""
     f = float(factor)
@@ -404,45 +521,57 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian-error linear unit, tanh approximation."""
-    xd = x.data
-    # Fresh buffers, each written in place.  An explicit ``out`` keeps a
-    # rank-0 input an array, which ``out=`` below needs.
+    shape = x.data.shape
+    xf = x.data.reshape(-1)  # a view unless the input is strided
+    t = np.empty_like(xf)
+    out_data = np.empty_like(xf)
+    tmp = np.empty(min(xf.size, _GELU_BLOCK))
     with np.errstate(over="ignore", invalid="ignore"):
-        # t = tanh(sqrt(2/pi) * (x + c * ((x * x) * x)))
-        t = np.multiply(xd, xd, out=np.empty_like(xd))
-        t *= xd
-        t *= _GELU_C
-        t += xd
-        t *= _SQRT_2_OVER_PI
-        np.tanh(t, out=t)
-        # out = (0.5 * x) * (1 + t)
-        out_data = 0.5 * xd
-        out_data *= 1.0 + t
+        for i in range(0, xf.size, _GELU_BLOCK):
+            xb, tb, ob = xf[i:i + _GELU_BLOCK], t[i:i + _GELU_BLOCK], out_data[i:i + _GELU_BLOCK]
+            # t = tanh(sqrt(2/pi) * (x + c * ((x * x) * x)))
+            np.multiply(xb, xb, out=tb)
+            tb *= xb
+            tb *= _GELU_C
+            tb += xb
+            tb *= _SQRT_2_OVER_PI
+            np.tanh(tb, out=tb)
+            # out = (0.5 * x) * (1 + t)
+            np.multiply(xb, 0.5, out=ob)
+            ob *= np.add(tb, 1.0, out=tmp[:xb.size])
 
     def bw(g: np.ndarray):
+        gf = g.reshape(-1)
+        gx = np.empty_like(xf)
+        d_inner = np.empty_like(tmp)
+        sech2 = np.empty_like(tmp)
         with np.errstate(over="ignore"):
-            # d_inner = sqrt(2/pi) * (1 + 3c * (x * x))
-            d_inner = xd * xd
-            d_inner *= 3.0 * _GELU_C
-            d_inner += 1.0
-            d_inner *= _SQRT_2_OVER_PI
-            # sech2 = 1 - t * t
-            sech2 = np.multiply(t, t, out=np.empty_like(t))
-            np.subtract(1.0, sech2, out=sech2)
-            # gx = g * (0.5 * (1 + t) + ((0.5 * x) * sech2) * d_inner).
-            # Where sech2 is 0 that product is +-0 whatever d_inner is, and
-            # d_inner is inf once x * x overflows (|x| > 1.3e154), so the
-            # product is skipped there instead of giving 0 * inf = NaN.
-            gx = np.multiply(xd, 0.5, out=np.empty_like(xd))
-            gx *= sech2
-            np.multiply(gx, d_inner, out=gx, where=sech2 != 0.0)
-            half_1pt = np.add(t, 1.0, out=sech2)  # sech2 is no longer needed
-            half_1pt *= 0.5
-            gx += half_1pt
-            gx *= g
-        return (gx,)
+            for i in range(0, xf.size, _GELU_BLOCK):
+                xb, tb = xf[i:i + _GELU_BLOCK], t[i:i + _GELU_BLOCK]
+                gb, gxb = gf[i:i + _GELU_BLOCK], gx[i:i + _GELU_BLOCK]
+                db, sb = d_inner[:xb.size], sech2[:xb.size]
+                # d_inner = sqrt(2/pi) * (1 + 3c * (x * x))
+                np.multiply(xb, xb, out=db)
+                db *= 3.0 * _GELU_C
+                db += 1.0
+                db *= _SQRT_2_OVER_PI
+                # sech2 = 1 - t * t
+                np.multiply(tb, tb, out=sb)
+                np.subtract(1.0, sb, out=sb)
+                # gx = g * (0.5 * (1 + t) + ((0.5 * x) * sech2) * d_inner).
+                # Where sech2 is 0 that product is +-0 whatever d_inner is,
+                # and d_inner is inf once x * x overflows (|x| > 1.3e154), so
+                # the product is skipped there instead of giving 0 * inf = NaN.
+                np.multiply(xb, 0.5, out=gxb)
+                gxb *= sb
+                np.multiply(gxb, db, out=gxb, where=sb != 0.0)
+                half_1pt = np.add(tb, 1.0, out=sb)  # sech2 is no longer needed
+                half_1pt *= 0.5
+                gxb += half_1pt
+                gxb *= gb
+        return (gx.reshape(shape),)
 
-    return _finish("gelu", (x,), out_data, bw)
+    return _finish("gelu", (x,), out_data.reshape(shape), bw)
 
 
 def cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:

@@ -6,6 +6,7 @@ of the config seed is deterministic, so identical configs reproduce
 identical weights bit for bit.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,6 +179,7 @@ def evaluate(weights, samples):
 
 
 _CSV_HEADER = "epoch,steps,mean_loss,accuracy,precision,recall,f1"
+_LOGGED_FLOAT = re.compile(r"[0-9]+\.[0-9]+")  # the form f"{v:.9f}" writes for v >= 0
 
 
 def log_epoch_metrics(history, path: str) -> None:
@@ -203,6 +205,9 @@ def _epoch_row(ln: str) -> EpochMetrics:
     for name, text in zip(names[:2], parts[:2]):
         if not (text.isascii() and text.isdigit()):
             raise ValueError(f"{name} {text!r} is not a count in ASCII digits")
+    for name, text in zip(names[2:], parts[2:]):
+        if not _LOGGED_FLOAT.fullmatch(text):
+            raise ValueError(f"{name} {text} is not digits, a point and digits in ASCII")
     loss, *rates = (float(v) for v in parts[2:])
     if not 0.0 <= loss < np.inf:  # false for NaN too
         raise ValueError(f"mean_loss {loss} is not a finite value >= 0")
@@ -215,9 +220,10 @@ def _epoch_row(ln: str) -> EpochMetrics:
 def read_epoch_metrics(path: str):
     """Parse a CSV written by log_epoch_metrics.
 
-    epoch and steps are ASCII digit runs; every other field is finite,
-    mean_loss at least 0 and the four rates within [0, 1].  Any other
-    row raises InputError naming the file and line.
+    epoch and steps are ASCII digit runs; every other field is ASCII
+    digits, one point and digits, the form written here, with mean_loss
+    finite and the four rates within [0, 1].  Any other row raises
+    InputError naming the file, line and field.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

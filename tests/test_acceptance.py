@@ -246,21 +246,30 @@ def test_03_attention_cost_linear_in_token_count(capsys, monkeypatch):
         c, heads, win = 8, 2, M.WINDOW_SIZE
         weights = _attn_weights(rng, c)
         weights["bias_table"] = T.Tensor(np.zeros(((2 * win - 1) ** 2, heads)))
-        matmul = T.matmul
+        linear, attention = T.linear, T.attention
         macs = {}
 
-        def counted(a, b):
-            # (..., m, k) @ (..., k, n): a.size * n multiply-accumulates
-            macs[side] += a.size * b.shape[-1]
-            return matmul(a, b)
+        def counted_linear(x, w, b):
+            # (..., k) @ (k, n): x.size * n multiply-accumulates
+            macs[side] += x.size * w.shape[-1]
+            return linear(x, w, b)
+
+        def counted_attention(qkv, table, index, mask=None):
+            # q @ k^T and p @ v: each window's tokens**2 * C, twice
+            macs[side] += 2 * (qkv.size // 3) * qkv.shape[1]
+            return attention(qkv, table, index, mask)
 
         for side in (16, 32):
             grid = rng.normal(size=(side, side, c))
             wins = M.window_partition(T.Tensor(grid[None]))
             macs[side] = 0
             with monkeypatch.context() as patch:
-                patch.setattr(T, "matmul", counted)
+                patch.setattr(T, "linear", counted_linear)
+                patch.setattr(T, "attention", counted_attention)
                 M.window_attention(wins, weights)
+        # 16 windows of 16 tokens, C = 8: qkv 2048 * 24, scores and
+        # weighted sum 2 * 2048 * 16, projection 2048 * 8
+        assert macs[16] == 131_072
         # 4x the pixels must cost exactly 4x the multiply-accumulates
         assert macs[32] == 4 * macs[16], f"MAC ratio {macs[32] / macs[16]:.3f}"
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -422,6 +424,18 @@ class TestForward:
         a, _ = M.forward_classify(img, w)
         b, _ = M.forward_classify(img, w)
         assert a.data.tobytes() == b.data.tobytes()
+
+    def test_tape_node_count(self):
+        # one node per op call that touches a parameter; an op that stops
+        # being fused shows up here as a changed count
+        w = M.ModelWeights.init(M.default_config(2), seed=0)
+        with T.Tape() as tape:
+            M.forward_batch(np.zeros((2, 3, 64, 64)), w)
+        assert Counter(node.op for node in tape.nodes) == {
+            "linear": 18, "attention": 4, "gelu": 4, "layer_norm": 10, "matmul": 1,
+            "add": 8, "roll": 4, "reshape": 20, "permute": 9, "reduce_mean": 1,
+        }
+        assert len(tape.nodes) == 79
 
     def test_every_parameter_gets_gradient(self):
         rng = np.random.default_rng(16)

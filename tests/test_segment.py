@@ -208,6 +208,19 @@ class TestOtsu:
         with pytest.raises(EmptyInputError):
             S.otsu_threshold(np.zeros((0, 4), dtype=np.uint8))
 
+    @pytest.mark.parametrize("shape", [(1, 3), (255, 257), (257, 255), (512, 129)])
+    def test_blocked_histogram_equals_one_bincount(self, shape):
+        # sizes that are not a multiple of the block, one of them below it
+        rng = np.random.default_rng(shape[0])
+        gray = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        assert gray.size % S._HIST_BLOCK != 0
+        hist = S._histogram(gray)
+        assert hist.dtype == np.int64
+        assert np.array_equal(hist, np.bincount(gray.ravel(), minlength=256))
+        # a strided view counts the pixels it shows
+        assert np.array_equal(S._histogram(gray.T[::2]),
+                              np.bincount(gray.T[::2].ravel(), minlength=256))
+
 
 class TestThresholdMask:
     def test_level_255_empty(self):

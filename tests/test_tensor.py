@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from swinscan import model as M
 from swinscan import tensor as T
 from swinscan.errors import (
     ContractError,
@@ -66,6 +67,59 @@ def forward_backward(op, inputs, g):
         out = op(*tensors)
     (node,) = tape.nodes
     return out.data, node.backward_fn(g)
+
+
+def linear_chain(x, w, b):
+    """The unfused linear: the two nodes T.linear replaces."""
+    return T.add(T.matmul(x, w), b)
+
+
+def attention_chain(qkv, bias_table, index, mask):
+    """The unfused window attention between the qkv and output projections:
+    the chain of nodes T.attention replaces."""
+    n_win, n_tok, c3 = qkv.shape
+    heads = bias_table.shape[1]
+    c = c3 // 3
+    dh = c // heads
+    parts = T.permute(T.reshape(qkv, (n_win, n_tok, 3, heads, dh)), (2, 0, 3, 1, 4))
+    q, k, v = (T.reshape(T.slice_axis(parts, 0, i, i + 1), (n_win, heads, n_tok, dh))
+               for i in range(3))
+    attn = T.scale(T.matmul(q, T.permute(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    bias = T.reshape(T.take_rows(bias_table, index), (n_tok, n_tok, heads))
+    attn = T.add(attn, T.permute(bias, (2, 0, 1)))
+    if mask is not None:
+        attn = T.add(attn, T.Tensor(np.repeat(mask[:, None, :, :], heads, axis=1)))
+    out = T.matmul(T.softmax_lastdim(attn), v)
+    return T.reshape(T.permute(out, (0, 2, 1, 3)), (n_win, n_tok, c))
+
+
+def replay(op, inputs, g, requires_grad=None):
+    """Output data of ``op`` on fresh tensors of the arrays ``inputs`` and
+    each input's gradient for the output gradient ``g``, accumulated over
+    the tape as ``T.backward`` does (None for an input that needs none)."""
+    flags = requires_grad or [True] * len(inputs)
+    tensors = [T.Tensor(a.copy(), requires_grad=f) for a, f in zip(inputs, flags)]
+    with T.Tape() as tape:
+        out = op(*tensors)
+    grads = {id(out): g}
+    for node in reversed(tape.nodes):
+        gout = grads.pop(id(node.output), None)
+        if gout is None:
+            continue
+        for t, gi in zip(node.inputs, node.backward_fn(gout)):
+            if gi is not None:
+                grads[id(t)] = grads[id(t)] + gi if id(t) in grads else gi
+    return out.data, [grads.get(id(t)) for t in tensors]
+
+
+def seed_gradient(rng, shape):
+    """An output gradient with whole zero rows and signed zeros in it."""
+    g = rng.normal(size=shape)
+    rows = g.reshape(-1, shape[-1])
+    rows[::5] = 0.0
+    rows[1::3, :3] = -0.0
+    rows[2::7, ::2] = 0.0
+    return g
 
 
 # signed zeros, subnormals and magnitudes from 1e-300 to 1e100
@@ -245,7 +299,7 @@ class TestGelu:
         for got, want in ((out, want_out), (gx, want_gx)):
             assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(np.abs(want), scale))
 
-    @pytest.mark.parametrize("shape", [(32, 256, 128)] + _ODD_SHAPES)
+    @pytest.mark.parametrize("shape", [(32, 256, 128)] + _ODD_SHAPES + [(3, T._GELU_BLOCK + 5)])
     def test_bitwise_equal_to_out_of_place_reference(self, shape):
         rng = np.random.default_rng(33)
         xd = rng.normal(scale=3.0, size=shape)
@@ -264,12 +318,144 @@ class TestGelu:
         assert xd.tobytes() == saved_x.tobytes() and g.tobytes() == saved_g.tobytes()
         assert node.backward_fn(g)[0].tobytes() == gx.tobytes()
 
+    def test_strided_input_bitwise_equal_to_reference(self):
+        rng = np.random.default_rng(34)
+        xd = rng.normal(scale=3.0, size=(T._GELU_BLOCK // 64 + 3, 130)).T
+        g = rng.normal(size=xd.shape)[:, ::-1]
+        out, (gx,) = forward_backward(T.gelu, [xd], g)
+        want_out, want_gx = gelu_product_reference(xd, g)
+        assert _same_bits(out, want_out) and _same_bits(gx, want_gx)
+
     def test_gradient_finite_where_square_overflows(self):
         x = T.Tensor([1e160, -1e160, 1e300, -1e300], requires_grad=True)
         with T.Tape() as tape:
             loss = T.total_sum(T.gelu(x))
         T.backward(tape, loss)
         assert np.array_equal(x.grad, [1.0, 0.0, 1.0, 0.0])
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestLinear:
+    # (x, w) shapes of the model's six linears at batch 1 and 32
+    SHAPES = [
+        ((1, 256, 48), (48, 32)), ((32, 256, 48), (48, 32)),  # patch embed
+        ((16, 16, 32), (32, 96)), ((512, 16, 32), (32, 96)),  # qkv
+        ((1, 16, 16, 32), (32, 128)), ((32, 8, 8, 64), (64, 256)),  # fc1
+        ((1, 64), (64, 2)), ((32, 64), (64, 3)),  # head
+    ]
+
+    @pytest.mark.parametrize("xs, ws", SHAPES)
+    def test_bitwise_equal_to_matmul_add_chain(self, xs, ws):
+        rng = np.random.default_rng(41)
+        x, w, b = rng.normal(size=xs), rng.normal(size=ws), rng.normal(size=ws[1])
+        g = seed_gradient(rng, xs[:-1] + ws[1:])
+        got_out, got = replay(T.linear, [x, w, b], g)
+        want_out, want = replay(linear_chain, [x, w, b], g)
+        assert _same_bits(got_out, want_out)
+        for a, e in zip(got, want):
+            assert _same_bits(a, e)
+
+    def test_input_without_grad_gets_none_and_same_weight_grads(self):
+        # image patches need no gradient; the weight gradients stay the bits
+        rng = np.random.default_rng(42)
+        x, w, b = rng.normal(size=(2, 256, 48)), rng.normal(size=(48, 32)), rng.normal(size=32)
+        g = seed_gradient(rng, (2, 256, 32))
+        _, (gx, gw, gb) = replay(T.linear, [x, w, b], g, requires_grad=[False, True, True])
+        _, (_, want_w, want_b) = replay(linear_chain, [x, w, b], g)
+        assert gx is None
+        assert _same_bits(gw, want_w) and _same_bits(gb, want_b)
+
+    def test_shape_mismatch_names_all_shapes(self):
+        with pytest.raises(DimensionError, match=r"\[2, 3\] @ \[2, 2\] \+ \[2\]"):
+            T.linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 2))), T.Tensor(np.zeros(2)))
+        with pytest.raises(DimensionError):
+            T.linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((3, 2))), T.Tensor(np.zeros(3)))
+
+    def test_forward_overflow_names_linear(self):
+        huge = T.Tensor(np.full((2, 2), 1e200))
+        with pytest.raises(NonFiniteError, match="^linear produced non-finite"):
+            T.linear(huge, huge, T.Tensor(np.zeros(2)))
+
+    def test_backward_overflow_names_linear(self):
+        # x @ w is about 6e8, but the gradient of x sums two 1.5e308 entries
+        x = T.Tensor(np.full((3, 4), 1e-300), requires_grad=True)
+        w = T.Tensor(np.full((4, 2), 1.5e308), requires_grad=True)
+        with T.Tape() as tape:
+            loss = T.total_sum(T.linear(x, w, T.Tensor(np.zeros(2))))
+        with pytest.raises(NonFiniteError, match="^backward of linear produced non-finite"):
+            T.backward(tape, loss)
+
+
+class TestAttention:
+    @staticmethod
+    def inputs(rng, batch, heads, masked):
+        # the model's stages: 2 heads over a 16x16 grid of 32 channels,
+        # 4 heads over an 8x8 grid of 64 channels; windows of 4x4 tokens
+        side, c = {2: (16, 32), 4: (8, 64)}[heads]
+        n_win = batch * (side // M.WINDOW_SIZE) ** 2
+        qkv = rng.normal(size=(n_win, M.WINDOW_SIZE ** 2, 3 * c))
+        table = rng.normal(scale=0.5, size=((2 * M.WINDOW_SIZE - 1) ** 2, heads))
+        mask = np.tile(M.build_shift_mask(side, side), (batch, 1, 1)) if masked else None
+        return qkv, table, mask
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("heads", [2, 4])
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_bitwise_equal_to_unfused_chain(self, batch, heads, masked):
+        rng = np.random.default_rng(43 + batch + heads)
+        qkv, table, mask = self.inputs(rng, batch, heads, masked)
+        g = seed_gradient(rng, (qkv.shape[0], qkv.shape[1], qkv.shape[2] // 3))
+        index = M.relative_bias_index().reshape(-1)
+        got_out, got = replay(lambda a, t: T.attention(a, t, index, mask), [qkv, table], g)
+        want_out, want = replay(lambda a, t: attention_chain(a, t, index, mask), [qkv, table], g)
+        assert _same_bits(got_out, want_out)
+        for a, e in zip(got, want):
+            assert _same_bits(a, e)
+
+    def test_table_without_grad_gets_none(self):
+        rng = np.random.default_rng(44)
+        qkv, table, mask = self.inputs(rng, 1, 2, True)
+        g = seed_gradient(rng, (qkv.shape[0], qkv.shape[1], qkv.shape[2] // 3))
+        index = M.relative_bias_index().reshape(-1)
+        op = lambda a, t: T.attention(a, t, index, mask)  # noqa: E731
+        _, (g_qkv, g_table) = replay(op, [qkv, table], g, requires_grad=[True, False])
+        _, (want, _) = replay(op, [qkv, table], g)
+        assert g_table is None and _same_bits(g_qkv, want)
+
+    def test_shapes_checked(self):
+        index = M.relative_bias_index().reshape(-1)
+        qkv = T.Tensor(np.zeros((2, 16, 24)))
+        table = T.Tensor(np.zeros((49, 2)))
+        with pytest.raises(DimensionError, match="mask shape"):
+            T.attention(qkv, table, index, np.zeros((1, 16, 16)))
+        with pytest.raises(DimensionError):
+            T.attention(T.Tensor(np.zeros((2, 16, 20))), table, index)  # 20 = 3 * C?
+        with pytest.raises(DimensionError):
+            T.attention(T.Tensor(np.zeros((2, 9, 24))), table, index)  # 16 x 16 index
+
+    def test_forward_overflow_names_attention(self):
+        index = M.relative_bias_index().reshape(-1)
+        qkv = T.Tensor(np.full((1, 16, 12), 1e200))  # q . k overflows
+        with pytest.raises(NonFiniteError, match="^attention produced non-finite"):
+            T.attention(qkv, T.Tensor(np.zeros((49, 2))), index)
+
+    def test_backward_overflow_names_attention(self):
+        # k near 1e300 against q near 1e-300 keeps the scores near 1, and
+        # v near 1e10 the output; the gradient of q overflows
+        rng = np.random.default_rng(45)
+        q = rng.normal(size=(1, 16, 4)) * 1e-300
+        k = rng.normal(size=(1, 16, 4)) * 1e300
+        v = rng.normal(size=(1, 16, 4)) * 1e10
+        qkv = T.Tensor(np.concatenate([q, k, v], axis=-1), requires_grad=True)
+        table = T.Tensor(np.zeros((49, 2)), requires_grad=True)
+        index = M.relative_bias_index().reshape(-1)
+        with T.Tape() as tape:
+            loss = T.total_sum(T.attention(qkv, table, index))
+        with pytest.raises(NonFiniteError, match="^backward of attention produced non-finite"):
+            T.backward(tape, loss)
 
 
 class TestCrossEntropy:
@@ -436,6 +622,30 @@ class TestGradientsAgainstFiniteDifferences:
                 lambda t=table, i=idx: T.total_sum(T.gelu(T.take_rows(t, i))), [table]
             )
 
+
+    def test_linear_grad(self):
+        rng = np.random.default_rng(27)
+        for sx, sw in [((3, 4), (4, 5)), ((2, 3, 4), (4, 2)), ((2, 2, 3, 2), (2, 3))]:
+            x = T.Tensor(rng.normal(size=sx), requires_grad=True)
+            w = T.Tensor(rng.normal(size=sw), requires_grad=True)
+            b = T.Tensor(rng.normal(size=sw[1]), requires_grad=True)
+            check_grads(lambda x=x, w=w, b=b: T.total_sum(T.gelu(T.linear(x, w, b))), [x, w, b])
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_attention_grad(self, masked):
+        # windows of 2x2 tokens: a 9-row bias table, 2 heads of 2 channels
+        rng = np.random.default_rng(28)
+        coords = np.stack(np.meshgrid(np.arange(2), np.arange(2), indexing="ij"), -1).reshape(-1, 2)
+        delta = coords[:, None, :] - coords[None, :, :] + 1
+        index = (delta[..., 0] * 3 + delta[..., 1]).reshape(-1)
+        mask = np.where(rng.random((3, 4, 4)) < 0.3, M.MASK_NEG, 0.0) if masked else None
+        if masked:
+            mask[:, np.arange(4), np.arange(4)] = 0.0
+        qkv = T.Tensor(rng.normal(size=(3, 4, 12)), requires_grad=True)
+        table = T.Tensor(rng.normal(size=(9, 2)), requires_grad=True)
+        check_grads(
+            lambda: T.total_sum(T.gelu(T.attention(qkv, table, index, mask))), [qkv, table]
+        )
 
 class TestNanPolicy:
     def test_non_finite_construction_rejected(self):

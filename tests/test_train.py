@@ -317,6 +317,15 @@ class TestEpochCsv:
         ("\u0661,2,0.5,0.5,0.5,0.5,0.5", "epoch"),
         ("1,-2,0.5,0.5,0.5,0.5,0.5", "steps"),
         ("1,,0.5,0.5,0.5,0.5,0.5", "steps"),
+        # float() takes these; log_epoch_metrics writes none of them
+        ("1,2,0.0_1, 0.5,1e-1,0.5,0.5", "mean_loss"),
+        ("1,2,0.5, 0.5,0.5,0.5,0.5", "accuracy"),
+        ("1,2,0.5,0.5,1e-1,0.5,0.5", "precision"),
+        ("1,2,0.5,0.5,0.5,.5,0.5", "recall"),
+        ("1,2,0.5,0.5,0.5,0.5,1.", "f1"),
+        ("1,2,+0.5,0.5,0.5,0.5,0.5", "mean_loss"),
+        ("1,2,1,0.5,0.5,0.5,0.5", "mean_loss"),
+        ("1,2,0.5,0.\u0665,0.5,0.5,0.5", "accuracy"),
     ])
     def test_value_no_run_writes_rejected(self, tmp_path, row, field):
         path = tmp_path / "epochs.csv"
