@@ -10,6 +10,7 @@ Weight files use the "SWNW" container described next to
 :func:`save_weights`; round trips are bit exact.
 """
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ import numpy as np
 from . import tensor as T
 from .errors import (
     ConfigurationError,
+    ContractError,
     DimensionError,
     InputError,
     WeightFormatError,
@@ -139,6 +141,7 @@ class ModelWeights:
                 )
         self.config = config
         self._params = {path: params[path] for path in sorted(params)}
+        self._subsets = {}
 
     @classmethod
     def init(cls, config: SwinConfig, seed: int) -> "ModelWeights":
@@ -169,9 +172,13 @@ class ModelWeights:
         return list(self._params.values())
 
     def subset(self, prefix: str) -> dict:
-        """All parameters under a prefix, keyed by the remainder."""
-        n = len(prefix)
-        return {path[n:]: t for path, t in self._params.items() if path.startswith(prefix)}
+        """All parameters under a prefix, keyed by the remainder: one
+        shared dict per prefix, not to be modified."""
+        if prefix not in self._subsets:
+            n = len(prefix)
+            self._subsets[prefix] = {path[n:]: t for path, t in self._params.items()
+                                     if path.startswith(prefix)}
+        return self._subsets[prefix]
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +205,27 @@ def patch_embed(images: np.ndarray, weights: ModelWeights) -> T.Tensor:
                     weights["patch_embed.proj.bias"])
 
 
+def _permutation(order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A token order and its inverse, checked once and made read-only."""
+    order = order.reshape(-1)
+    inverse = np.argsort(order)
+    if not np.array_equal(order[inverse], np.arange(order.size)):
+        raise ContractError(f"token order of {order.size} entries is not a permutation")
+    order.flags.writeable = inverse.flags.writeable = False
+    return order, inverse
+
+
+@functools.cache
+def _window_order(h: int, w: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather order that rolls an h x w grid by -shift along both axes and
+    splits it into windows, and its inverse: join the windows, roll back."""
+    ws = WINDOW_SIZE
+    grid = np.roll(np.arange(h * w).reshape(h, w), (-shift, -shift), axis=(0, 1))
+    return _permutation(grid.reshape(h // ws, ws, w // ws, ws).transpose(0, 2, 1, 3))
+
+
 def window_partition(tokens: T.Tensor) -> T.Tensor:
-    """Split a (B, H, W, C) token grid into WINDOW_SIZE windows.
+    """Split a (B, H, W, C) token grid into WINDOW_SIZE windows, one node.
 
     The result stacks windows along the first axis, shape
     (B * num_windows, WINDOW_SIZE**2, C): images in batch order, windows
@@ -209,39 +235,29 @@ def window_partition(tokens: T.Tensor) -> T.Tensor:
     ws = WINDOW_SIZE
     if h % ws != 0 or w % ws != 0:
         raise ConfigurationError(f"grid {h}x{w} not divisible by window size {ws}")
-    x = T.reshape(tokens, (b, h // ws, ws, w // ws, ws, c))
-    x = T.permute(x, (0, 1, 3, 2, 4, 5))
-    return T.reshape(x, (b * (h // ws) * (w // ws), ws * ws, c))
+    return T.gather_rows(tokens, *_window_order(h, w, 0), (b * h * w // ws ** 2, ws ** 2, c))
 
 
 def window_reverse(windows: T.Tensor, b: int, h: int, w: int) -> T.Tensor:
     """Exact inverse of :func:`window_partition`: windows -> (B, H, W, C)."""
     n_win, n_tok, c = windows.shape
     ws = WINDOW_SIZE
-    if n_win * n_tok != b * h * w or n_tok != ws ** 2:
+    if n_win * n_tok != b * h * w or n_tok != ws ** 2 or h % ws or w % ws:
         raise DimensionError(
             f"{n_win} windows of {n_tok} tokens cannot tile {b} grids of {h}x{w}"
         )
-    x = T.reshape(windows, (b, h // ws, w // ws, ws, ws, c))
-    x = T.permute(x, (0, 1, 3, 2, 4, 5))
-    return T.reshape(x, (b, h, w, c))
+    order, inverse = _window_order(h, w, 0)
+    return T.gather_rows(windows, inverse, order, (b, h, w, c))
 
 
-def cyclic_shift(tokens: T.Tensor, shift: int) -> T.Tensor:
-    """Toroidal roll of the grid by -shift along both spatial axes.
-
-    cyclic_shift(cyclic_shift(x, shift), -shift) is the identity.
-    """
-    axis_h = tokens.ndim - 3
-    return T.roll(tokens, (-shift, -shift), (axis_h, axis_h + 1))
-
-
+@functools.cache
 def build_shift_mask(h: int, w: int) -> np.ndarray:
     """Per-window additive attention mask for a grid shifted by SHIFT_SIZE.
 
     Tokens that originated in different regions before the cyclic shift
     must not attend to each other; those pairs get MASK_NEG, all others
-    zero.  Shape (num_windows, WINDOW_SIZE**2, WINDOW_SIZE**2).
+    zero.  Shape (num_windows, WINDOW_SIZE**2, WINDOW_SIZE**2); built once
+    per grid, read-only.
     """
     ws = WINDOW_SIZE
     # region ids in post-shift coordinates: three row bands and three
@@ -253,13 +269,11 @@ def build_shift_mask(h: int, w: int) -> np.ndarray:
         for cols in cut:
             ids[rows, cols] = region
             region += 1
-    win_ids = (
-        ids.reshape(h // ws, ws, w // ws, ws)
-        .transpose(0, 2, 1, 3)
-        .reshape((h // ws) * (w // ws), ws * ws)
-    )
+    win_ids = ids.reshape(-1)[_window_order(h, w, 0)[0]].reshape(-1, ws * ws)
     diff = win_ids[:, :, None] - win_ids[:, None, :]
-    return np.where(diff == 0, 0.0, MASK_NEG)
+    mask = np.where(diff == 0, 0.0, MASK_NEG)
+    mask.flags.writeable = False
+    return mask
 
 
 def relative_bias_index() -> np.ndarray:
@@ -304,19 +318,23 @@ def window_attention(windows: T.Tensor, weights: dict, mask: np.ndarray = None) 
     return T.linear(out, weights["proj.weight"], weights["proj.bias"])
 
 
+@functools.cache
+def _merge_order(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    # slot index = 2 * column parity + row parity: TL, BL, TR, BR
+    grid = np.arange(h * w).reshape(h // 2, 2, w // 2, 2)
+    return _permutation(grid.transpose(0, 2, 3, 1))
+
+
 def merge_neighborhoods(tokens: T.Tensor) -> T.Tensor:
     """Concatenate each 2x2 neighborhood into one 4C token.
 
     Channel slot order is fixed: top-left, bottom-left, top-right,
-    bottom-right.  Shape (B, H, W, C) -> (B, H/2, W/2, 4C).
+    bottom-right.  Shape (B, H, W, C) -> (B, H/2, W/2, 4C), one node.
     """
     b, h, w, c = tokens.shape
     if h % 2 != 0 or w % 2 != 0:
         raise ConfigurationError(f"grid {h}x{w} has an odd extent, cannot merge 2x2")
-    x = T.reshape(tokens, (b, h // 2, 2, w // 2, 2, c))
-    # slot index = 2 * column parity + row parity: TL, BL, TR, BR
-    x = T.permute(x, (0, 1, 3, 4, 2, 5))
-    return T.reshape(x, (b, h // 2, w // 2, 4 * c))
+    return T.gather_rows(tokens, *_merge_order(h, w), (b, h // 2, w // 2, 4 * c))
 
 
 def patch_merging(tokens: T.Tensor, weights: dict) -> T.Tensor:
@@ -335,21 +353,16 @@ def _block(x, weights, prefix, shifted):
     b, h, w, c = x.shape
     p = weights.subset(prefix)
 
+    # a shifted block's roll and its roll back are folded into the gathers
+    order, inverse = _window_order(h, w, SHIFT_SIZE if shifted else 0)
+    mask = np.tile(build_shift_mask(h, w), (b, 1, 1)) if shifted else None
+
     shortcut = x
     x = T.layer_norm(x, p["norm1.gamma"], p["norm1.beta"])
-    if shifted:
-        x = cyclic_shift(x, SHIFT_SIZE)
-        mask = build_shift_mask(h, w)
-        mask = np.tile(mask, (b, 1, 1))
-    else:
-        mask = None
-    windows = window_partition(x)
-    attn_w = {key[5:]: t for key, t in p.items() if key.startswith("attn.")}
-    windows = window_attention(windows, attn_w, mask=mask)
-    x = window_reverse(windows, b, h, w)
-    if shifted:
-        x = cyclic_shift(x, -SHIFT_SIZE)
-    x = T.add(shortcut, x)
+    n_tok = WINDOW_SIZE ** 2
+    windows = T.gather_rows(x, order, inverse, (b * h * w // n_tok, n_tok, c))
+    windows = window_attention(windows, weights.subset(prefix + "attn."), mask=mask)
+    x = T.add(shortcut, T.gather_rows(windows, inverse, order, x.shape))
 
     y = T.layer_norm(x, p["norm2.gamma"], p["norm2.beta"])
     y = T.gelu(T.linear(y, p["mlp.fc1.weight"], p["mlp.fc1.bias"]))

@@ -126,12 +126,14 @@ def otsu_threshold(gray) -> int:
     total = int(arr.size)
     total_sum = int(np.dot(np.arange(256, dtype=np.int64), hist))
     best_t, best_num, best_den = 0, -1, 1
-    n0 = 0
-    s0 = 0
-    for t in range(256):
+    n0 = s0 = 0
+    counts = hist.tolist()
+    # a level after an empty bin has the classes, so the score, of the one
+    # before it, and ties go low: only t = 0 and levels after a count score
+    for t in [0, *(np.flatnonzero(hist[:255]) + 1).tolist()]:
         if t > 0:
-            n0 += int(hist[t - 1])
-            s0 += (t - 1) * int(hist[t - 1])
+            n0 += counts[t - 1]
+            s0 += (t - 1) * counts[t - 1]
         n1 = total - n0
         s1 = total_sum - s0
         if n0 == 0 or n1 == 0:

@@ -31,10 +31,15 @@ Design notes:
   memory layouts and gives the same bits, values and gradients; the
   unfused ops (``scale``, ``take_rows``, ``slice_axis``, ...) stay as the
   oracle the tests compare against.
+* Every token shuffle of the model is one ``gather_rows`` node: a fixed
+  row permutation by ``np.take``, whose C-contiguous result is the layout
+  the reshape/permute/roll chains it replaced produced, so later
+  reductions sum in the same order.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,7 +67,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("tensor constructed from non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -165,7 +170,7 @@ def _finish(
     backward_fn: Callable[[np.ndarray], tuple[np.ndarray | None, ...]],
 ) -> Tensor:
     """Validate the output, wrap it, and record on the active tape."""
-    if not np.all(np.isfinite(out_data)):
+    if not np.isfinite(out_data).all():
         raise NonFiniteError(f"{op} produced non-finite values")
     needs_grad = any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
@@ -201,7 +206,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
         for t, g in zip(node.inputs, gins):
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise NonFiniteError(f"backward of {node.op} produced non-finite values")
             key = id(t)
             if key in grads:
@@ -421,6 +426,27 @@ def roll(a: Tensor, shifts: Sequence[int], axes: Sequence[int]) -> Tensor:
     return _finish("roll", (a,), out_data, bw)
 
 
+def gather_rows(a: Tensor, order: np.ndarray, inverse: np.ndarray,
+                shape: Sequence[int]) -> Tensor:
+    """Rows ``order`` of each (len(order), a.shape[-1]) item of ``a``,
+    reshaped to ``shape``: one data-movement node.  The backward gathers
+    the gradient with ``inverse``, the inverse permutation."""
+    n, c = len(order), a.shape[-1] if a.ndim else 0
+    if (not (a.ndim > 1 and a.size and n) or a.size % (n * c) or len(inverse) != n
+            or math.prod(shape) != a.size):
+        raise DimensionError(f"gather_rows of {n} rows cannot reorder "
+                             f"{list(a.shape)} into {list(shape)}")
+    src_shape = a.shape
+    # np.take gives a C-contiguous result where a[:, order] may not, and
+    # the summation order of later reductions depends on the layout
+    out_data = np.take(a.data.reshape(-1, n, c), order, axis=1).reshape(shape)
+
+    def bw(g: np.ndarray):
+        return (np.take(g.reshape(-1, n, c), inverse, axis=1).reshape(src_shape),)
+
+    return _finish("gather_rows", (a,), out_data, bw)
+
+
 def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows of a rank-2 tensor; gradient scatter-adds back."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -497,9 +523,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"do not match normalized extent {c}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-        # the same steps as np.var: mean of the squared centred values
-        var = (xhat * xhat).mean(axis=-1, keepdims=True)
+        # means as np.mean computes them, without its Python wrapper
+        xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / c
+        var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / c
         inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
         xhat *= inv_std
         out_data = xhat * gamma.data
@@ -508,8 +534,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
     def bw(g: np.ndarray):
         gx_hat = g * gamma_data
-        m1 = gx_hat.mean(axis=-1, keepdims=True)
-        m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(gx_hat, axis=-1, keepdims=True) / c
+        m2 = np.add.reduce(gx_hat * xhat, axis=-1, keepdims=True) / c
         gx = inv_std * (gx_hat - m1 - xhat * m2)
         axes = tuple(range(g.ndim - 1))
         ggamma = (g * xhat).sum(axis=axes)

@@ -5,9 +5,10 @@ import pytest
 
 from swinscan import model as M
 from swinscan import tensor as T
-from swinscan.errors import ConfigurationError, DimensionError, InputError
+from swinscan.errors import ConfigurationError, ContractError, DimensionError, InputError
 
 from gradcheck import check_sampled_grads
+from test_tensor import replay, seed_gradient
 
 # a numpy overflow or invalid-operation warning fails the test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -24,6 +25,61 @@ def region_id_oracle(r, c, h, w, window, shift):
         return 2
 
     return 3 * band(r, h) + band(c, w)
+
+
+def cyclic_shift(tokens, shift):
+    """Toroidal roll of the grid by -shift along both spatial axes, the
+    T.roll node the shifted blocks recorded before the roll was folded
+    into their window gathers."""
+    axis_h = tokens.ndim - 3
+    return T.roll(tokens, (-shift, -shift), (axis_h, axis_h + 1))
+
+
+def partition_chain(tokens):
+    """window_partition as the reshape/permute/reshape chain it replaced."""
+    b, h, w, c = tokens.shape
+    ws = M.WINDOW_SIZE
+    x = T.reshape(tokens, (b, h // ws, ws, w // ws, ws, c))
+    x = T.permute(x, (0, 1, 3, 2, 4, 5))
+    return T.reshape(x, (b * (h // ws) * (w // ws), ws * ws, c))
+
+
+def reverse_chain(windows, b, h, w):
+    """window_reverse as the chain it replaced."""
+    ws, c = M.WINDOW_SIZE, windows.shape[-1]
+    x = T.reshape(windows, (b, h // ws, w // ws, ws, ws, c))
+    x = T.permute(x, (0, 1, 3, 2, 4, 5))
+    return T.reshape(x, (b, h, w, c))
+
+
+def merge_chain(tokens):
+    """merge_neighborhoods as the chain it replaced."""
+    b, h, w, c = tokens.shape
+    x = T.reshape(tokens, (b, h // 2, 2, w // 2, 2, c))
+    x = T.permute(x, (0, 1, 3, 4, 2, 5))
+    return T.reshape(x, (b, h // 2, w // 2, 4 * c))
+
+
+def block_chain(x, weights, prefix, shifted):
+    """model._block as it was, with a roll node and the reshape/permute
+    chains where it now has one gather each way."""
+    b, h, w, c = x.shape
+    p = weights.subset(prefix)
+    shortcut = x
+    x = T.layer_norm(x, p["norm1.gamma"], p["norm1.beta"])
+    mask = None
+    if shifted:
+        x = cyclic_shift(x, M.SHIFT_SIZE)
+        mask = np.tile(M.build_shift_mask(h, w), (b, 1, 1))
+    windows = M.window_attention(partition_chain(x), weights.subset(prefix + "attn."), mask)
+    x = reverse_chain(windows, b, h, w)
+    if shifted:
+        x = cyclic_shift(x, -M.SHIFT_SIZE)
+    x = T.add(shortcut, x)
+    y = T.layer_norm(x, p["norm2.gamma"], p["norm2.beta"])
+    y = T.gelu(T.linear(y, p["mlp.fc1.weight"], p["mlp.fc1.bias"]))
+    y = T.linear(y, p["mlp.fc2.weight"], p["mlp.fc2.bias"])
+    return T.add(x, y)
 
 
 def dense_attention_oracle(x, qkv_w, qkv_b, proj_w, proj_b, heads):
@@ -166,22 +222,129 @@ class TestWindowReverse:
 
 
 class TestCyclicShift:
+    # the oracle the shifted gathers are compared against
     def test_zero_shift_identity(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 4, 2))
-        assert np.array_equal(M.cyclic_shift(T.Tensor(x), 0).data, x)
+        assert np.array_equal(cyclic_shift(T.Tensor(x), 0).data, x)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(8, 8, 3))
-        y = M.cyclic_shift(M.cyclic_shift(T.Tensor(x), 2), -2)
+        y = cyclic_shift(cyclic_shift(T.Tensor(x), 2), -2)
         assert np.array_equal(y.data, x)
 
     def test_two_by_two_enumeration(self):
         a, b, c, d = 1.0, 2.0, 3.0, 4.0
         x = np.array([[a, b], [c, d]]).reshape(2, 2, 1)
-        out = M.cyclic_shift(T.Tensor(x), 1).data[:, :, 0]
+        out = cyclic_shift(T.Tensor(x), 1).data[:, :, 0]
         assert np.array_equal(out, [[d, c], [b, a]])
+
+    def test_equals_np_roll(self):
+        x = np.random.default_rng(7).normal(size=(2, 8, 12, 3))
+        assert np.array_equal(cyclic_shift(T.Tensor(x), 2).data,
+                              np.roll(x, (-2, -2), axis=(1, 2)))
+
+
+class TestGatherAgainstChains:
+    """Each window move is one gather_rows node that gives the bits of the
+    reshape/permute/roll chain it replaced, values and gradients."""
+
+    GRIDS = [(16, 16), (8, 8), (12, 12)]
+    C = 3
+
+    def _compare(self, gather, chain, x):
+        g = seed_gradient(np.random.default_rng(8), gather(T.Tensor(x)).shape)
+        with T.Tape() as tape:
+            gather(T.Tensor(x, requires_grad=True))
+        assert [node.op for node in tape.nodes] == ["gather_rows"]
+        got_out, (got,) = replay(gather, [x], g)
+        want_out, (want,) = replay(chain, [x], g)
+        assert got_out.tobytes() == want_out.tobytes() and got_out.shape == want_out.shape
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        assert got_out.flags.c_contiguous and got.flags.c_contiguous
+
+    def _windows(self, b, h, w):
+        n = b * h * w // M.WINDOW_SIZE ** 2
+        return np.random.default_rng(9).normal(size=(n, M.WINDOW_SIZE ** 2, self.C))
+
+    @pytest.mark.parametrize("b", [1, 32])
+    @pytest.mark.parametrize("h, w", GRIDS)
+    def test_partition(self, b, h, w):
+        x = np.random.default_rng(10).normal(size=(b, h, w, self.C))
+        self._compare(M.window_partition, partition_chain, x)
+
+    @pytest.mark.parametrize("b", [1, 32])
+    @pytest.mark.parametrize("h, w", GRIDS)
+    def test_reverse(self, b, h, w):
+        self._compare(lambda t: M.window_reverse(t, b, h, w),
+                      lambda t: reverse_chain(t, b, h, w), self._windows(b, h, w))
+
+    @pytest.mark.parametrize("b", [1, 32])
+    @pytest.mark.parametrize("h, w", GRIDS)
+    def test_shifted_in(self, b, h, w):
+        x = np.random.default_rng(11).normal(size=(b, h, w, self.C))
+        shape = self._windows(b, h, w).shape
+        self._compare(lambda t: T.gather_rows(t, *M._window_order(h, w, M.SHIFT_SIZE), shape),
+                      lambda t: partition_chain(cyclic_shift(t, M.SHIFT_SIZE)), x)
+
+    @pytest.mark.parametrize("b", [1, 32])
+    @pytest.mark.parametrize("h, w", GRIDS)
+    def test_shifted_out(self, b, h, w):
+        order, inverse = M._window_order(h, w, M.SHIFT_SIZE)
+        self._compare(lambda t: T.gather_rows(t, inverse, order, (b, h, w, self.C)),
+                      lambda t: cyclic_shift(reverse_chain(t, b, h, w), -M.SHIFT_SIZE),
+                      self._windows(b, h, w))
+
+    @pytest.mark.parametrize("b", [1, 32])
+    @pytest.mark.parametrize("h, w", GRIDS)
+    def test_merge(self, b, h, w):
+        x = np.random.default_rng(12).normal(size=(b, h, w, self.C))
+        self._compare(M.merge_neighborhoods, merge_chain, x)
+
+    @pytest.mark.parametrize("h, w", GRIDS)
+    def test_orders_cached_read_only_permutations(self, h, w):
+        for build in (lambda: M._window_order(h, w, 0), lambda: M._window_order(h, w, M.SHIFT_SIZE),
+                      lambda: M._merge_order(h, w)):
+            order, inverse = build()
+            assert build()[0] is order
+            assert np.array_equal(np.sort(order), np.arange(h * w))
+            assert np.array_equal(order[inverse], np.arange(h * w))
+            for arr in (order, inverse):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+
+    def test_shift_mask_cached_read_only(self):
+        mask = M.build_shift_mask(8, 8)
+        assert M.build_shift_mask(8, 8) is mask and not mask.flags.writeable
+
+    @pytest.mark.parametrize("b", [1, 32])
+    @pytest.mark.parametrize("stage, h, w", [(0, 16, 16), (1, 8, 8), (0, 12, 12)])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_block_equals_chain_block(self, b, stage, h, w, shifted):
+        # the whole block, values and every gradient, against the block
+        # that rolled and reshaped: the same bits
+        prefix = f"stage{stage}.block{int(shifted)}."
+        x = np.random.default_rng(13).normal(size=(b, h, w, M.EMBED_DIM * 2 ** stage))
+        runs = []
+        for block in (M._block, block_chain):
+            weights = M.ModelWeights.init(M.default_config(2), seed=4)
+            params = weights.subset(prefix)
+            xt = T.Tensor(x, requires_grad=True)
+            with T.Tape() as tape:
+                for t in params.values():
+                    tape.watch(t)
+                out = block(xt, weights, prefix, shifted)
+                loss = T.total_sum(T.gelu(out))
+            T.backward(tape, loss)
+            runs.append([out.data, xt.grad] + [params[k].grad for k in sorted(params)])
+        for got, want in zip(*runs):
+            assert got.tobytes() == want.tobytes()
+
+    def test_non_permutation_refused(self):
+        with pytest.raises(ContractError):
+            M._permutation(np.array([0, 2, 2, 3]))
 
 
 WIN, SHIFT = M.WINDOW_SIZE, M.SHIFT_SIZE
@@ -433,9 +596,9 @@ class TestForward:
             M.forward_batch(np.zeros((2, 3, 64, 64)), w)
         assert Counter(node.op for node in tape.nodes) == {
             "linear": 18, "attention": 4, "gelu": 4, "layer_norm": 10, "matmul": 1,
-            "add": 8, "roll": 4, "reshape": 20, "permute": 9, "reduce_mean": 1,
+            "add": 8, "gather_rows": 9, "reshape": 2, "reduce_mean": 1,
         }
-        assert len(tape.nodes) == 79
+        assert len(tape.nodes) == 57
 
     def test_every_parameter_gets_gradient(self):
         rng = np.random.default_rng(16)

@@ -149,3 +149,19 @@ def _forward_backward(num_classes):
 ])
 def test_forward_backward(num_classes, digest):
     assert _forward_backward(num_classes) == digest
+
+
+def _classify(num_classes):
+    # the serving path: one image at batch 1, logits and probabilities
+    weights = M.ModelWeights.init(M.default_config(num_classes), seed=0)
+    image = np.random.default_rng(2).normal(size=(3, 64, 64))
+    logits, probs = M.forward_classify(image, weights)
+    return sha(logits.data.tobytes() + probs.tobytes())
+
+
+@pytest.mark.parametrize("num_classes, digest", [
+    (2, "2ac69f3494db5696e5f61f198ac3ae8d828ef6820d1363bce2e257d11e961d39"),
+    (3, "b225adfb4d02f044e8173a710bb18df4f6d237e5533907f6f05fd4b58106e09e"),
+])
+def test_forward_classify(num_classes, digest):
+    assert _classify(num_classes) == digest

@@ -31,6 +31,32 @@ def otsu_oracle(gray: np.ndarray) -> int:
     return best_t
 
 
+def otsu_full_scan(gray: np.ndarray) -> int:
+    """otsu_threshold as first written: the integer score at every one of
+    the 256 levels, occupied bin below or not."""
+    lo, hi = int(gray.min()), int(gray.max())
+    if lo == hi:
+        return lo
+    hist = np.bincount(gray.ravel(), minlength=256)
+    total = int(gray.size)
+    total_sum = int(np.dot(np.arange(256, dtype=np.int64), hist))
+    best_t, best_num, best_den = 0, -1, 1
+    n0 = s0 = 0
+    for t in range(256):
+        if t > 0:
+            n0 += int(hist[t - 1])
+            s0 += (t - 1) * int(hist[t - 1])
+        n1, s1 = total - n0, total_sum - s0
+        if n0 == 0 or n1 == 0:
+            num, den = 0, 1
+        else:
+            d = s0 * n1 - s1 * n0
+            num, den = d * d, n0 * n1
+        if num * best_den > best_num * den:
+            best_t, best_num, best_den = t, num, den
+    return best_t
+
+
 def flood_components(mask: np.ndarray):
     """Breadth-first flood fill; returns the set of 4-connected regions."""
     h, w = mask.shape
@@ -207,6 +233,33 @@ class TestOtsu:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             S.otsu_threshold(np.zeros((0, 4), dtype=np.uint8))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_skipping_empty_levels_matches_full_scan(self, seed):
+        # a few occupied levels with gaps between them; equal counts on
+        # mirrored levels give plateaus of equal scores
+        rng = np.random.default_rng(300 + seed)
+        levels = np.sort(rng.choice(256, size=rng.integers(2, 12), replace=False))
+        counts = rng.integers(1, 6, size=levels.size)
+        if seed % 2:
+            counts = np.minimum(counts, counts[::-1])
+        gray = np.repeat(levels, counts).astype(np.uint8)[None]
+        assert S.otsu_threshold(gray) == otsu_full_scan(gray) == otsu_oracle(gray)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 255), (0, 1), (254, 255), (17, 200)])
+    def test_two_levels_match_full_scan(self, lo, hi):
+        gray = np.array([[lo, hi, hi], [lo, lo, hi]], dtype=np.uint8)
+        assert S.otsu_threshold(gray) == otsu_full_scan(gray) == lo + 1
+
+    @pytest.mark.parametrize("value", [0, 128, 255])
+    def test_constant_matches_full_scan(self, value):
+        gray = np.full((3, 5), value, dtype=np.uint8)
+        assert S.otsu_threshold(gray) == otsu_full_scan(gray) == value
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_64px_noise_matches_full_scan(self, seed):
+        gray = np.random.default_rng(400 + seed).integers(0, 256, size=(64, 64), dtype=np.uint8)
+        assert S.otsu_threshold(gray) == otsu_full_scan(gray)
 
     @pytest.mark.parametrize("shape", [(1, 3), (255, 257), (257, 255), (512, 129)])
     def test_blocked_histogram_equals_one_bincount(self, shape):

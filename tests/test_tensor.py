@@ -458,6 +458,57 @@ class TestAttention:
             T.backward(tape, loss)
 
 
+def _random_permutation(rng, n):
+    order = rng.permutation(n)
+    return order, np.argsort(order)
+
+
+class TestGatherRows:
+    @pytest.mark.parametrize("shape, n", [((2, 6, 3), 6), ((3, 4, 4, 2), 16),
+                                          ((5, 2), 5), ((4, 6, 5), 12)])
+    def test_moves_rows_and_gradient_rows(self, shape, n):
+        rng = np.random.default_rng(51)
+        a, (order, inverse) = rng.normal(size=shape), _random_permutation(rng, n)
+        g = seed_gradient(rng, (a.size // (n * shape[-1]), n * shape[-1]))
+        out, (ga,) = replay(lambda t: T.gather_rows(t, order, inverse, g.shape), [a], g)
+        rows = a.reshape(-1, n, shape[-1])
+        assert _same_bits(out, rows[:, order].reshape(g.shape))
+        assert _same_bits(ga, g.reshape(rows.shape)[:, inverse].reshape(shape))
+
+    def test_output_and_gradient_are_c_contiguous(self):
+        # a[:, order] is not C-contiguous for every layout, and a later
+        # reduction over such an array may sum in another order
+        rng = np.random.default_rng(52)
+        order, inverse = _random_permutation(rng, 6)
+        a = rng.normal(size=(3, 4, 6)).transpose(0, 2, 1)  # strided (3, 6, 4)
+        g = rng.normal(size=(4, 3, 6)).transpose(1, 2, 0)  # strided (3, 6, 4)
+        x = T.Tensor(a, requires_grad=True)
+        with T.Tape() as tape:
+            out = T.gather_rows(x, order, inverse, (3, 6, 4))
+        (ga,) = tape.nodes[0].backward_fn(g)
+        assert np.array_equal(out.data, a[:, order]) and np.array_equal(ga, g[:, inverse])
+        assert out.data.flags.c_contiguous and ga.flags.c_contiguous
+
+    def test_one_node(self):
+        order, inverse = _random_permutation(np.random.default_rng(53), 4)
+        with T.Tape() as tape:
+            T.gather_rows(T.Tensor(np.zeros((2, 4, 3)), requires_grad=True),
+                          order, inverse, (2, 2, 2, 3))
+        assert [node.op for node in tape.nodes] == ["gather_rows"]
+
+    @pytest.mark.parametrize("shape, order, inverse, out_shape", [
+        ((6,), [0, 1, 2], [0, 1, 2], (6,)),  # rank 1
+        ((2, 5, 3), [1, 0, 3, 2], [1, 0, 3, 2], (2, 5, 3)),  # 10 rows, 4 per item
+        ((2, 4, 3), [1, 0, 3, 2], [1, 0, 3], (2, 4, 3)),  # inverse of another length
+        ((2, 4, 3), [1, 0, 3, 2], [1, 0, 3, 2], (2, 4, 4)),  # other element count
+        ((2, 0, 3), [], [], (2, 0, 3)),  # no rows
+    ])
+    def test_shapes_checked(self, shape, order, inverse, out_shape):
+        with pytest.raises(DimensionError):
+            T.gather_rows(T.Tensor(np.zeros(shape)), np.array(order, dtype=np.intp),
+                          np.array(inverse, dtype=np.intp), out_shape)
+
+
 class TestCrossEntropy:
     def test_saturated_true_class(self):
         logits = np.zeros((1, 3))
@@ -622,6 +673,14 @@ class TestGradientsAgainstFiniteDifferences:
                 lambda t=table, i=idx: T.total_sum(T.gelu(T.take_rows(t, i))), [table]
             )
 
+
+    def test_gather_rows_grad(self):
+        rng = np.random.default_rng(27)
+        for shape, n in [((2, 6, 3), 6), ((3, 4, 2), 12), ((2, 2, 2, 3), 4)]:
+            x = T.Tensor(rng.normal(size=shape), requires_grad=True)
+            order, inverse = _random_permutation(rng, n)
+            check_grads(lambda x=x, o=order, i=inverse: T.total_sum(T.gelu(
+                T.gather_rows(x, o, i, (x.size // x.shape[-1], x.shape[-1])))), [x])
 
     def test_linear_grad(self):
         rng = np.random.default_rng(27)
