@@ -358,6 +358,7 @@ def resize_bilinear(pixels: np.ndarray, maxval: int, target_size: int) -> np.nda
                 + pixels[lo1] / scale * t[:, None, None])
         lo0, lo1, t = _axis_positions(w, target_size)
         out = rows[:, lo0] * (1.0 - t)[None, :, None] + rows[:, lo1] * t[None, :, None]
+    np.clip(out, 0.0, 1.0, out=out)
     return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
@@ -392,5 +393,5 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry) -> Sample:
         pixels, maxval = load_pnm(raw)
     except PnmError as exc:
         raise exc.in_file(path) from exc
-    image = np.clip(resize_bilinear(pixels, maxval, IMAGE_SIZE), 0.0, 1.0)
+    image = resize_bilinear(pixels, maxval, IMAGE_SIZE)
     return Sample(image, label_for(entry.task, entry.class_name), entry.path, entry.task)

@@ -224,29 +224,32 @@ def _window_order(h: int, w: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
     return _permutation(grid.reshape(h // ws, ws, w // ws, ws).transpose(0, 2, 1, 3))
 
 
-def window_partition(tokens: T.Tensor) -> T.Tensor:
+def window_partition(tokens: T.Tensor, shifted: bool = False) -> T.Tensor:
     """Split a (B, H, W, C) token grid into WINDOW_SIZE windows, one node.
 
     The result stacks windows along the first axis, shape
     (B * num_windows, WINDOW_SIZE**2, C): images in batch order, windows
     in row-major grid order, tokens row-major within each window.
+    ``shifted`` rolls the grid by -SHIFT_SIZE on both axes first.
     """
     b, h, w, c = tokens.shape
     ws = WINDOW_SIZE
     if h % ws != 0 or w % ws != 0:
         raise ConfigurationError(f"grid {h}x{w} not divisible by window size {ws}")
-    return T.gather_rows(tokens, *_window_order(h, w, 0), (b * h * w // ws ** 2, ws ** 2, c))
+    order = _window_order(h, w, SHIFT_SIZE if shifted else 0)
+    return T.gather_rows(tokens, *order, (b * h * w // ws ** 2, ws ** 2, c))
 
 
-def window_reverse(windows: T.Tensor, b: int, h: int, w: int) -> T.Tensor:
-    """Exact inverse of :func:`window_partition`: windows -> (B, H, W, C)."""
+def window_reverse(windows: T.Tensor, b: int, h: int, w: int, shifted: bool = False) -> T.Tensor:
+    """Exact inverse of :func:`window_partition` with the same ``shifted``:
+    windows -> (B, H, W, C), rolled back by +SHIFT_SIZE when shifted."""
     n_win, n_tok, c = windows.shape
     ws = WINDOW_SIZE
     if n_win * n_tok != b * h * w or n_tok != ws ** 2 or h % ws or w % ws:
         raise DimensionError(
             f"{n_win} windows of {n_tok} tokens cannot tile {b} grids of {h}x{w}"
         )
-    order, inverse = _window_order(h, w, 0)
+    order, inverse = _window_order(h, w, SHIFT_SIZE if shifted else 0)
     return T.gather_rows(windows, inverse, order, (b, h, w, c))
 
 
@@ -298,17 +301,15 @@ def window_attention(windows: T.Tensor, weights: dict, mask: np.ndarray = None) 
     ``weights`` maps "qkv.weight", "qkv.bias", "proj.weight" and
     "proj.bias" to the projections, and "bias_table" to the
     ((2 * WINDOW_SIZE - 1)**2, heads) relative position bias, whose
-    column count is the head count.  ``mask`` is an additive per-window
-    matrix (entries 0 or MASK_NEG) applied before the softmax; one of
-    another shape raises DimensionError.
+    column count is the head count.  ``mask`` is an additive matrix per
+    window position of an image (entries 0 or MASK_NEG), as
+    :func:`build_shift_mask` returns it, applied before the softmax.
 
     Three tape nodes: the qkv ``T.linear``, one ``T.attention`` for the
     scores, bias, mask, softmax and weighted sum, and the output
     ``T.linear``.
     """
-    n_win, n_tok, c = windows.shape
-    if n_tok != WINDOW_SIZE ** 2:
-        raise DimensionError(f"{n_tok} tokens per window, expected {WINDOW_SIZE ** 2}")
+    c = windows.shape[-1]
     bias_table = weights["bias_table"]
     num_heads = bias_table.shape[1]
     if c % num_heads != 0:
@@ -350,19 +351,13 @@ def patch_merging(tokens: T.Tensor, weights: dict) -> T.Tensor:
 
 
 def _block(x, weights, prefix, shifted):
-    b, h, w, c = x.shape
+    b, h, w, _ = x.shape
     p = weights.subset(prefix)
-
-    # a shifted block's roll and its roll back are folded into the gathers
-    order, inverse = _window_order(h, w, SHIFT_SIZE if shifted else 0)
-    mask = np.tile(build_shift_mask(h, w), (b, 1, 1)) if shifted else None
-
     shortcut = x
     x = T.layer_norm(x, p["norm1.gamma"], p["norm1.beta"])
-    n_tok = WINDOW_SIZE ** 2
-    windows = T.gather_rows(x, order, inverse, (b * h * w // n_tok, n_tok, c))
-    windows = window_attention(windows, weights.subset(prefix + "attn."), mask=mask)
-    x = T.add(shortcut, T.gather_rows(windows, inverse, order, x.shape))
+    windows = window_attention(window_partition(x, shifted), weights.subset(prefix + "attn."),
+                               mask=build_shift_mask(h, w) if shifted else None)
+    x = T.add(shortcut, window_reverse(windows, b, h, w, shifted))
 
     y = T.layer_norm(x, p["norm2.gamma"], p["norm2.beta"])
     y = T.gelu(T.linear(y, p["mlp.fc1.weight"], p["mlp.fc1.bias"]))
@@ -506,6 +501,8 @@ def _parse_weights(blob: bytes) -> ModelWeights:
         except ValueError as exc:  # no values, but extents past numpy's size limit
             raise WeightFormatError(f"parameter {name} extents {list(shape)} too large",
                                     offset=name_at) from exc
+        if not np.isfinite(data).all():
+            raise WeightFormatError(f"parameter {name} has non-finite values", offset=name_at)
         params[name] = T.Tensor(data, requires_grad=True)
     if r.pos != len(blob):
         raise WeightFormatError("trailing bytes after last parameter", offset=r.pos)

@@ -107,7 +107,7 @@ def parse_request(body: bytes) -> PredictRequest:
         )
     try:
         obj = json.loads(body.decode("utf-8"))
-    except ValueError as exc:  # also bad UTF-8 and over-long integers
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, over-long integers, deep nesting
         raise RequestError(400, "bad_json", f"request is not valid JSON: {exc}")
     if not isinstance(obj, dict):
         raise RequestError(400, "bad_json", "request body must be a JSON object")
@@ -279,10 +279,7 @@ class PredictionService:
 
     def run(self, request: PredictRequest):
         """Full pipeline for one request: returns (report, highlighted image)."""
-        resized = np.clip(
-            D.resize_bilinear(request.pixels, request.maxval, M.IMAGE_SIZE), 0.0, 1.0
-        )
-        normalized = D.normalize(resized)
+        normalized = D.normalize(D.resize_bilinear(request.pixels, request.maxval, M.IMAGE_SIZE))
         _, det_probs = M.forward_classify(normalized, self.detect_weights)
         detection = (int(np.argmax(det_probs)), det_probs)
         classification = None

@@ -30,7 +30,8 @@ Design notes:
   the merged heads.  Each evaluates the chain's expressions on the same
   memory layouts and gives the same bits, values and gradients; the
   unfused ops (``scale``, ``take_rows``, ``slice_axis``, ...) stay as the
-  oracle the tests compare against.
+  oracle the tests compare against.  ``attention`` adds its mask, one
+  matrix per window position of an image, through a view of its scores.
 * Every token shuffle of the model is one ``gather_rows`` node: a fixed
   row permutation by ``np.take``, whose C-contiguous result is the layout
   the reshape/permute/roll chains it replaced produced, so later
@@ -315,8 +316,9 @@ def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
     ``qkv`` is (windows, tokens, 3 * C): q, k and v in that order, each
     split into ``bias_table.shape[1]`` heads.  Row ``index[i * tokens + j]``
     of ``bias_table`` is added to the score of token ``i`` attending to
-    ``j``, and ``mask`` (windows, tokens, tokens), if given, to every
-    head's scores.  Returns the heads' outputs merged, (windows, tokens, C).
+    ``j``, and ``mask`` (m, tokens, tokens), if given, to every head's
+    scores, ``mask[w % m]`` to window ``w``; ``m`` must divide the window
+    count.  Returns the heads' outputs merged, (windows, tokens, C).
 
     Computes what the chain ``slice_axis`` -> q @ k^T -> ``scale`` ->
     ``add`` of the ``take_rows`` bias -> ``add`` of the mask ->
@@ -331,7 +333,8 @@ def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
             f"and {np.size(index)} index entries"
         )
     n_win, n_tok, c3 = qkv.shape
-    if mask is not None and mask.shape != (n_win, n_tok, n_tok):
+    if mask is not None and (mask.shape[1:] != (n_tok, n_tok)
+                             or len(mask) == 0 or n_win % len(mask)):
         raise DimensionError(
             f"mask shape {list(mask.shape)} does not match {n_win} windows of {n_tok} tokens"
         )
@@ -346,8 +349,9 @@ def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
         p = q @ np.swapaxes(k, -1, -2)
         p *= f
         p += bias_table.data[index].reshape(n_tok, n_tok, heads).transpose(2, 0, 1)
-        if mask is not None:
-            p += mask[:, None]
+        if mask is not None:  # through a view of p: window w gets mask[w % m]
+            scores = p.reshape(-1, len(mask), heads, n_tok, n_tok)
+            scores += mask[:, None]
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)

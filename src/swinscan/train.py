@@ -46,8 +46,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:  # false for NaN too
+            raise ConfigurationError(f"learning_rate {self.learning_rate} is not in (0, inf)")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
 

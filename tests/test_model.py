@@ -1,3 +1,4 @@
+import struct
 from collections import Counter
 
 import numpy as np
@@ -284,15 +285,13 @@ class TestGatherAgainstChains:
     @pytest.mark.parametrize("h, w", GRIDS)
     def test_shifted_in(self, b, h, w):
         x = np.random.default_rng(11).normal(size=(b, h, w, self.C))
-        shape = self._windows(b, h, w).shape
-        self._compare(lambda t: T.gather_rows(t, *M._window_order(h, w, M.SHIFT_SIZE), shape),
+        self._compare(lambda t: M.window_partition(t, shifted=True),
                       lambda t: partition_chain(cyclic_shift(t, M.SHIFT_SIZE)), x)
 
     @pytest.mark.parametrize("b", [1, 32])
     @pytest.mark.parametrize("h, w", GRIDS)
     def test_shifted_out(self, b, h, w):
-        order, inverse = M._window_order(h, w, M.SHIFT_SIZE)
-        self._compare(lambda t: T.gather_rows(t, inverse, order, (b, h, w, self.C)),
+        self._compare(lambda t: M.window_reverse(t, b, h, w, shifted=True),
                       lambda t: cyclic_shift(reverse_chain(t, b, h, w), -M.SHIFT_SIZE),
                       self._windows(b, h, w))
 
@@ -600,6 +599,28 @@ class TestForward:
         }
         assert len(tape.nodes) == 57
 
+    def test_blocks_run_the_window_helpers_and_the_built_mask(self, monkeypatch):
+        # every block partitions and reverses through the helpers, and a
+        # shifted block hands attention the cached mask itself, not a
+        # copy tiled per batch
+        calls, masks = Counter(), []
+        for name in ("window_partition", "window_reverse"):
+            def counted(*args, _fn=getattr(M, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(M, name, counted)
+        attention = T.attention
+
+        def recorded(qkv, table, index, mask=None):
+            masks.append(mask)
+            return attention(qkv, table, index, mask)
+        monkeypatch.setattr(T, "attention", recorded)
+        w = M.ModelWeights.init(M.default_config(2), seed=0)
+        M.forward_batch(np.zeros((32, 3, 64, 64)), w)
+        assert calls == {"window_partition": 4, "window_reverse": 4}
+        assert len(masks) == 4 and masks[0] is None and masks[2] is None
+        assert masks[1] is M.build_shift_mask(16, 16) and masks[3] is M.build_shift_mask(8, 8)
+
     def test_every_parameter_gets_gradient(self):
         rng = np.random.default_rng(16)
         w = M.ModelWeights.init(M.default_config(2), seed=2)
@@ -640,6 +661,24 @@ class TestWeightFiles:
         assert loaded.paths() == w.paths()
         for name, t in w.items():
             assert loaded[name].data.tobytes() == t.data.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_file_and_parameter(self, tmp_path, value):
+        from swinscan.errors import WeightFormatError
+
+        path = tmp_path / "n.swnw"
+        M.save_weights(str(path), M.ModelWeights.init(M.default_config(2), seed=0))
+        blob = bytearray(path.read_bytes())
+        name = b"head.fc.bias"  # rank 1, two values
+        name_at = blob.index(name) - 4
+        at = name_at + 4 + len(name) + 8 + 8  # its second value
+        blob[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WeightFormatError) as err:
+            M.load_weights(str(path))
+        assert str(err.value) == (
+            f"{path}: parameter head.fc.bias has non-finite values (byte offset {name_at})"
+        )
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.swnw"

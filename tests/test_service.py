@@ -135,6 +135,9 @@ class TestParseRequest:
             (b'{"task": "detect"}', "bad_encoding"),
             (b'{"image": "QUJD", "task": "detect"}', "bad_image"),
             pytest.param(b'{"n": ' + b"1" * 5000 + b"}", "bad_json", id="over-long-integer"),
+            # json.loads raises RecursionError, not ValueError, past its depth
+            pytest.param(b"[" * 100000, "bad_json", id="deep-array"),
+            pytest.param(b'{"a": ' * 100000 + b"1" + b"}" * 100000, "bad_json", id="deep-object"),
         ],
     )
     def test_rejects_with_code(self, body, code):
@@ -618,6 +621,11 @@ class TestHttp:
         assert status == 400
         assert json.loads(payload)["error"]["code"] == "bad_task"
 
+    def test_deeply_nested_body_is_400(self, live_server):
+        status, _, payload = http(f"{live_server}/v1/predict", b"[" * 5000)
+        assert status == 400
+        assert json.loads(payload)["error"]["code"] == "bad_json"
+
     def test_unknown_route_is_404(self, live_server):
         status, _, payload = http(f"{live_server}/v1/nothing", b"{}")
         assert status == 404
@@ -898,7 +906,8 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("case", [
-        "weight-name", "weight-extents", "weight-zero-extent", "manifest", "manifest-long-field",
+        "weight-name", "weight-extents", "weight-zero-extent", "weight-nan", "weight-inf",
+        "manifest", "manifest-long-field",
         "manifest-nul-path", "epoch-csv",
     ])
     def test_unreadable_operator_file_is_data_error(self, capsys, tmp_path,
@@ -915,6 +924,10 @@ class TestCli:
                                "truncated weight file"),
             "weight-zero-extent": (named + struct.pack("<5I", 4, 0, *[2 ** 32 - 1] * 3),
                                    "extents [0, 4294967295, 4294967295, 4294967295] too large"),
+            "weight-nan": (named + struct.pack("<2Id", 1, 1, float("nan")),
+                           "parameter x has non-finite values"),
+            "weight-inf": (named + struct.pack("<2Id", 1, 1, float("inf")),
+                           "parameter x has non-finite values"),
             "manifest": (b"path,task,class\n\xff.pnm,detect,Yes\n", "is not UTF-8 text"),
             # csv refuses a field of over 131,072 characters
             "manifest-long-field": (b"path,task,class\n" + b"x" * 131_073 + b",detect,Yes\n",
@@ -935,6 +948,7 @@ class TestCli:
         assert SV.main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+        assert err.startswith("swinscan: error: ") and str(path) in err
 
     def test_plot_comparison(self, tmp_path):
         out = tmp_path / "cmp.svg"

@@ -398,19 +398,22 @@ class TestAttention:
         n_win = batch * (side // M.WINDOW_SIZE) ** 2
         qkv = rng.normal(size=(n_win, M.WINDOW_SIZE ** 2, 3 * c))
         table = rng.normal(scale=0.5, size=((2 * M.WINDOW_SIZE - 1) ** 2, heads))
-        mask = np.tile(M.build_shift_mask(side, side), (batch, 1, 1)) if masked else None
+        mask = M.build_shift_mask(side, side) if masked else None
         return qkv, table, mask
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("heads", [2, 4])
     @pytest.mark.parametrize("batch", [1, 32])
     def test_bitwise_equal_to_unfused_chain(self, batch, heads, masked):
+        # attention takes the mask as built, one matrix per window
+        # position; the chain adds it tiled to one matrix per window
         rng = np.random.default_rng(43 + batch + heads)
         qkv, table, mask = self.inputs(rng, batch, heads, masked)
+        tiled = np.tile(mask, (batch, 1, 1)) if masked else None
         g = seed_gradient(rng, (qkv.shape[0], qkv.shape[1], qkv.shape[2] // 3))
         index = M.relative_bias_index().reshape(-1)
         got_out, got = replay(lambda a, t: T.attention(a, t, index, mask), [qkv, table], g)
-        want_out, want = replay(lambda a, t: attention_chain(a, t, index, mask), [qkv, table], g)
+        want_out, want = replay(lambda a, t: attention_chain(a, t, index, tiled), [qkv, table], g)
         assert _same_bits(got_out, want_out)
         for a, e in zip(got, want):
             assert _same_bits(a, e)
@@ -430,11 +433,34 @@ class TestAttention:
         qkv = T.Tensor(np.zeros((2, 16, 24)))
         table = T.Tensor(np.zeros((49, 2)))
         with pytest.raises(DimensionError, match="mask shape"):
-            T.attention(qkv, table, index, np.zeros((1, 16, 16)))
+            T.attention(qkv, table, index, np.zeros((3, 16, 16)))  # 3 masks, 2 windows
         with pytest.raises(DimensionError):
             T.attention(T.Tensor(np.zeros((2, 16, 20))), table, index)  # 20 = 3 * C?
         with pytest.raises(DimensionError):
             T.attention(T.Tensor(np.zeros((2, 9, 24))), table, index)  # 16 x 16 index
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_mask_per_window_position(self, m):
+        # window i gets mask[i % m]: the same bits as the tiled mask
+        rng = np.random.default_rng(46)
+        qkv = rng.normal(size=(4, 16, 12))
+        table = rng.normal(size=(49, 2))
+        mask = np.where(rng.random(size=(m, 16, 16)) < 0.3, M.MASK_NEG, 0.0)
+        index = M.relative_bias_index().reshape(-1)
+        g = seed_gradient(rng, (4, 16, 4))
+        got_out, got = replay(lambda a, t: T.attention(a, t, index, mask), [qkv, table], g)
+        tiled = np.tile(mask, (4 // m, 1, 1))
+        want_out, want = replay(lambda a, t: T.attention(a, t, index, tiled), [qkv, table], g)
+        assert _same_bits(got_out, want_out)
+        for a, e in zip(got, want):
+            assert _same_bits(a, e)
+
+    @pytest.mark.parametrize("shape", [(0, 16, 16), (16, 16), (2, 1, 16, 16), (2, 16, 9)])
+    def test_mask_of_other_shape_rejected(self, shape):
+        qkv = T.Tensor(np.zeros((2, 16, 24)))
+        with pytest.raises(DimensionError, match="mask shape"):
+            T.attention(qkv, T.Tensor(np.zeros((49, 2))), M.relative_bias_index().reshape(-1),
+                        np.zeros(shape))
 
     def test_forward_overflow_names_attention(self):
         index = M.relative_bias_index().reshape(-1)

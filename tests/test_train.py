@@ -58,6 +58,8 @@ class TestTrainConfig:
             {"learning_rate": 0.0},
             {"learning_rate": -1e-3},
             {"batch_size": 0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
