@@ -9,21 +9,31 @@ operator-initiated (weights, reports, plots).
 Report JSON and PDF bytes are deterministic functions of their inputs.
 Wall-clock time enters only through the clock callable, which honors the
 SWINSCAN_TIMESTAMP variable so tests and audits can pin it.
+
+The HTTP server computes in worker processes forked from the loaded
+server, one per usable core, so replies are the bytes that
+PredictionService.respond gives in process.
 """
 
 import argparse
 import base64
 import binascii
+import copy
 import hashlib
 import json
 import os
+import queue
 import re
 import signal
+import socket
+import struct
 import sys
+import threading
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,11 +55,13 @@ from .errors import (
 )
 
 __all__ = [
-    "PredictRequest", "RequestError", "PredictionService", "parse_request",
+    "PredictRequest", "RequestError", "Reply", "error_reply", "PredictionService",
+    "parse_request",
     "build_report", "canonical_json", "write_pdf", "parse_pdf", "PdfInfo",
     "render_history_plot", "render_comparison_plot", "load_schema",
     "create_server", "default_clock", "file_digest", "main", "entry",
-    "MAX_REQUEST_BYTES", "MAX_PIXEL_SPACING_MM", "DISCLAIMER",
+    "MAX_REQUEST_BYTES", "MAX_PIXEL_SPACING_MM", "DISCLAIMER", "PREDICT_ROUTE",
+    "PDF_ROUTE", "WAITING_PER_WORKER",
 ]
 
 REPORT_VERSION = "1"
@@ -60,6 +72,8 @@ MAX_REQUEST_BYTES = 8 * 1024 * 1024
 MAX_PIXEL_SPACING_MM = 1000.0
 MAX_IMAGE_SIDE_PX = 2048  # uncompressed RGB beyond this will not fit a page budget
 DEFAULT_PORT = 8000
+PREDICT_ROUTE = "/v1/predict"
+PDF_ROUTE = "/v1/report.pdf"
 DISCLAIMER = (
     "Research prototype. Not a medical device; findings require review "
     "by a qualified radiologist."
@@ -96,6 +110,34 @@ class RequestError(SwinscanError):
         super().__init__(message)
         self.status = status
         self.code = code
+
+
+class Reply(NamedTuple):
+    """One finished HTTP reply."""
+
+    status: int
+    content_type: str
+    body: bytes
+
+
+# exception type -> (status, code) of its JSON error reply; the first row
+# the exception is an instance of wins, and a RequestError names its own
+ERROR_REPLIES = (
+    (RequestError, None),
+    (SwinscanError, (400, "bad_request")),
+    (Exception, (500, "internal")),
+)
+
+
+def error_reply(exc: Exception) -> Reply:
+    """The JSON error reply ERROR_REPLIES gives for exc."""
+    pair = next(pair for kind, pair in ERROR_REPLIES if isinstance(exc, kind))
+    status, code = pair or (exc.status, exc.code)
+    # the text of an unexpected exception could echo request content,
+    # patient_ref included, so a 500 carries none of it
+    message = "internal error" if status == 500 else str(exc)
+    return Reply(status, "application/json",
+                 canonical_json({"error": {"code": code, "message": message}}))
 
 
 def parse_request(body: bytes) -> PredictRequest:
@@ -260,6 +302,8 @@ def load_schema(name: str) -> dict:
 class PredictionService:
     """Loads both weight files once, then handles requests statelessly."""
 
+    workers = None  # the compute workers of create_server's copy
+
     def __init__(self, detect_weights_path: str, classify_weights_path: str,
                  clock=default_clock):
         self.detect_weights = M.load_weights(detect_weights_path)
@@ -302,12 +346,24 @@ class PredictionService:
         )
         return report, seg.highlighted
 
-    def handle_predict(self, body: bytes) -> dict:
-        return self.run(parse_request(body))[0]
+    def respond(self, route: str, body: bytes) -> Reply:
+        """The reply to a POST of body to PREDICT_ROUTE or PDF_ROUTE, an
+        error reply included; every compute worker runs this."""
+        try:
+            report, highlighted = self.run(parse_request(body))
+            if route == PDF_ROUTE:
+                return Reply(200, "application/pdf", write_pdf(report, highlighted))
+            return Reply(200, "application/json", canonical_json(report))
+        except Exception as exc:
+            return error_reply(exc)
 
-    def handle_report_pdf(self, body: bytes) -> bytes:
-        report, highlighted = self.run(parse_request(body))
-        return write_pdf(report, highlighted)
+    def handle_predict(self, body: bytes) -> Reply:
+        """POST /v1/predict in the server: waits for a worker's reply."""
+        return self.workers.submit(PREDICT_ROUTE, body)
+
+    def handle_report_pdf(self, body: bytes) -> Reply:
+        """POST /v1/report.pdf in the server: waits for a worker's reply."""
+        return self.workers.submit(PDF_ROUTE, body)
 
     def health(self) -> dict:
         return {
@@ -692,6 +748,126 @@ def render_comparison_plot() -> str:
 # ---------------------------------------------------------------------------
 # HTTP server
 
+# requests that may wait for a busy compute worker, per worker; the next
+# one is refused with 503 at once, so held bodies stay bounded
+WAITING_PER_WORKER = 4
+RETRY_AFTER_S = 1
+_ROUTES = (PREDICT_ROUTE, PDF_ROUTE)
+_CONTENT_TYPES = ("application/json", "application/pdf")
+_REQUEST_HEAD = struct.Struct("<BI")  # route index, body length
+_REPLY_HEAD = struct.Struct("<HBI")  # status, content type index, body length
+
+
+def _recv_exact(sock, n: int) -> bytes:
+    """n bytes from sock; EOFError if the other end closes first."""
+    chunks = []
+    while n:
+        chunk = sock.recv(n, socket.MSG_WAITALL)
+        if not chunk:
+            raise EOFError("the other end closed")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def _work(service, sock) -> None:
+    """A compute worker's loop: one reply per request read from sock, until EOF."""
+    while True:
+        try:
+            route, length = _REQUEST_HEAD.unpack(_recv_exact(sock, _REQUEST_HEAD.size))
+        except EOFError:
+            return  # the server closed its end, or ended
+        reply = service.respond(_ROUTES[route], _recv_exact(sock, length))
+        kind = _CONTENT_TYPES.index(reply.content_type)
+        sock.sendall(_REPLY_HEAD.pack(reply.status, kind, len(reply.body)) + reply.body)
+
+
+class _Workers:
+    """Compute processes forked from the server once its weights are loaded.
+
+    Each worker holds one end of a socket pair and answers one request at
+    a time on it.  A handler thread takes an idle worker, or waits for one
+    if fewer than WAITING_PER_WORKER per worker already wait.  Forking the
+    loaded process shares the weights and needs no second import of numpy.
+    """
+
+    def __init__(self, service, count: int, listener):
+        self.capacity = count * (1 + WAITING_PER_WORKER)
+        self.lost = None  # pid of a worker that ended while the server ran
+        self._admitted = 0  # requests with a worker or waiting for one
+        self._lock = threading.Lock()
+        self._idle = queue.SimpleQueue()
+        self._all = []  # (server end of the socket pair, pid)
+        try:
+            for _ in range(count):
+                self._fork(service, listener)
+        except BaseException:
+            self.close()
+            raise
+
+    def _fork(self, service, listener):
+        ours, theirs = socket.socketpair()
+        try:
+            pid = os.fork()
+        except OSError:
+            ours.close()
+            theirs.close()
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                # ^C in a terminal reaches the whole process group; the
+                # server alone stops its workers, by closing their sockets
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                # with no copy of the server's ends left here, the server's
+                # end, even by SIGKILL, reaches this worker as EOF
+                for other in (listener, ours, *(end for end, _ in self._all)):
+                    other.close()
+                _work(service, theirs)
+                code = 0
+            finally:
+                os._exit(code)  # never back into the caller's stack or exit handlers
+        theirs.close()
+        self._all.append((ours, pid))
+        self._idle.put((ours, pid))
+
+    def submit(self, route: str, body: bytes) -> Reply:
+        """A worker's reply to body; RequestError 503 when too many wait."""
+        with self._lock:
+            if self._admitted >= self.capacity:
+                raise RequestError(
+                    503, "overloaded",
+                    f"every compute worker is busy and {WAITING_PER_WORKER} requests per "
+                    f"worker wait; retry after {RETRY_AFTER_S} s",
+                )
+            self._admitted += 1
+        try:
+            sock, pid = self._idle.get()
+            try:
+                sock.sendall(_REQUEST_HEAD.pack(_ROUTES.index(route), len(body)) + body)
+                status, kind, length = _REPLY_HEAD.unpack(_recv_exact(sock, _REPLY_HEAD.size))
+                reply = Reply(status, _CONTENT_TYPES[kind], _recv_exact(sock, length))
+            except (OSError, EOFError):
+                self.lost = pid  # the worker ended: this request gets a 500
+                raise
+            self._idle.put((sock, pid))
+            return reply
+        finally:
+            with self._lock:
+                self._admitted -= 1
+
+    def close(self):
+        """Stop and reap every worker; one that holds a request replies first."""
+        for sock, _ in self._all:
+            try:
+                sock.shutdown(socket.SHUT_WR)  # EOF after the frames already sent
+            except OSError:
+                pass  # the worker is gone already
+        for sock, pid in self._all:
+            os.waitpid(pid, 0)
+            sock.close()
+        self._all.clear()
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
@@ -711,37 +887,35 @@ class _Handler(BaseHTTPRequestHandler):
         # requests are never persisted, not even as access log lines
         pass
 
-    def _send(self, status: int, content_type: str, body: bytes, close=False):
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+    def _send(self, reply: Reply, close=False):
+        # after an unexpected failure nothing is known of the connection's state
+        close = close or reply.status == 500
+        self.send_response(reply.status)
+        self.send_header("Content-Type", reply.content_type)
+        self.send_header("Content-Length", str(len(reply.body)))
+        if reply.status == 503:
+            self.send_header("Retry-After", str(RETRY_AFTER_S))
         if close:
             self.send_header("Connection", "close")
         self.end_headers()
         if self.command != "HEAD":
-            self.wfile.write(body)
+            self.wfile.write(reply.body)
         if close:
             self.close_connection = True
 
-    def _send_json(self, status: int, obj: dict, close=False):
-        self._send(status, "application/json", canonical_json(obj), close=close)
-
-    def _send_error_json(self, status: int, code: str, message: str, close=False):
-        self._send_json(
-            status, {"error": {"code": code, "message": message}}, close=close
-        )
+    def _refuse(self, status: int, code: str, message: str, close=False):
+        self._send(error_reply(RequestError(status, code, message)), close=close)
 
     def send_error(self, code, message=None, explain=None):
         # the base class refuses malformed HTTP with an HTML page; this
         # reply names only the status, never the request's text
-        self._send_error_json(code, "bad_request", self.responses[code][0], close=True)
+        self._refuse(code, "bad_request", self.responses[code][0], close=True)
 
     def _read_body(self):
         if "Transfer-Encoding" in self.headers:
             # only Content-Length framing is read; a chunked body left
             # unread would be parsed as the next request
-            self._send_error_json(400, "bad_request", "Transfer-Encoding is not supported",
-                                  close=True)
+            self._refuse(400, "bad_request", "Transfer-Encoding is not supported", close=True)
             return None
         lengths = {v.strip(" \t") for v in self.headers.get_all("Content-Length", ["0"])}
         length = lengths.pop()
@@ -752,7 +926,7 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ValueError(length)
             length = int(length)  # also raises past 4300 digits
         except ValueError:
-            self._send_error_json(400, "bad_request", "invalid Content-Length", close=True)
+            self._refuse(400, "bad_request", "invalid Content-Length", close=True)
             return None
         if length > MAX_REQUEST_BYTES:
             # drain what the client is mid-send so the refusal can be
@@ -763,11 +937,9 @@ class _Handler(BaseHTTPRequestHandler):
                 if not chunk:
                     break
                 remaining -= len(chunk)
-            self._send_error_json(
-                413, "payload_too_large",
-                f"request body {length} bytes exceeds the {MAX_REQUEST_BYTES} cap",
-                close=True,
-            )
+            self._refuse(413, "payload_too_large",
+                         f"request body {length} bytes exceeds the {MAX_REQUEST_BYTES} cap",
+                         close=True)
             return None
         return self.rfile.read(length)
 
@@ -776,39 +948,59 @@ class _Handler(BaseHTTPRequestHandler):
         if body is None:
             return
         try:
-            if self.path == "/v1/predict":
-                report = self.server.service.handle_predict(body)
-                self._send_json(200, report)
-            elif self.path == "/v1/report.pdf":
-                pdf = self.server.service.handle_report_pdf(body)
-                self._send(200, "application/pdf", pdf)
+            if self.path == PREDICT_ROUTE:
+                reply = self.server.service.handle_predict(body)
+            elif self.path == PDF_ROUTE:
+                reply = self.server.service.handle_report_pdf(body)
             else:
-                self._send_error_json(404, "not_found", f"no route {self.path}")
-        except RequestError as exc:
-            self._send_error_json(exc.status, exc.code, str(exc))
-        except SwinscanError as exc:
-            self._send_error_json(400, "bad_request", str(exc))
-        except Exception:
-            # the exception text could echo request content, patient_ref
-            # included, so the reply carries none of it
-            self._send_error_json(500, "internal", "internal error", close=True)
+                raise RequestError(404, "not_found", f"no route {self.path}")
+        except Exception as exc:
+            reply = error_reply(exc)
+        self._send(reply)
+        if self.server.workers.lost is not None:
+            # serving stops once this reply is out; the server is not forked
+            # again, now that it runs threads
+            threading.Thread(target=self.server.shutdown, daemon=True).start()
 
     def do_GET(self):
         # a body is read and ignored, so that it is not taken for the next request
         if self._read_body() is None:
             return
         if self.path == "/v1/health":
-            self._send_json(200, self.server.service.health())
+            self._send(Reply(200, "application/json",
+                             canonical_json(self.server.service.health())))
         else:
-            self._send_error_json(404, "not_found", f"no route {self.path}")
+            self._refuse(404, "not_found", f"no route {self.path}")
+
+
+class _Server(ThreadingHTTPServer):
+    """Handler threads in front of the forked compute workers."""
+
+    def __init__(self, address, service):
+        super().__init__(address, _Handler)
+        try:
+            self.workers = _Workers(service, len(os.sched_getaffinity(0)), self.socket)
+        except BaseException:
+            super().server_close()
+            raise
+        # the handlers' copy sends each request to the workers
+        self.service = copy.copy(service)
+        self.service.workers = self.workers
+
+    def server_close(self):
+        super().server_close()
+        self.workers.close()
 
 
 def create_server(service: PredictionService, port: int = 0,
                   host: str = "127.0.0.1") -> ThreadingHTTPServer:
-    """Bound but not yet serving; port 0 picks a free one."""
-    server = ThreadingHTTPServer((host, port), _Handler)
-    server.service = service
-    return server
+    """Bound but not yet serving, with one compute worker forked per usable
+    core; port 0 picks a free one.  server_close() stops the workers.
+
+    `serve` calls this before it starts any thread: a lock that another
+    thread holds at the fork stays held in every worker.
+    """
+    return _Server((host, port), service)
 
 
 def resolve_port(flag_value) -> int:
@@ -891,7 +1083,12 @@ def _cmd_serve(args) -> int:
         pass
     finally:
         signal.signal(signal.SIGINT, previous)
+        lost = server.workers.lost
         server.server_close()
+    if lost is not None:
+        print(f"swinscan: error: compute worker {lost} ended; the server stopped",
+              file=sys.stderr)
+        return 3
     return 0
 
 
@@ -969,7 +1166,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Exit 0 on success, 1 on usage errors, 2 on data errors."""
+    """Exit 0 on success, 1 on usage errors, 2 on data errors, 3 when a
+    compute worker of `serve` ended."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

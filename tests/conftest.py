@@ -4,8 +4,11 @@ Training the desk-scale model takes tens of seconds, so the trained
 weights are session-scoped and every consumer treats them as read-only.
 """
 
+import os
+
 import pytest
 
+import procs
 import synth
 from swinscan import model as M
 from swinscan import train as TR
@@ -15,6 +18,15 @@ from swinscan import train as TR
 # the three-shape classification set wants a gentler rate and longer.
 DETECT_RECIPE = TR.TrainConfig(epochs=10, learning_rate=1e-2, seed=0)
 CLASSIFY_RECIPE = TR.TrainConfig(epochs=16, learning_rate=5e-3, seed=0)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_process_left():
+    """Fails the session if a test leaves a child process running, such as
+    a compute worker of a server that was never closed."""
+    yield
+    left = [pid for pid in procs.children(os.getpid()) if procs.running(pid)]
+    assert left == [], f"child processes still running at the end of the session: {left}"
 
 
 @pytest.fixture(scope="session")

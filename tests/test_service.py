@@ -62,6 +62,13 @@ def raw_request_body(raw: bytes) -> bytes:
     return json.dumps({"image": base64.b64encode(raw).decode("ascii"), "task": "full"}).encode()
 
 
+def predict(service, body) -> dict:
+    """The report of an in-process /v1/predict."""
+    reply = service.respond(SV.PREDICT_ROUTE, body)
+    assert reply.status == 200, reply.body
+    return json.loads(reply.body)
+
+
 @pytest.fixture(scope="module")
 def service(detect_weights_path, classify_weights_path):
     return SV.PredictionService(
@@ -275,7 +282,7 @@ class TestBuildReport:
 
 class TestServicePipeline:
     def test_bright_disk_is_detected(self, service, disk):
-        report = service.handle_predict(request_body(disk))
+        report = predict(service, request_body(disk))
         assert report["detection"]["label"] == "Yes"
         assert report["detection"]["probabilities"]["Yes"] > 0.9
         assert "classification" in report
@@ -283,17 +290,17 @@ class TestServicePipeline:
         assert report["segmentation"]["area_px"] > 0
 
     def test_blank_image_is_negative(self, service, blank):
-        report = service.handle_predict(request_body(blank))
+        report = predict(service, request_body(blank))
         assert report["detection"]["label"] == "No"
         assert "classification" not in report
 
     def test_detect_task_never_classifies(self, service, disk):
-        report = service.handle_predict(request_body(disk, task="detect"))
+        report = predict(service, request_body(disk, task="detect"))
         assert report["detection"]["label"] == "Yes"
         assert "classification" not in report
 
     def test_spacing_yields_area_mm2(self, service, disk):
-        report = service.handle_predict(request_body(disk, pixel_spacing_mm=2.0))
+        report = predict(service, request_body(disk, pixel_spacing_mm=2.0))
         seg = report["segmentation"]
         assert seg["area_mm2"] == pytest.approx(seg["area_px"] * 4.0)
 
@@ -302,24 +309,24 @@ class TestServicePipeline:
         # 128x128 input, not the model's 64x64 grid
         image = synth.disk_image(side=128, radius=20.0, noise=0.0,
                                  rng=np.random.default_rng(3))
-        report = service.handle_predict(request_body(image))
+        report = predict(service, request_body(image))
         assert report["segmentation"]["area_px"] > 900
 
     def test_identical_requests_identical_bytes(self, service, disk):
         body = request_body(disk, patient_ref="rep")
-        first = SV.canonical_json(service.handle_predict(body))
-        second = SV.canonical_json(service.handle_predict(body))
+        first = service.respond(SV.PREDICT_ROUTE, body)
+        second = service.respond(SV.PREDICT_ROUTE, body)
         assert first == second
 
     def test_response_validates_against_schema(self, service, disk, blank):
         schema = SV.load_schema("diagnostic_report.v1")
-        jsonschema.validate(service.handle_predict(request_body(disk)), schema)
-        jsonschema.validate(service.handle_predict(request_body(blank)), schema)
+        jsonschema.validate(predict(service, request_body(disk)), schema)
+        jsonschema.validate(predict(service, request_body(blank)), schema)
 
     def test_model_versions_are_file_digests(
         self, service, detect_weights_path, classify_weights_path, disk
     ):
-        report = service.handle_predict(request_body(disk))
+        report = predict(service, request_body(disk))
         assert report["model_versions"] == {
             "detect": SV.file_digest(detect_weights_path),
             "classify": SV.file_digest(classify_weights_path),
@@ -330,7 +337,7 @@ class TestServicePipeline:
     ):
         monkeypatch.setenv("SWINSCAN_TIMESTAMP", "2001-01-01T00:00:00Z")
         svc = SV.PredictionService(detect_weights_path, classify_weights_path)
-        report = svc.handle_predict(request_body(disk))
+        report = predict(svc, request_body(disk))
         assert report["timestamp"] == "2001-01-01T00:00:00Z"
 
     def test_head_size_checked_at_startup(
@@ -451,7 +458,7 @@ class TestPdf:
         assert exc_info.value.offset == pdf.index(b"/Type /Pages")
 
     def test_service_pdf_passes_reparse(self, service, disk):
-        pdf = service.handle_report_pdf(request_body(disk))
+        pdf = service.respond(SV.PDF_ROUTE, request_body(disk)).body
         info = SV.parse_pdf(pdf)
         assert info.page_count == 2  # classification present for the disk
 
@@ -597,7 +604,7 @@ class TestHttp:
         status, headers, payload = http(f"{live_server}/v1/predict", body)
         assert status == 200
         assert headers["Content-Type"] == "application/json"
-        assert payload == SV.canonical_json(service.handle_predict(body))
+        assert payload == service.respond(SV.PREDICT_ROUTE, body).body
 
     def test_report_pdf_endpoint(self, live_server, disk):
         status, headers, payload = http(f"{live_server}/v1/report.pdf",
@@ -1116,7 +1123,7 @@ class TestCli:
         ])
         assert code == 0
         cli_json = capsys.readouterr().out.strip()
-        served = SV.canonical_json(service.handle_predict(request_body(disk)))
+        served = service.respond(SV.PREDICT_ROUTE, request_body(disk)).body
         assert cli_json.encode("ascii") == served
 
     def test_train_cli_round_trip(self, capsys, tmp_path, detect_samples):
