@@ -7,12 +7,14 @@ request carries is ever written to disk; the only writes are
 operator-initiated (weights, reports, plots).
 
 Report JSON and PDF bytes are deterministic functions of their inputs.
-Wall-clock time enters only through the clock callable, which honors the
+Wall-clock time enters only through default_clock, which honors the
 SWINSCAN_TIMESTAMP variable so tests and audits can pin it.
 
 The HTTP server computes in worker processes forked from the loaded
 server, one per usable core, so replies are the bytes that
-PredictionService.respond gives in process.
+PredictionService.respond gives in process.  One semaphore admits each
+POST from its read body to its last reply byte: past it a POST gets 503,
+and server_close waits for every admitted reply to be written.
 """
 
 import argparse
@@ -29,6 +31,7 @@ import socket
 import struct
 import sys
 import threading
+import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -302,10 +305,9 @@ def load_schema(name: str) -> dict:
 class PredictionService:
     """Loads both weight files once, then handles requests statelessly."""
 
-    workers = None  # the compute workers of create_server's copy
+    server = None  # the server whose workers create_server's copy computes on
 
-    def __init__(self, detect_weights_path: str, classify_weights_path: str,
-                 clock=default_clock):
+    def __init__(self, detect_weights_path: str, classify_weights_path: str):
         self.detect_weights = M.load_weights(detect_weights_path)
         self.classify_weights = M.load_weights(classify_weights_path)
         heads = {"detection": (self.detect_weights, D.DETECT_CLASSES),
@@ -319,7 +321,6 @@ class PredictionService:
             "detect": file_digest(detect_weights_path),
             "classify": file_digest(classify_weights_path),
         }
-        self.clock = clock
 
     def run(self, request: PredictRequest):
         """Full pipeline for one request: returns (report, highlighted image)."""
@@ -341,7 +342,7 @@ class PredictionService:
             seg,
             task=request.task,
             model_versions=self.model_versions,
-            timestamp=self.clock(),
+            timestamp=default_clock(),
             patient_ref=request.patient_ref,
         )
         return report, seg.highlighted
@@ -359,11 +360,11 @@ class PredictionService:
 
     def handle_predict(self, body: bytes) -> Reply:
         """POST /v1/predict in the server: waits for a worker's reply."""
-        return self.workers.submit(PREDICT_ROUTE, body)
+        return self.server.compute(PREDICT_ROUTE, body)
 
     def handle_report_pdf(self, body: bytes) -> Reply:
         """POST /v1/report.pdf in the server: waits for a worker's reply."""
-        return self.workers.submit(PDF_ROUTE, body)
+        return self.server.compute(PDF_ROUTE, body)
 
     def health(self) -> dict:
         return {
@@ -749,7 +750,7 @@ def render_comparison_plot() -> str:
 # HTTP server
 
 # requests that may wait for a busy compute worker, per worker; the next
-# one is refused with 503 at once, so held bodies stay bounded
+# one is refused with 503 at once, so held bodies and replies stay bounded
 WAITING_PER_WORKER = 4
 RETRY_AFTER_S = 1
 _ROUTES = (PREDICT_ROUTE, PDF_ROUTE)
@@ -780,93 +781,6 @@ def _work(service, sock) -> None:
         reply = service.respond(_ROUTES[route], _recv_exact(sock, length))
         kind = _CONTENT_TYPES.index(reply.content_type)
         sock.sendall(_REPLY_HEAD.pack(reply.status, kind, len(reply.body)) + reply.body)
-
-
-class _Workers:
-    """Compute processes forked from the server once its weights are loaded.
-
-    Each worker holds one end of a socket pair and answers one request at
-    a time on it.  A handler thread takes an idle worker, or waits for one
-    if fewer than WAITING_PER_WORKER per worker already wait.  Forking the
-    loaded process shares the weights and needs no second import of numpy.
-    """
-
-    def __init__(self, service, count: int, listener):
-        self.capacity = count * (1 + WAITING_PER_WORKER)
-        self.lost = None  # pid of a worker that ended while the server ran
-        self._admitted = 0  # requests with a worker or waiting for one
-        self._lock = threading.Lock()
-        self._idle = queue.SimpleQueue()
-        self._all = []  # (server end of the socket pair, pid)
-        try:
-            for _ in range(count):
-                self._fork(service, listener)
-        except BaseException:
-            self.close()
-            raise
-
-    def _fork(self, service, listener):
-        ours, theirs = socket.socketpair()
-        try:
-            pid = os.fork()
-        except OSError:
-            ours.close()
-            theirs.close()
-            raise
-        if pid == 0:
-            code = 1
-            try:
-                # ^C in a terminal reaches the whole process group; the
-                # server alone stops its workers, by closing their sockets
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                # with no copy of the server's ends left here, the server's
-                # end, even by SIGKILL, reaches this worker as EOF
-                for other in (listener, ours, *(end for end, _ in self._all)):
-                    other.close()
-                _work(service, theirs)
-                code = 0
-            finally:
-                os._exit(code)  # never back into the caller's stack or exit handlers
-        theirs.close()
-        self._all.append((ours, pid))
-        self._idle.put((ours, pid))
-
-    def submit(self, route: str, body: bytes) -> Reply:
-        """A worker's reply to body; RequestError 503 when too many wait."""
-        with self._lock:
-            if self._admitted >= self.capacity:
-                raise RequestError(
-                    503, "overloaded",
-                    f"every compute worker is busy and {WAITING_PER_WORKER} requests per "
-                    f"worker wait; retry after {RETRY_AFTER_S} s",
-                )
-            self._admitted += 1
-        try:
-            sock, pid = self._idle.get()
-            try:
-                sock.sendall(_REQUEST_HEAD.pack(_ROUTES.index(route), len(body)) + body)
-                status, kind, length = _REPLY_HEAD.unpack(_recv_exact(sock, _REPLY_HEAD.size))
-                reply = Reply(status, _CONTENT_TYPES[kind], _recv_exact(sock, length))
-            except (OSError, EOFError):
-                self.lost = pid  # the worker ended: this request gets a 500
-                raise
-            self._idle.put((sock, pid))
-            return reply
-        finally:
-            with self._lock:
-                self._admitted -= 1
-
-    def close(self):
-        """Stop and reap every worker; one that holds a request replies first."""
-        for sock, _ in self._all:
-            try:
-                sock.shutdown(socket.SHUT_WR)  # EOF after the frames already sent
-            except OSError:
-                pass  # the worker is gone already
-        for sock, pid in self._all:
-            os.waitpid(pid, 0)
-            sock.close()
-        self._all.clear()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -941,26 +855,36 @@ class _Handler(BaseHTTPRequestHandler):
                          f"request body {length} bytes exceeds the {MAX_REQUEST_BYTES} cap",
                          close=True)
             return None
-        return self.rfile.read(length)
+        body = self.rfile.read(length)
+        if len(body) < length:  # the client closed its half before the end
+            self._refuse(400, "bad_request", "request body is shorter than its Content-Length",
+                         close=True)
+            return None
+        return body
 
     def do_POST(self):
         body = self._read_body()
         if body is None:
             return
+        # held until the reply is written, so that server_close waits for it
+        if not self.server.permits.acquire(blocking=False):
+            self._refuse(503, "overloaded",
+                         f"every compute worker is busy and {WAITING_PER_WORKER} requests per "
+                         f"worker wait; retry after {RETRY_AFTER_S} s")
+            return
         try:
-            if self.path == PREDICT_ROUTE:
-                reply = self.server.service.handle_predict(body)
-            elif self.path == PDF_ROUTE:
-                reply = self.server.service.handle_report_pdf(body)
-            else:
-                raise RequestError(404, "not_found", f"no route {self.path}")
-        except Exception as exc:
-            reply = error_reply(exc)
-        self._send(reply)
-        if self.server.workers.lost is not None:
-            # serving stops once this reply is out; the server is not forked
-            # again, now that it runs threads
-            threading.Thread(target=self.server.shutdown, daemon=True).start()
+            try:
+                if self.path == PREDICT_ROUTE:
+                    reply = self.server.service.handle_predict(body)
+                elif self.path == PDF_ROUTE:
+                    reply = self.server.service.handle_report_pdf(body)
+                else:
+                    raise RequestError(404, "not_found", f"no route {self.path}")
+            except Exception as exc:
+                reply = error_reply(exc)
+            self._send(reply)
+        finally:
+            self.server.permits.release()
 
     def do_GET(self):
         # a body is read and ignored, so that it is not taken for the next request
@@ -974,28 +898,104 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _Server(ThreadingHTTPServer):
-    """Handler threads in front of the forked compute workers."""
+    """Handler threads in front of compute processes forked from the loaded
+    server, one per usable core.
+
+    Each worker holds one end of a socket pair and answers one request at
+    a time on it; forking the loaded process shares the weights and needs
+    no second import of numpy.  A POST holds one of `permits` from its read
+    body to its last reply byte, so at most WAITING_PER_WORKER per worker
+    wait for an idle one.
+    """
 
     def __init__(self, address, service):
+        # set first: a failed bind in TCPServer.__init__ calls server_close
+        self._workers = []  # (server end of the socket pair, pid)
         super().__init__(address, _Handler)
+        count = len(os.sched_getaffinity(0))
+        self.permits = threading.BoundedSemaphore(count * (1 + WAITING_PER_WORKER))
+        self.lost = None  # pid of a worker that ended while the server ran
+        self._idle = queue.SimpleQueue()
         try:
-            self.workers = _Workers(service, len(os.sched_getaffinity(0)), self.socket)
+            for _ in range(count):
+                self._fork(service)
         except BaseException:
-            super().server_close()
+            self.server_close()
             raise
         # the handlers' copy sends each request to the workers
         self.service = copy.copy(service)
-        self.service.workers = self.workers
+        self.service.server = self
+
+    def _fork(self, service):
+        ours, theirs = socket.socketpair()
+        try:
+            pid = os.fork()
+        except OSError:
+            ours.close()
+            theirs.close()
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                # ^C in a terminal reaches the whole process group; the
+                # server alone stops its workers, by closing their sockets
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                # with no copy of the server's ends left here, the server's
+                # end, even by SIGKILL, reaches this worker as EOF
+                for other in (self.socket, ours, *(end for end, _ in self._workers)):
+                    other.close()
+                _work(service, theirs)
+                code = 0
+            finally:
+                os._exit(code)  # never back into the caller's stack or exit handlers
+        theirs.close()
+        self._workers.append((ours, pid))
+        self._idle.put((ours, pid))
+
+    def compute(self, route: str, body: bytes) -> Reply:
+        """The reply of the next idle worker to body."""
+        sock, pid = self._idle.get()
+        try:
+            sock.sendall(_REQUEST_HEAD.pack(_ROUTES.index(route), len(body)) + body)
+            status, kind, length = _REPLY_HEAD.unpack(_recv_exact(sock, _REPLY_HEAD.size))
+            reply = Reply(status, _CONTENT_TYPES[kind], _recv_exact(sock, length))
+        except (OSError, EOFError):
+            # the worker ended: serving stops, as the server is not forked
+            # again now that it runs threads, and this request gets a 500,
+            # as does each admitted one that takes the shut end after it
+            self.lost = pid
+            sock.shutdown(socket.SHUT_RDWR)  # a socket pair's end shuts even with no peer
+            self._idle.put((sock, pid))
+            threading.Thread(target=self.shutdown, daemon=True).start()
+            raise
+        self._idle.put((sock, pid))
+        return reply
+
+    def handle_error(self, request, client_address):
+        # a client that hung up before its reply was out is no server fault
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
     def server_close(self):
+        """Stop accepting; take back every permit, _Handler.timeout at most, so
+        admitted replies are written; then stop and reap the workers, if any."""
         super().server_close()
-        self.workers.close()
+        deadline = time.monotonic() + _Handler.timeout
+        for _ in range(len(self._workers) * (1 + WAITING_PER_WORKER)):
+            self.permits.acquire(timeout=max(0.0, deadline - time.monotonic()))
+        for sock, _ in self._workers:
+            sock.shutdown(socket.SHUT_WR)  # EOF after the frames already sent
+        for sock, pid in self._workers:
+            os.waitpid(pid, 0)
+            sock.close()
+        self._workers.clear()
 
 
 def create_server(service: PredictionService, port: int = 0,
                   host: str = "127.0.0.1") -> ThreadingHTTPServer:
     """Bound but not yet serving, with one compute worker forked per usable
-    core; port 0 picks a free one.  server_close() stops the workers.
+    core; port 0 picks a free one.  server_close() lets admitted replies
+    finish, then stops the workers.
 
     `serve` calls this before it starts any thread: a lock that another
     thread holds at the fork stays held in every worker.
@@ -1083,10 +1083,9 @@ def _cmd_serve(args) -> int:
         pass
     finally:
         signal.signal(signal.SIGINT, previous)
-        lost = server.workers.lost
         server.server_close()
-    if lost is not None:
-        print(f"swinscan: error: compute worker {lost} ended; the server stopped",
+    if server.lost is not None:
+        print(f"swinscan: error: compute worker {server.lost} ended; the server stopped",
               file=sys.stderr)
         return 3
     return 0

@@ -121,6 +121,40 @@ def _op_worst_error():
             lambda t=table, i=idx: T.total_sum(T.gelu(T.take_rows(t, i))), [table]
         ))
 
+    # the fused ops the model runs: linear with and without a gradient for
+    # x (image patches need none), attention with its bias table and with
+    # a mask shared by several windows, and the window gathers
+    for sx, c_out in [((3, 4), 5), ((2, 3, 4), 2), ((2, 2, 2, 3), 4)]:
+        for x_grad in (True, False):
+            x = T.Tensor(rng.normal(size=sx), requires_grad=x_grad)
+            w = T.Tensor(rng.normal(size=(sx[-1], c_out)), requires_grad=True)
+            b = T.Tensor(rng.normal(size=c_out), requires_grad=True)
+            bump(check_grads(
+                lambda x=x, w=w, b=b: T.total_sum(T.gelu(T.linear(x, w, b))),
+                [x, w, b] if x_grad else [w, b],
+            ))
+
+    for windows, tokens, heads, dh, m in [(2, 4, 2, 2, None), (4, 4, 2, 2, 2), (3, 4, 1, 3, 1)]:
+        qkv = T.Tensor(rng.normal(size=(windows, tokens, 3 * heads * dh)), requires_grad=True)
+        table = T.Tensor(rng.normal(size=(5, heads)), requires_grad=True)
+        index = rng.integers(0, 5, size=tokens * tokens)
+        # 0 or -100 per token pair, as the shift mask; the diagonal stays open
+        mask = None if m is None else np.where(
+            (rng.random((m, tokens, tokens)) < 0.4) & ~np.eye(tokens, dtype=bool), -100.0, 0.0)
+        bump(check_grads(
+            lambda q=qkv, t=table, i=index, k=mask: T.total_sum(T.gelu(T.attention(q, t, i, k))),
+            [qkv, table],
+        ))
+
+    for shape, rows, out in [((2, 6, 3), 6, (4, 3, 3)), ((1, 4, 2), 4, (1, 2, 2, 2)),
+                             ((3, 2, 5), 2, (6, 5))]:
+        x = T.Tensor(rng.normal(size=shape), requires_grad=True)
+        order = rng.permutation(rows)
+        bump(check_grads(
+            lambda x=x, o=order, s=out: T.total_sum(T.gelu(T.gather_rows(x, o, np.argsort(o), s))),
+            [x],
+        ))
+
     return worst
 
 
@@ -424,9 +458,10 @@ def test_07_segmentation_sizes_known_blobs(capsys):
 # 8: PDFs
 
 
-def test_08_pdfs_reparse_and_reproduce(capsys, detect_weights_path,
+def test_08_pdfs_reparse_and_reproduce(capsys, monkeypatch, detect_weights_path,
                                        classify_weights_path):
     with _verdict(capsys, "08 every emitted PDF re-parses and is reproducible"):
+        monkeypatch.setenv("SWINSCAN_TIMESTAMP", PINNED_TS)
         disk = synth.disk_image(rng=np.random.default_rng(11))
         blank = synth.blank_image(rng=np.random.default_rng(12))
         for image, task in ((disk, "full"), (blank, "full"), (disk, "detect")):
@@ -438,10 +473,7 @@ def test_08_pdfs_reparse_and_reproduce(capsys, detect_weights_path,
 
             emitted = []
             for _ in range(2):
-                service = SV.PredictionService(
-                    detect_weights_path, classify_weights_path,
-                    clock=lambda: PINNED_TS,
-                )
+                service = SV.PredictionService(detect_weights_path, classify_weights_path)
                 report, highlighted = service.run(SV.parse_request(body))
                 emitted.append(SV.write_pdf(report, highlighted))
 

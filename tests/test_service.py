@@ -71,9 +71,10 @@ def predict(service, body) -> dict:
 
 @pytest.fixture(scope="module")
 def service(detect_weights_path, classify_weights_path):
-    return SV.PredictionService(
-        detect_weights_path, classify_weights_path, clock=lambda: PINNED_TS
-    )
+    # pinned for the module, so also in the workers that live_server forks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("SWINSCAN_TIMESTAMP", PINNED_TS)
+        yield SV.PredictionService(detect_weights_path, classify_weights_path)
 
 
 @pytest.fixture(scope="module")
