@@ -5,7 +5,9 @@ that the bytes themselves stay put.  A change that moves any of them
 must say why and re-derive the digest.
 """
 
+import base64
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -165,3 +167,63 @@ def _classify(num_classes):
 ])
 def test_forward_classify(num_classes, digest):
     assert _classify(num_classes) == digest
+
+
+def _pnm(magic, values, maxval):
+    h, w = values.shape[:2]
+    header = f"{magic}\n{w} {h}\n{maxval}\n".encode("ascii")
+    raster = values.reshape(h, -1)
+    if magic in ("P5", "P6"):
+        return header + raster.tobytes()
+    return header + "\n".join(" ".join(map(str, row)) for row in raster.tolist()).encode() + b"\n"
+
+
+def _request_images():
+    rng = np.random.default_rng(23)
+    disk = _scan("disk", 512, 448, rng)[:, :, 0]
+    blank = _scan("blank", 384, 512, rng)[:, :, 0]
+    # an RGB disk stored at maxval 200, each channel its own scale of the plane
+    plane = _scan("disk", 320, 256, rng)[:, :, 0] / 255.0
+    rgb = np.stack([plane, plane * 0.8, plane * 0.6 + 0.2], axis=2)
+    return {
+        "P5-disk-512x448": _pnm("P5", disk, 255),
+        "P2-blank-384x512": _pnm("P2", blank, 255),
+        "P6-maxval200-disk-320x256": _pnm("P6", np.floor(rgb * 200 + 0.5).astype(np.uint8), 200),
+    }
+
+
+@pytest.fixture(scope="module")
+def init_service(tmp_path_factory):
+    # freshly initialised weights: test_init_weights pins them, and no
+    # training recipe moves them
+    paths = []
+    for classes in (2, 3):
+        path = tmp_path_factory.mktemp("weights") / f"init{classes}.swnw"
+        M.save_weights(str(path), M.ModelWeights.init(M.default_config(classes), seed=0))
+        paths.append(str(path))
+    return SV.PredictionService(*paths)
+
+
+@pytest.mark.parametrize("name, route, digest", [
+    ("P5-disk-512x448", SV.PREDICT_ROUTE,
+     "a478aff10bfb68e1ddb805af407526b812e91895aa7d52647184f05cf2b6a30c"),
+    ("P5-disk-512x448", SV.PDF_ROUTE,
+     "01489c81240238ba8df64794249e6568117054b62e6e49251fb26d3ce94cb814"),
+    ("P2-blank-384x512", SV.PREDICT_ROUTE,
+     "49e044d1f2d26f57fb025591fc6e3f3b7e6f2f819e00230a9d1e1a4b0de247fd"),
+    ("P2-blank-384x512", SV.PDF_ROUTE,
+     "31f36cec435b1486646381dc15d85afda9368a5e5619aeaf6b6ee1840cc787b8"),
+    ("P6-maxval200-disk-320x256", SV.PREDICT_ROUTE,
+     "28f8b6b663abe73b3f2271939e7c55d18266cc8d0bde83c8d3ae158764c47430"),
+    ("P6-maxval200-disk-320x256", SV.PDF_ROUTE,
+     "569b2c79db97b4a321eaa912ec53eceda0e153785c15d15eb910fb674327397b"),
+])
+def test_reply_bytes(init_service, monkeypatch, name, route, digest):
+    # the reply to a full request, gray images included, at full resolution
+    monkeypatch.setenv("SWINSCAN_TIMESTAMP", PINNED_TS)
+    raw = _request_images()[name]
+    body = json.dumps({"image": base64.b64encode(raw).decode("ascii"), "task": "full",
+                       "pixel_spacing_mm": 0.5}).encode()
+    reply = init_service.respond(route, body)
+    assert reply.status == 200, reply.body[:200]
+    assert sha(reply.body) == digest
