@@ -4,13 +4,15 @@ PNM (P2/P3/P5/P6) decoding and encoding, bilinear resizing to the
 64 px model resolution, normalization, and batching.  Train and test
 sets come as separate manifests.
 
-A decoded image stays the bytes its file stores: (H, W, 3) uint8 with
-the header's maxval.  Only resize_bilinear turns values into floats,
-and only for the rows it samples, so no full-resolution float image is
-ever built.  Its 64 px result and sample images are kept in [0, 1] so
-raw pixels stay inspectable; they are normalized where they meet the
-model: by make_batches for training and evaluation, and by
-PredictionService.run for requests.
+A decoded image stays the bytes its file stores, with the header's
+maxval: (H, W, 3) uint8 for P3/P6 and (H, W, 1) for gray P2/P5, which
+are never spread over three channels at full resolution.  Only
+resize_bilinear turns values into floats, and only for the rows it
+samples, so no full-resolution float image is ever built; it repeats a
+gray result to the model's three channels at 64 px.  That result and
+sample images are kept in [0, 1] so raw pixels stay inspectable; they
+are normalized where they meet the model: by make_batches for training
+and evaluation, and by PredictionService.run for requests.
 """
 
 import csv
@@ -282,10 +284,10 @@ def pnm_header(blob: bytes):
 def load_pnm(data: bytes):
     """Decode P2/P3/P5/P6 bytes to (pixels, maxval).
 
-    pixels is an (H, W, 3) uint8 array of the values as stored, each at
-    most maxval; grayscale inputs are replicated across the 3 channels.
-    Only maxval <= 255 is supported; malformed input raises PnmError
-    with the offending byte offset.
+    pixels is an (H, W, C) uint8 array of the values as stored, each at
+    most maxval: C is 3 for P3/P6 and 1 for gray P2/P5.  Only maxval
+    <= 255 is supported; malformed input raises PnmError with the
+    offending byte offset.
     """
     blob = bytes(data)
     magic, width, height, maxval, pos = pnm_header(blob)
@@ -300,10 +302,7 @@ def load_pnm(data: bytes):
     else:
         values = _ascii_values(blob, pos, needed, maxval)
 
-    pixels = values.reshape(height, width, channels)
-    if channels == 1:
-        pixels = np.repeat(pixels, 3, axis=2)
-    return pixels, maxval
+    return values.reshape(height, width, channels), maxval
 
 
 def write_pnm(image: np.ndarray, fmt: str = "P6") -> bytes:
@@ -342,9 +341,11 @@ def _axis_positions(src: int, dst: int):
 
 
 def resize_bilinear(pixels: np.ndarray, maxval: int, target_size: int) -> np.ndarray:
-    """Separable bilinear resize of (H, W, 3) stored values at maxval to
-    a (3, side, side) float image in [0, 1]."""
-    h, w, _ = pixels.shape
+    """Separable bilinear resize of (H, W, C) stored values at maxval to
+    a (3, side, side) float image in [0, 1]; a gray (C = 1) result is
+    repeated over the three channels, the bits of resizing three equal
+    ones."""
+    h, w, channels = pixels.shape
     if h < 1 or w < 1 or target_size < 1:
         raise EmptyInputError("resize requires positive extents")
     scale = float(maxval)
@@ -359,7 +360,8 @@ def resize_bilinear(pixels: np.ndarray, maxval: int, target_size: int) -> np.nda
         lo0, lo1, t = _axis_positions(w, target_size)
         out = rows[:, lo0] * (1.0 - t)[None, :, None] + rows[:, lo1] * t[None, :, None]
     np.clip(out, 0.0, 1.0, out=out)
-    return np.ascontiguousarray(out.transpose(2, 0, 1))
+    out = out.transpose(2, 0, 1)
+    return np.repeat(out, 3, axis=0) if channels == 1 else np.ascontiguousarray(out)
 
 
 def normalize(image: np.ndarray) -> np.ndarray:

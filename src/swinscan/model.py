@@ -27,7 +27,7 @@ from .errors import (
 )
 
 MASK_NEG = -1e9  # finite stand-in for -inf so softmax never sees a NaN
-IN_CHANNELS = 3  # load_pnm always yields RGB
+IN_CHANNELS = 3  # resize_bilinear repeats a gray image to RGB at 64 px
 
 
 # The one architecture, desk-scale Swin: 64 px input, 4 px patches, two

@@ -14,7 +14,8 @@ The HTTP server computes in worker processes forked from the loaded
 server, one per usable core, so replies are the bytes that
 PredictionService.respond gives in process.  One semaphore admits each
 POST from its read body to its last reply byte: past it a POST gets 503,
-and server_close waits for every admitted reply to be written.
+and server_close waits for every admitted reply to be written.  A second
+SIGINT during that wait stops `serve` at once, workers included.
 """
 
 import argparse
@@ -64,7 +65,7 @@ __all__ = [
     "render_history_plot", "render_comparison_plot", "load_schema",
     "create_server", "default_clock", "file_digest", "main", "entry",
     "MAX_REQUEST_BYTES", "MAX_PIXEL_SPACING_MM", "DISCLAIMER", "PREDICT_ROUTE",
-    "PDF_ROUTE", "WAITING_PER_WORKER",
+    "PDF_ROUTE", "WAITING_PER_WORKER", "EXIT_INTERRUPTED",
 ]
 
 REPORT_VERSION = "1"
@@ -95,7 +96,9 @@ class PredictRequest:
     """A decoded prediction request.
 
     pixels is the decoded picture at its original resolution, as the
-    (H, W, 3) uint8 values its PNM stores, each at most maxval.
+    uint8 values its PNM stores, each at most maxval: (H, W, 3) for
+    P3/P6 and (H, W, 1) for gray P2/P5, which stays one channel up to
+    the overlay.
     patient_ref is echoed into the report and never stored.
     """
 
@@ -753,6 +756,9 @@ def render_comparison_plot() -> str:
 # one is refused with 503 at once, so held bodies and replies stay bounded
 WAITING_PER_WORKER = 4
 RETRY_AFTER_S = 1
+# `serve`'s exit code when a second SIGINT cuts the drain of admitted
+# replies short: 128 + SIGINT, as for a process that SIGINT ended
+EXIT_INTERRUPTED = 130
 _ROUTES = (PREDICT_ROUTE, PDF_ROUTE)
 _CONTENT_TYPES = ("application/json", "application/pdf")
 _REQUEST_HEAD = struct.Struct("<BI")  # route index, body length
@@ -990,6 +996,20 @@ class _Server(ThreadingHTTPServer):
             sock.close()
         self._workers.clear()
 
+    def kill_workers(self):
+        """SIGKILL and reap each worker that server_close has not reaped,
+        replies in progress included."""
+        for sock, pid in self._workers:
+            try:
+                # an unreaped child's pid cannot have been reused
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass  # server_close reaped it before it was cut short
+            sock.close()
+        self._workers.clear()
+
 
 def create_server(service: PredictionService, port: int = 0,
                   host: str = "127.0.0.1") -> ThreadingHTTPServer:
@@ -1077,13 +1097,21 @@ def _cmd_serve(args) -> int:
     # is, would otherwise never stop on it
     previous = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
-        print(f"serving on http://{host}:{port}", file=sys.stderr)
-        server.serve_forever()
+        try:
+            print(f"serving on http://{host}:{port}", file=sys.stderr)
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            server.server_close()  # admitted replies drain; a second SIGINT cuts it short
     except KeyboardInterrupt:
-        pass
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        server.kill_workers()
+        print("swinscan: interrupted again: stopped before every admitted reply was written",
+              file=sys.stderr)
+        return EXIT_INTERRUPTED
     finally:
         signal.signal(signal.SIGINT, previous)
-        server.server_close()
     if server.lost is not None:
         print(f"swinscan: error: compute worker {server.lost} ended; the server stopped",
               file=sys.stderr)
@@ -1166,7 +1194,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Exit 0 on success, 1 on usage errors, 2 on data errors, 3 when a
-    compute worker of `serve` ended."""
+    compute worker of `serve` ended, and EXIT_INTERRUPTED (130) when a
+    second SIGINT stopped `serve` before its admitted replies were
+    written."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

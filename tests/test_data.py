@@ -20,10 +20,10 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 def unit(decoded):
     """load_pnm's (pixels, maxval) as the 3xHxW float image in [0, 1]
-    it decoded to before pixels stayed uint8."""
+    it decoded to before pixels stayed uint8, and gray one channel."""
     pixels, maxval = decoded
-    assert pixels.dtype == np.uint8 and pixels.ndim == 3 and pixels.shape[2] == 3
-    return pixels.transpose(2, 0, 1) / float(maxval)
+    assert pixels.dtype == np.uint8 and pixels.ndim == 3 and pixels.shape[2] in (1, 3)
+    return np.broadcast_to(pixels.transpose(2, 0, 1), (3,) + pixels.shape[:2]) / float(maxval)
 
 
 def unit_load_pnm(blob):
@@ -57,7 +57,7 @@ def bilinear_oracle(img, th, tw):
 class TestLoadPnm:
     def test_p5_single_gray_pixel(self):
         pixels, maxval = D.load_pnm(b"P5\n1 1\n255\n" + bytes([128]))
-        assert pixels.shape == (1, 1, 3) and pixels.dtype == np.uint8 and maxval == 255
+        assert pixels.shape == (1, 1, 1) and pixels.dtype == np.uint8 and maxval == 255
         assert np.all(pixels == 128)
         img = unit((pixels, maxval))
         assert img.shape == (3, 1, 1)
@@ -499,12 +499,14 @@ class TestStoredPixelsAgainstFloatPath:
                           fmt, maxval)
         oracle = scanner_load_pnm(blob)
         pixels, got_maxval = D.load_pnm(blob)
-        assert got_maxval == maxval and pixels.shape == (h, w, 3)
+        assert got_maxval == maxval and pixels.shape == (h, w, channels)
         model_input = D.resize_bilinear(pixels, maxval, 64)
         want = float_resize_bilinear(oracle, 64)
         assert model_input.shape == want.shape == (3, 64, 64)
         assert model_input.tobytes() == want.tobytes()
-        assert np.array_equal(SEG.rgb_from_stored(pixels, maxval), SEG.rgb_from_unit(oracle))
+        # a gray picture stays one channel: the oracle's three are equal
+        stored = SEG.rgb_from_stored(pixels, maxval)
+        assert np.array_equal(np.broadcast_to(stored, (h, w, 3)), SEG.rgb_from_unit(oracle))
 
 
 class TestNormalize:

@@ -18,6 +18,7 @@ from swinscan import segment as SEG
 from swinscan import service as SV
 from swinscan import tensor as T
 from swinscan import train as TR
+from test_data import encode_pnm
 
 PINNED_TS = "2026-02-03T04:05:06Z"
 # 12x10 RGB with every byte value pattern distinct from its neighbours
@@ -169,26 +170,18 @@ def test_forward_classify(num_classes, digest):
     assert _classify(num_classes) == digest
 
 
-def _pnm(magic, values, maxval):
-    h, w = values.shape[:2]
-    header = f"{magic}\n{w} {h}\n{maxval}\n".encode("ascii")
-    raster = values.reshape(h, -1)
-    if magic in ("P5", "P6"):
-        return header + raster.tobytes()
-    return header + "\n".join(" ".join(map(str, row)) for row in raster.tolist()).encode() + b"\n"
-
-
 def _request_images():
     rng = np.random.default_rng(23)
-    disk = _scan("disk", 512, 448, rng)[:, :, 0]
-    blank = _scan("blank", 384, 512, rng)[:, :, 0]
+    disk = _scan("disk", 512, 448, rng)[:, :, :1]
+    blank = _scan("blank", 384, 512, rng)[:, :, :1]
     # an RGB disk stored at maxval 200, each channel its own scale of the plane
     plane = _scan("disk", 320, 256, rng)[:, :, 0] / 255.0
     rgb = np.stack([plane, plane * 0.8, plane * 0.6 + 0.2], axis=2)
     return {
-        "P5-disk-512x448": _pnm("P5", disk, 255),
-        "P2-blank-384x512": _pnm("P2", blank, 255),
-        "P6-maxval200-disk-320x256": _pnm("P6", np.floor(rgb * 200 + 0.5).astype(np.uint8), 200),
+        "P5-disk-512x448": encode_pnm(disk, "P5", 255),
+        "P2-blank-384x512": encode_pnm(blank, "P2", 255),
+        "P6-maxval200-disk-320x256": encode_pnm(np.floor(rgb * 200 + 0.5).astype(np.uint8),
+                                                "P6", 200),
     }
 
 

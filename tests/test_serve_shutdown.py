@@ -1,7 +1,9 @@
 """The HTTP server when it stops, fails to start, or a client hangs up:
-SIGINT lets every admitted reply finish, requests that wait for a killed
-worker get 500, a failed bind or fork leaves no worker, a body shorter than its Content-Length is refused before any
-worker sees it, and a client that closed early leaves no traceback."""
+SIGINT lets every admitted reply finish, a second SIGINT stops at once,
+requests that wait for a killed worker get 500, a failed bind or fork
+leaves no worker, a body shorter than its Content-Length is refused
+before any worker sees it, and a client that closed early leaves no
+traceback."""
 
 import errno
 import json
@@ -47,6 +49,30 @@ def test_sigint_lets_an_admitted_report_finish(monkeypatch, big_report_body,
         assert payload == expected.body
         assert proc.wait(timeout=90) == 0
         assert workers and not any(procs.running(pid) for pid in workers)
+
+
+def test_second_sigint_stops_without_waiting_for_admitted_replies(
+        big_report_body, detect_weights_path, classify_weights_path):
+    with cli_server(detect_weights_path, classify_weights_path) as (proc, port, workers):
+        # more reports than workers, so the drain outlasts the second SIGINT
+        conns = [Client(port) for _ in range(2 * len(workers))]
+        try:
+            for conn in conns:
+                conn.send(SV.PDF_ROUTE, big_report_body)
+            time.sleep(0.15)  # every body is read and admitted
+            os.killpg(proc.pid, signal.SIGINT)
+            time.sleep(0.1)  # the server stopped accepting and drains
+            start = time.monotonic()
+            os.killpg(proc.pid, signal.SIGINT)
+            assert proc.wait(timeout=30) == SV.EXIT_INTERRUPTED
+            assert time.monotonic() - start < 5.0
+        finally:
+            for conn in conns:
+                conn.close()
+        stderr = proc.stderr.read()
+        assert workers and not any(procs.running(pid) for pid in workers)
+    assert b"Traceback" not in stderr, stderr.decode(errors="replace")
+    assert b"interrupted again" in stderr
 
 
 def test_requests_that_wait_for_a_killed_worker_get_500(detect_weights_path,

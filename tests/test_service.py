@@ -208,7 +208,7 @@ class TestParseRequest:
 
     def test_image_side_at_limit_accepted(self):
         req = SV.parse_request(raw_request_body(black_p5(SV.MAX_IMAGE_SIDE_PX, 1)))
-        assert req.pixels.shape == (1, SV.MAX_IMAGE_SIDE_PX, 3)
+        assert req.pixels.shape == (1, SV.MAX_IMAGE_SIDE_PX, 1)
 
     def test_binary_pixel_over_maxval_is_bad_image(self):
         with pytest.raises(SV.RequestError) as exc_info:
