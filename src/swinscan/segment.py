@@ -338,14 +338,18 @@ def highlight_yellow(rgb, mask) -> np.ndarray:
     return out
 
 
-def segment(rgb, pixel_spacing_mm: float | None = None) -> SegmentationResult:
-    """Full chain on an RGB or gray picture; highlights the selected region only."""
+def segment(rgb, pixel_spacing_mm: float | None = None,
+            overlay: bool = True) -> SegmentationResult:
+    """Full chain on an RGB or gray picture; highlights the selected region
+    only.  With overlay False no overlay is built and highlighted is None."""
     image = _as_8bit(rgb, 3)
     gray = to_grayscale(image)
     level = otsu_threshold(gray)
     mask = threshold_mask(gray, level)
     labels, areas = connected_components(mask)
     result = estimate_size((labels, areas), pixel_spacing_mm)
+    if not overlay:
+        return result
     if result.found:
         r0, c0, r1, c1 = result.bbox
         box = np.s_[r0:r1 + 1, c0:c1 + 1]

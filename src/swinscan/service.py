@@ -325,8 +325,9 @@ class PredictionService:
             "classify": file_digest(classify_weights_path),
         }
 
-    def run(self, request: PredictRequest):
-        """Full pipeline for one request: returns (report, highlighted image)."""
+    def run(self, request: PredictRequest, overlay: bool = True):
+        """Full pipeline for one request: returns (report, highlighted
+        image); the image is None when overlay is False."""
         normalized = D.normalize(D.resize_bilinear(request.pixels, request.maxval, M.IMAGE_SIZE))
         _, det_probs = M.forward_classify(normalized, self.detect_weights)
         detection = (int(np.argmax(det_probs)), det_probs)
@@ -337,7 +338,8 @@ class PredictionService:
         # segmentation stays at the original resolution: size estimates
         # on the model's downscaled grid would be meaningless
         seg = SEG.segment(
-            SEG.rgb_from_stored(request.pixels, request.maxval), request.pixel_spacing_mm
+            SEG.rgb_from_stored(request.pixels, request.maxval), request.pixel_spacing_mm,
+            overlay=overlay,
         )
         report = build_report(
             detection,
@@ -354,7 +356,8 @@ class PredictionService:
         """The reply to a POST of body to PREDICT_ROUTE or PDF_ROUTE, an
         error reply included; every compute worker runs this."""
         try:
-            report, highlighted = self.run(parse_request(body))
+            # only the PDF embeds the overlay
+            report, highlighted = self.run(parse_request(body), overlay=route == PDF_ROUTE)
             if route == PDF_ROUTE:
                 return Reply(200, "application/pdf", write_pdf(report, highlighted))
             return Reply(200, "application/json", canonical_json(report))
@@ -934,9 +937,13 @@ class _Server(ThreadingHTTPServer):
 
     def _fork(self, service):
         ours, theirs = socket.socketpair()
+        # SIGINT stays blocked from the fork until the worker ignores it,
+        # so one sent in between is dropped instead of ending the worker
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             pid = os.fork()
         except OSError:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             ours.close()
             theirs.close()
             raise
@@ -946,6 +953,7 @@ class _Server(ThreadingHTTPServer):
                 # ^C in a terminal reaches the whole process group; the
                 # server alone stops its workers, by closing their sockets
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 # with no copy of the server's ends left here, the server's
                 # end, even by SIGKILL, reaches this worker as EOF
                 for other in (self.socket, ours, *(end for end, _ in self._workers)):
@@ -954,6 +962,7 @@ class _Server(ThreadingHTTPServer):
                 code = 0
             finally:
                 os._exit(code)  # never back into the caller's stack or exit handlers
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         theirs.close()
         self._workers.append((ours, pid))
         self._idle.put((ours, pid))
@@ -1081,7 +1090,7 @@ def _cmd_predict(args) -> int:
     if args.patient_ref is not None:
         body["patient_ref"] = args.patient_ref
     request = parse_request(json.dumps(body).encode("utf-8"))
-    report, highlighted = service.run(request)
+    report, highlighted = service.run(request, overlay=bool(args.pdf))
     if args.pdf:
         with open(args.pdf, "wb") as fh:
             fh.write(write_pdf(report, highlighted))

@@ -8,7 +8,14 @@ Design notes:
   a fused node are not checked; a NaN there reaches its output.
 * Differentiation is eager: while a ``Tape`` is active, each operation
   whose inputs touch the graph appends one node holding the saved values
-  its backward rule needs.  ``backward`` replays the nodes in reverse.
+  its backward rule needs.  ``backward`` pops the nodes in reverse, so
+  it consumes the tape once and frees each node's saved arrays as soon
+  as its rule has read them.
+* A node holds no ``Tensor``, only keys: its output is known by its
+  position on the tape (the key ``-1 - position``) and a watched leaf by
+  its ``id`` (positive), which stays unique because the tape keeps the
+  leaf.  So an intermediate that no rule saved is freed as soon as the
+  model drops it, while the forward pass is still running.
 * Gradients are plain numpy arrays stored on ``Tensor.grad`` and are only
   written for watched leaves (tensors created with ``requires_grad=True``
   or registered through ``Tape.watch``).  A watched leaf that does not
@@ -17,8 +24,8 @@ Design notes:
   needed and the derivative stays in closed form.  Its cube is the product
   ``(x * x) * x``: numpy's ``x ** 3`` goes through ``pow``, about fifty
   times slower than two multiplications and within one ULP of them.
-* ``gelu`` (forward and backward) and ``layer_norm`` (forward) compute in
-  fresh buffers written in place.  Each keeps the operation order of the
+* ``gelu`` and ``layer_norm`` (forward and backward) compute in fresh
+  buffers written in place.  Each keeps the operation order of the
   plain out-of-place expression, swapping operands only where IEEE
   addition and multiplication commute, so every rounding is the same;
   ``tests/test_tensor.py`` holds those expressions and compares bitwise.
@@ -40,6 +47,7 @@ Design notes:
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -64,7 +72,9 @@ LAYER_NORM_EPS = 1e-5  # variance guard in layer_norm
 class Tensor:
     """N-dimensional float64 array, optionally carrying a gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    # origin: (tape serial, node key) of the recorded node that produced
+    # the tensor, None for a leaf
+    __slots__ = ("data", "requires_grad", "grad", "origin")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -73,6 +83,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.origin: tuple[int, int] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -98,21 +109,26 @@ class Tensor:
 
 
 class TapeNode:
-    """One recorded operation: inputs, output and its backward rule."""
+    """One recorded operation: its op, the keys of its inputs (None for an
+    input that needs no gradient), its output's key and its backward rule.
+    It references no ``Tensor``."""
 
-    __slots__ = ("op", "inputs", "output", "backward_fn")
+    __slots__ = ("op", "input_keys", "output_key", "backward_fn")
 
     def __init__(
         self,
         op: str,
-        inputs: tuple[Tensor, ...],
-        output: Tensor,
+        input_keys: tuple[int | None, ...],
+        output_key: int,
         backward_fn: Callable[[np.ndarray], tuple[np.ndarray | None, ...]],
     ):
         self.op = op
-        self.inputs = inputs
-        self.output = output
+        self.input_keys = input_keys
+        self.output_key = output_key
         self.backward_fn = backward_fn
+
+
+_TAPE_SERIALS = itertools.count()
 
 
 class Tape:
@@ -120,13 +136,15 @@ class Tape:
 
     Nodes are appended in execution order, so the list is topologically
     sorted by construction and a single reverse sweep visits every node
-    exactly once.
+    exactly once.  ``backward`` consumes the tape: afterwards it holds no
+    node and records none.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        self.consumed = False
+        self._serial = next(_TAPE_SERIALS)
         self._watched: dict[int, Tensor] = {}
-        self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -138,10 +156,20 @@ class Tape:
 
     def watch(self, tensor: Tensor) -> None:
         """Register a leaf so backward() always assigns it a gradient."""
+        if self.key(tensor) < 0:
+            raise ContractError("watch takes a leaf, not a tensor this tape produced")
         self._watched[id(tensor)] = tensor
 
     def watched(self) -> list[Tensor]:
         return list(self._watched.values())
+
+    def key(self, tensor: Tensor) -> int:
+        """The key under which backward keeps the gradient of ``tensor``:
+        its node's key if this tape produced it, else its id."""
+        origin = tensor.origin
+        if origin is not None and origin[0] == self._serial:
+            return origin[1]
+        return id(tensor)
 
     def record(
         self,
@@ -150,11 +178,20 @@ class Tape:
         output: Tensor,
         backward_fn: Callable[[np.ndarray], tuple[np.ndarray | None, ...]],
     ) -> None:
+        if self.consumed:
+            raise ContractError(f"cannot record {op} on a tape that backward consumed")
+        keys = []
         for t in inputs:
-            if t.requires_grad and id(t) not in self._produced:
-                self.watch(t)
-        self._produced.add(id(output))
-        self.nodes.append(TapeNode(op, inputs, output, backward_fn))
+            if not t.requires_grad:
+                keys.append(None)
+                continue
+            key = self.key(t)
+            if key > 0:
+                self._watched[key] = t
+            keys.append(key)
+        key = -1 - len(self.nodes)
+        output.origin = (self._serial, key)
+        self.nodes.append(TapeNode(op, tuple(keys), key, backward_fn))
 
 
 _TAPE_STACK: list[Tape] = []
@@ -178,6 +215,7 @@ def _finish(
     out.data = out_data
     out.requires_grad = needs_grad
     out.grad = None
+    out.origin = None
     tape = active_tape()
     if tape is not None and needs_grad:
         tape.record(op, inputs, out, backward_fn)
@@ -189,34 +227,40 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
     Watched leaves that are not on any path to the loss receive an exact
     zero gradient.  Gradients accumulate into pre-existing ``.grad``
-    arrays; call ``zero_grad`` between steps.
+    arrays; call ``zero_grad`` between steps.  Each node is popped as its
+    rule runs, so the tape is consumed and a second call raises
+    ``ContractError``.
     """
     if loss.ndim != 0:
         raise ContractError(
             f"backward expects a scalar loss, got shape {list(loss.shape)}"
         )
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-    for node in reversed(tape.nodes):
-        out_key = id(node.output)
-        gout = grads.get(out_key)
+    if tape.consumed:
+        raise ContractError("backward has already consumed this tape")
+    tape.consumed = True
+    grads: dict[int, np.ndarray] = {tape.key(loss): np.ones((), dtype=np.float64)}
+    nodes = tape.nodes
+    while nodes:
+        # rebinding node drops the previous one, and with it the arrays
+        # its rule saved
+        node = nodes.pop()
+        gout = grads.pop(node.output_key, None)
         if gout is None:
             continue
-        if out_key not in tape._watched:
-            del grads[out_key]
         gins = node.backward_fn(gout)
-        for t, g in zip(node.inputs, gins):
+        for key, g in zip(node.input_keys, gins):
             if g is None:
                 continue
             if not np.isfinite(g).all():
                 raise NonFiniteError(f"backward of {node.op} produced non-finite values")
-            key = id(t)
+            if key is None:
+                continue
             if key in grads:
                 grads[key] = grads[key] + g
             else:
                 grads[key] = g
-        # leaves keep their accumulated entry; free intermediate storage
-    for t in tape.watched():
-        g = grads.get(id(t))
+    for key, t in tape._watched.items():
+        g = grads.get(key)
         if g is None:
             g = np.zeros_like(t.data)
         t.grad = g if t.grad is None else t.grad + g
@@ -342,9 +386,9 @@ def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
     heads = table_shape[1]
     c, dh = c3 // 3, c3 // (3 * heads)
     f = float(1.0 / np.sqrt(dh))
-    # contiguous copies, the layouts slice_axis gave the chain's matmuls
-    parts = qkv.data.reshape(n_win, n_tok, 3, heads, dh).transpose(2, 0, 3, 1, 4)
-    q, k, v = parts[0].copy(), parts[1].copy(), parts[2].copy()
+    # one strided copy; q, k and v are C-contiguous slices of it, the
+    # layouts slice_axis gave the chain's matmuls
+    q, k, v = qkv.data.reshape(n_win, n_tok, 3, heads, dh).transpose(2, 0, 3, 1, 4).copy()
     with np.errstate(over="ignore", invalid="ignore"):
         p = q @ np.swapaxes(k, -1, -2)
         p *= f
@@ -537,12 +581,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     gamma_data = gamma.data
 
     def bw(g: np.ndarray):
-        gx_hat = g * gamma_data
-        m1 = np.add.reduce(gx_hat, axis=-1, keepdims=True) / c
-        m2 = np.add.reduce(gx_hat * xhat, axis=-1, keepdims=True) / c
-        gx = inv_std * (gx_hat - m1 - xhat * m2)
+        # two fresh buffers: gx starts as gx_hat = g * gamma, tmp holds
+        # gx_hat * xhat, then g * xhat, then xhat * m2
         axes = tuple(range(g.ndim - 1))
-        ggamma = (g * xhat).sum(axis=axes)
+        gx = np.multiply(g, gamma_data)
+        tmp = np.multiply(gx, xhat)
+        m2 = np.add.reduce(tmp, axis=-1, keepdims=True) / c
+        m1 = np.add.reduce(gx, axis=-1, keepdims=True) / c
+        ggamma = np.multiply(g, xhat, out=tmp).sum(axis=axes)
+        # gx = inv_std * (gx_hat - m1 - xhat * m2)
+        gx -= m1
+        gx -= np.multiply(xhat, m2, out=tmp)
+        gx *= inv_std
         gbeta = g.sum(axis=axes)
         return gx, ggamma, gbeta
 

@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import importlib.util
 import json
 import os
 import re
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 import synth
+from test_pinned_bytes import _request_images
 from swinscan import data as D
 from swinscan import model as M
 from swinscan import segment as SEG
@@ -37,6 +39,7 @@ from swinscan.errors import (
 )
 
 PINNED_TS = "2026-02-03T04:05:06Z"
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 SVG_NS = "{http://www.w3.org/2000/svg}"
 # an ASCII PGM whose header declares far more pixels than its body holds
 OVERSIZED_ASCII_PNM = b"P2\n200000 200000\n255\n0 0\n"
@@ -312,6 +315,39 @@ class TestServicePipeline:
                                  rng=np.random.default_rng(3))
         report = predict(service, request_body(image))
         assert report["segmentation"]["area_px"] > 900
+
+    def test_predict_reply_is_the_report_of_run(self, service, monkeypatch):
+        # respond builds no overlay for /v1/predict; its JSON is still the
+        # report run gives, for the report-512 benchmark pool and the
+        # pinned gray scans
+        monkeypatch.setenv("SWINSCAN_TIMESTAMP", PINNED_TS)
+        spec = importlib.util.spec_from_file_location("_bench_workloads", WORKLOADS_PATH)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        bodies = [req.body for req in workloads.report_pool(1)]
+        bodies += [json.dumps({"image": base64.b64encode(raw).decode("ascii"), "task": "full",
+                               "pixel_spacing_mm": 0.5}).encode()
+                   for raw in _request_images().values()]
+        for body in bodies:
+            report, highlighted = service.run(SV.parse_request(body))
+            assert highlighted.shape[2] == 3
+            reply = service.respond(SV.PREDICT_ROUTE, body)
+            assert reply.status == 200 and reply.body == SV.canonical_json(report)
+
+    def test_predict_builds_no_overlay(self, service, disk, blank, monkeypatch):
+        calls = []
+        for name in ("highlight_yellow", "_rgb_copy"):
+            def counted(*args, _fn=getattr(SEG, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(SEG, name, counted)
+        gray_disk = json.dumps({"image": encode_image(np.repeat(disk[:1], 3, axis=0), "P5"),
+                                "task": "full"}).encode()
+        for body in (request_body(disk), request_body(blank), gray_disk):
+            assert service.respond(SV.PREDICT_ROUTE, body).status == 200
+        assert calls == []
+        service.respond(SV.PDF_ROUTE, request_body(disk))
+        assert "highlight_yellow" in calls
 
     def test_identical_requests_identical_bytes(self, service, disk):
         body = request_body(disk, patient_ref="rep")

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -101,15 +102,15 @@ def replay(op, inputs, g, requires_grad=None):
     tensors = [T.Tensor(a.copy(), requires_grad=f) for a, f in zip(inputs, flags)]
     with T.Tape() as tape:
         out = op(*tensors)
-    grads = {id(out): g}
+    grads = {tape.key(out): g}
     for node in reversed(tape.nodes):
-        gout = grads.pop(id(node.output), None)
+        gout = grads.pop(node.output_key, None)
         if gout is None:
             continue
-        for t, gi in zip(node.inputs, node.backward_fn(gout)):
-            if gi is not None:
-                grads[id(t)] = grads[id(t)] + gi if id(t) in grads else gi
-    return out.data, [grads.get(id(t)) for t in tensors]
+        for key, gi in zip(node.input_keys, node.backward_fn(gout)):
+            if gi is not None and key is not None:
+                grads[key] = grads[key] + gi if key in grads else gi
+    return out.data, [grads.get(tape.key(t)) for t in tensors]
 
 
 def seed_gradient(rng, shape):
@@ -626,6 +627,65 @@ class TestBackward:
             T.backward(tape, loss)
             grads.append(p.grad)
         assert grads[0].tobytes() == grads[1].tobytes()
+
+
+class TestTapeLifetime:
+    """Nodes hold keys, not tensors, and backward consumes the tape."""
+
+    @staticmethod
+    def leaves(seed):
+        rng = np.random.default_rng(seed)
+        return [T.Tensor(rng.normal(size=(4, 6)), requires_grad=True) for _ in range(2)]
+
+    def test_unsaved_output_freed_while_tape_lives(self):
+        a, b = self.leaves(70)
+        with T.Tape() as tape:
+            y = T.add(a, b)  # neither add nor total_sum saves y
+            loss = T.total_sum(y)
+        freed = weakref.ref(y.data)
+        del y
+        assert freed() is None and len(tape.nodes) == 2
+        T.backward(tape, loss)
+        assert np.array_equal(a.grad, np.ones((4, 6)))
+
+    def test_saved_input_freed_once_its_rule_ran(self):
+        a, b = self.leaves(71)
+        with T.Tape() as tape:
+            h = T.add(a, b)
+            loss = T.total_sum(T.gelu(h))  # gelu saves its input
+        saved = weakref.ref(h.data)
+        del h
+        assert saved() is not None
+        T.backward(tape, loss)
+        assert saved() is None
+
+    def test_backward_consumes_the_tape(self):
+        a, b = self.leaves(72)
+        with T.Tape() as tape:
+            loss = T.total_sum(T.matmul(a, T.permute(b, (1, 0))))
+        T.backward(tape, loss)
+        assert tape.nodes == [] and {id(t) for t in tape.watched()} == {id(a), id(b)}
+        with pytest.raises(ContractError):
+            T.backward(tape, loss)
+        with tape, pytest.raises(ContractError):
+            T.add(a, b)
+
+    def test_watch_takes_leaves_only(self):
+        a, b = self.leaves(73)
+        with T.Tape() as tape:
+            y = T.add(a, b)
+            with pytest.raises(ContractError):
+                tape.watch(y)
+
+    def test_output_of_another_tape_is_a_leaf(self):
+        a, b = self.leaves(74)
+        with T.Tape():
+            y = T.add(a, b)
+        with T.Tape() as tape:
+            loss = T.total_sum(T.scale(y, 2.0))
+        T.backward(tape, loss)
+        assert tape.watched() == [y] and a.grad is None
+        assert np.array_equal(y.grad, np.full((4, 6), 2.0))
 
 
 class TestGradientsAgainstFiniteDifferences:
