@@ -5,7 +5,8 @@ Design notes:
 * Values are numpy float64 arrays.  Each node checks its own output, and
   ``backward`` each gradient a node returns, for NaN/Inf and raises
   ``NonFiniteError`` naming the op instead of propagating.  Values inside
-  a fused node are not checked; a NaN there reaches its output.
+  a fused node are not checked; a NaN there reaches its output.  A check
+  is a max and a min pass, which propagate NaN and allocate nothing.
 * Differentiation is eager: while a ``Tape`` is active, each operation
   whose inputs touch the graph appends one node holding the saved values
   its backward rule needs.  ``backward`` pops the nodes in reverse, so
@@ -19,7 +20,11 @@ Design notes:
 * Gradients are plain numpy arrays stored on ``Tensor.grad`` and are only
   written for watched leaves (tensors created with ``requires_grad=True``
   or registered through ``Tape.watch``).  A watched leaf that does not
-  reach the loss receives an exact zero gradient.
+  reach the loss receives an exact zero gradient.  ``backward`` sums a
+  key's gradients in one array it allocates for the second and adds the
+  later ones into in place: the order of the additions is unchanged.  It
+  never adds into an array a rule returned, since ``add`` returns its
+  seed gradient for both inputs and ``reshape`` a view of it.
 * GELU uses the tanh approximation, so no error-function dependency is
   needed and the derivative stays in closed form.  Its cube is the product
   ``(x * x) * x``: numpy's ``x ** 3`` goes through ``pow``, about fifty
@@ -43,12 +48,41 @@ Design notes:
   row permutation by ``np.take``, whose C-contiguous result is the layout
   the reshape/permute/roll chains it replaced produced, so later
   reductions sum in the same order.
+* A big node runs on every usable core.  Its body is written over a
+  ``[lo, hi)`` slab of its leading axis, and ``_split`` cuts that axis
+  into one contiguous part per thread (at most one per usable core, each
+  of at least _PART_FLOOR elements): the calling thread and a pool of
+  ``len(os.sched_getaffinity(0)) - 1`` daemon threads, made on first use
+  and dropped in a forked child, take parts until none is left.
+  ``linear`` cuts the stacked matrices of x (its rank-2 form is one
+  stack, one part), ``attention`` its windows (whole images when
+  masked, so window w keeps mask[w % m]), ``layer_norm`` and ``add`` the
+  first axis, ``gather_rows`` the items it reorders, ``gelu`` the flat
+  array at whole _GELU_BLOCKs; ``backward``'s checks and sums cut each
+  gradient's first axis.  Each part runs its node's check on its slab.
+  Below two floors a node is one part on the calling thread: a batch-1
+  forward starts no thread.  The bits do not depend on the number of
+  parts, by two rules.  A part cuts the stacked operand, never a
+  flattened one: numpy multiplies a stack one matrix at a time, and a
+  slab of the stack makes the same BLAS calls, where a flattened product
+  has other bits.  A sum over the batch (``gw = x2.T @ g2``, a bias
+  gradient, ``ggamma``/``gbeta``, the attention bias table) is never cut:
+  BLAS gives a part of ``gw`` other bits than the whole once the part's
+  shape changes its kernel, and numpy's sum down a column slab costs as
+  much per row as the whole sum.  It runs whole, as a task beside the
+  parts.  Every buffer is allocated on the calling thread; pool threads
+  write into slices of it, call no public op, and run in a copy of the
+  caller's context, so they see its numpy error state.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import os
+import queue
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,6 +101,149 @@ _GELU_C = 0.044715
 # a 1 MiB L2, where whole 8 MB training activations do not
 _GELU_BLOCK = 16384
 LAYER_NORM_EPS = 1e-5  # variance guard in layer_norm
+# elements per thread at least: a batch-1 forward's largest array (32 Ki)
+# runs on one, the smallest batch-32 array worth cutting (the stage-1
+# windows, 128 Ki) on two
+_PART_FLOOR = 1 << 16
+
+
+class _Pool:
+    """Daemon threads that help the calling thread through a node's tasks."""
+
+    def __init__(self, threads: int):
+        self.width = threads + 1  # threads a node may use, the calling one included
+        self.jobs: queue.SimpleQueue = queue.SimpleQueue()
+        for _ in range(threads):
+            threading.Thread(target=self._serve, name="swinscan-part", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            context, drain, done = self.jobs.get()
+            try:
+                context.run(drain)
+            finally:
+                done.put(None)
+
+
+_pool: _Pool | None = None  # one thread per usable core but one, made on first use
+_pool_lock = threading.Lock()
+
+
+def _get_pool() -> _Pool:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = _Pool(len(os.sched_getaffinity(0)) - 1)
+        return _pool
+
+
+def _drop_pool() -> None:
+    # a forked child has none of the pool's threads; it builds its own
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _width(size: int) -> int:
+    """Threads for a node over ``size`` elements: one per _PART_FLOOR of
+    them, at most one per usable core.  Below two floors, one: no pool."""
+    count = size // _PART_FLOOR
+    return 1 if count < 2 else min(count, _get_pool().width)
+
+
+def _cuts(n: int, count: int, step: int = 1) -> list[tuple[int, int]]:
+    """range(n) cut into at most ``count`` contiguous [lo, hi) parts, at
+    multiples of ``step``."""
+    units = n // step
+    count = max(1, min(count, units))
+    cuts = [units * i // count * step for i in range(count)] + [n]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _run(tasks: list[tuple], width: int) -> None:
+    """Run every task ``(fn, *args)`` once, on this thread and ``width - 1``
+    threads of the pool, each taking the next task until none is left.
+    Pool threads run in a copy of this thread's context, so they see its
+    numpy error state.  Returns once all are done, raising the error of
+    the first task in the list that failed."""
+    helpers = min(width, len(tasks)) - 1
+    if helpers < 1:  # in list order on this thread: the first error stops it
+        for fn, *args in tasks:
+            fn(*args)
+        return
+    todo: queue.SimpleQueue = queue.SimpleQueue()
+    for i, task in enumerate(tasks):
+        todo.put((i, task))
+    errors: dict[int, Exception] = {}
+
+    def drain():
+        while True:
+            try:
+                i, (fn, *args) = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                fn(*args)
+            except Exception as exc:  # raised below, on the calling thread
+                errors[i] = exc
+
+    jobs, done = _get_pool().jobs, queue.SimpleQueue()
+    for _ in range(helpers):
+        jobs.put((contextvars.copy_context(), drain, done))
+    drain()
+    for _ in range(helpers):
+        done.get()
+    if errors:
+        raise errors[min(errors)]
+
+
+def _split(part: Callable, n: int, size: int, step: int = 1, whole: tuple = ()) -> None:
+    """Run ``part(lo, hi)`` over contiguous parts of range(n), the leading
+    extent of ``size`` elements, one part per thread, cut at multiples of
+    ``step``; ``whole`` holds tasks that run beside the parts, uncut."""
+    width = _width(size)
+    if width == 1:  # what _run does with one part, without building it
+        for fn, *args in whole:
+            fn(*args)
+        part(0, n)
+    else:
+        _run([*whole, *((part, lo, hi) for lo, hi in _cuts(n, width, step))], width)
+
+
+def _finite(a: np.ndarray, flags: np.ndarray) -> np.bool_:
+    """No NaN and no infinity in ``a``; ``flags``, a bool array of its
+    shape that the calling thread allocated, takes np.isfinite."""
+    return np.isfinite(a, out=flags).all()
+
+
+def _lead(a: np.ndarray) -> np.ndarray:
+    """``a``, or a 1-element view of it when it has rank 0: something to cut."""
+    return a if a.ndim else a[None]
+
+
+def _stack(a: np.ndarray) -> np.ndarray:
+    """``a`` as a stack of matrices: a rank-2 ``a`` is a stack of one."""
+    return a if a.ndim > 2 else a[None]
+
+
+def _check(a: np.ndarray, message: str | None, onto: np.ndarray | None = None,
+           out: np.ndarray | None = None) -> None:
+    """Raise NonFiniteError(message) unless ``a`` is finite, checking it in
+    parts (no check without a message); with ``onto``, each part then
+    writes ``out = onto + a``."""
+    al = _lead(a)
+    ol, outl = (None, None) if onto is None else (_lead(onto), _lead(out))
+    flags = np.empty(al.shape, dtype=bool) if message else None
+
+    def part(lo, hi):
+        if message and not _finite(al[lo:hi], flags[lo:hi]):
+            raise NonFiniteError(message)
+        if ol is not None:
+            np.add(ol[lo:hi], al[lo:hi], out=outl[lo:hi])
+
+    _split(part, len(al), al.size)
 
 
 class Tensor:
@@ -210,6 +387,16 @@ def _finish(
     """Validate the output, wrap it, and record on the active tape."""
     if not np.isfinite(out_data).all():
         raise NonFiniteError(f"{op} produced non-finite values")
+    return _node(op, inputs, out_data, backward_fn)
+
+
+def _node(
+    op: str,
+    inputs: tuple[Tensor, ...],
+    out_data: np.ndarray,
+    backward_fn: Callable[[np.ndarray], tuple[np.ndarray | None, ...]],
+) -> Tensor:
+    """Wrap an output its op checked part by part, and record it."""
     needs_grad = any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
     out.data = out_data
@@ -239,6 +426,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ContractError("backward has already consumed this tape")
     tape.consumed = True
     grads: dict[int, np.ndarray] = {tape.key(loss): np.ones((), dtype=np.float64)}
+    # keys whose sum lives in an array allocated here, which only this
+    # loop references; a rule may return its seed gradient (add) or a view
+    # of it (reshape), so nothing a rule returned is added into
+    owned: set[int] = set()
     nodes = tape.nodes
     while nodes:
         # rebinding node drops the previous one, and with it the arrays
@@ -247,18 +438,24 @@ def backward(tape: Tape, loss: Tensor) -> None:
         gout = grads.pop(node.output_key, None)
         if gout is None:
             continue
+        owned.discard(node.output_key)
         gins = node.backward_fn(gout)
+        checked = None
         for key, g in zip(node.input_keys, gins):
             if g is None:
                 continue
-            if not np.isfinite(g).all():
-                raise NonFiniteError(f"backward of {node.op} produced non-finite values")
-            if key is None:
-                continue
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g
+            # add returns one array for both inputs; it is checked once
+            message = None if g is checked else f"backward of {node.op} produced non-finite values"
+            checked = g
+            acc = out = None if key is None else grads.get(key)
+            if acc is None:
+                if key is not None:
+                    grads[key] = g
+            elif key not in owned:
+                out = grads[key] = np.empty(acc.shape)
+                owned.add(key)
+            if message or acc is not None:
+                _check(g, message, acc, out)
     for key, t in tape._watched.items():
         g = grads.get(key)
         if g is None:
@@ -314,14 +511,23 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"add shapes incompatible: {list(a.shape)} vs {list(b.shape)}"
         )
-    out_data = a.data + b.data
+    al, bl = _lead(a.data), _lead(b.data)
     lead = a.ndim - b.ndim
+    out_data = np.empty(a.shape)
+    outl, flags = _lead(out_data), np.empty(al.shape, dtype=bool)
+
+    def part(lo, hi):
+        o = outl[lo:hi]
+        np.add(al[lo:hi], bl if lead else bl[lo:hi], out=o)
+        if not _finite(o, flags[lo:hi]):
+            raise NonFiniteError("add produced non-finite values")
+
+    _split(part, len(al), al.size)
 
     def bw(g: np.ndarray):
-        gb = g.sum(axis=tuple(range(lead))) if lead else g
-        return g, gb
+        return g, g.sum(axis=tuple(range(lead))) if lead else g
 
-    return _finish("add", (a, b), out_data, bw)
+    return _node("add", (a, b), out_data, bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -336,21 +542,47 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"linear shapes incompatible: {list(x.shape)} @ {list(w.shape)} + {list(b.shape)}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        out_data = x.data @ w.data
-        out_data += b.data
-    x_data, w_data = x.data, w.data
+    x_data, w_data, b_data = x.data, w.data, b.data
+    k, n = w_data.shape
+    out_data = np.empty(x.shape[:-1] + (n,))
+    x3, out3 = _stack(x_data), _stack(out_data)
+    flags = np.empty(out3.shape, dtype=bool)
+
+    def part(lo, hi):
+        o = out3[lo:hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(x3[lo:hi], w_data, out=o)
+            o += b_data
+        if not _finite(o, flags[lo:hi]):
+            raise NonFiniteError("linear produced non-finite values")
+
+    _split(part, len(x3), x_data.size + out_data.size)
     needs = (x.requires_grad, w.requires_grad, b.requires_grad)
 
     def bw(g: np.ndarray):
+        gx = gw = gb = None
+        # gw and gb sum over the batch: each is one task, uncut, beside
+        # the parts of gx
+        whole = []
+        if needs[1]:
+            gw = np.empty((k, n))
+            whole.append((np.matmul, x_data.reshape(-1, k).T, g.reshape(-1, n), gw))
+        if needs[2]:
+            gb = np.empty(n)
+            whole.append((np.add.reduce, g, tuple(range(g.ndim - 1)), None, gb))
+        if needs[0]:
+            gx = np.empty(x_data.shape)
+        g3, gx3 = _stack(g), gx if gx is None else _stack(gx)
+
+        def part(lo, hi):
+            if gx3 is not None:
+                np.matmul(g3[lo:hi], w_data.T, out=gx3[lo:hi])
+
         with np.errstate(over="ignore", invalid="ignore"):
-            gx = g @ w_data.T if needs[0] else None
-            gw = (x_data.reshape(-1, w_data.shape[0]).T @ g.reshape(-1, g.shape[-1])
-                  if needs[1] else None)
-            gb = g.sum(axis=tuple(range(g.ndim - 1))) if needs[2] else None
+            _split(part, len(g3), x_data.size + g.size, whole=tuple(whole))
         return gx, gw, gb
 
-    return _finish("linear", (x, w, b), out_data, bw)
+    return _node("linear", (x, w, b), out_data, bw)
 
 
 def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
@@ -386,48 +618,85 @@ def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
     heads = table_shape[1]
     c, dh = c3 // 3, c3 // (3 * heads)
     f = float(1.0 / np.sqrt(dh))
-    # one strided copy; q, k and v are C-contiguous slices of it, the
-    # layouts slice_axis gave the chain's matmuls
-    q, k, v = qkv.data.reshape(n_win, n_tok, 3, heads, dh).transpose(2, 0, 3, 1, 4).copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = q @ np.swapaxes(k, -1, -2)
-        p *= f
-        p += bias_table.data[index].reshape(n_tok, n_tok, heads).transpose(2, 0, 1)
-        if mask is not None:  # through a view of p: window w gets mask[w % m]
-            scores = p.reshape(-1, len(mask), heads, n_tok, n_tok)
-            scores += mask[:, None]
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        out_data = (p @ v).transpose(0, 2, 1, 3).reshape(n_win, n_tok, c)
+    packed = qkv.data.reshape(n_win, n_tok, 3, heads, dh)
+    # q, k and v are C-contiguous slices of one copy, the layouts
+    # slice_axis gave the chain's matmuls
+    q, k, v = qkv_t = np.empty((3, n_win, heads, n_tok, dh))
+    bias = bias_table.data[index].reshape(n_tok, n_tok, heads).transpose(2, 0, 1)
+    p = np.empty((n_win, heads, n_tok, n_tok))
+    row = np.empty((n_win, heads, n_tok, 1))  # a row max, then a row sum
+    out_data = np.empty((n_win, n_tok, c))
+    flags = np.empty(out_data.shape, dtype=bool)
+    # each head's output lands in its columns of out_data, the layout the
+    # chain's transpose and reshape copied it to
+    merged = out_data.reshape(n_win, n_tok, heads, dh).transpose(0, 2, 1, 3)
+
+    def part(lo, hi):
+        np.copyto(qkv_t[:, lo:hi], packed[lo:hi].transpose(2, 0, 3, 1, 4))
+        ps, rs = p[lo:hi], row[lo:hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(q[lo:hi], np.swapaxes(k[lo:hi], -1, -2), out=ps)
+            ps *= f
+            ps += bias
+            if mask is not None:  # through a view: window w gets mask[w % m]
+                scores = ps.reshape(-1, len(mask), heads, n_tok, n_tok)
+                scores += mask[:, None]
+            np.maximum.reduce(ps, axis=-1, keepdims=True, out=rs)
+            ps -= rs
+            np.exp(ps, out=ps)
+            np.add.reduce(ps, axis=-1, keepdims=True, out=rs)
+            ps /= rs
+            np.matmul(ps, v[lo:hi], out=merged[lo:hi])
+        if not _finite(out_data[lo:hi], flags[lo:hi]):
+            raise NonFiniteError("attention produced non-finite values")
+
+    # whole images when masked, so window w keeps mask[w % m]
+    _split(part, n_win, p.size, 1 if mask is None else len(mask))
     needs = (qkv.requires_grad, bias_table.requires_grad)
 
     def bw(g: np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore"):
-            g_out = g.reshape(n_win, n_tok, heads, dh).transpose(0, 2, 1, 3)
-            gs = g_out @ np.swapaxes(v, -1, -2)
-            gv = np.swapaxes(p, -1, -2) @ g_out
-            # softmax: p * (gs - sum(gs * p)), in gs
-            gs -= (gs * p).sum(axis=-1, keepdims=True)
-            gs *= p
-            g_table = None
-            if needs[1]:
-                g_table = np.zeros(table_shape, dtype=np.float64)
-                g_bias = gs.sum(axis=(0,)).transpose(1, 2, 0).reshape(-1, heads)
-                np.add.at(g_table, index, g_bias)
-            if not needs[0]:
-                return None, g_table
-            gs *= f
+        g_out = g.reshape(n_win, n_tok, heads, dh).transpose(0, 2, 1, 3)
+        gs = np.empty(p.shape)
+        tmp = np.empty(p.shape)  # gs * p, then gs * f
+        row = np.empty((n_win, heads, n_tok, 1))
+        g_qkv = slots = qt_gs = None
+        if needs[0]:
             g_qkv = np.empty((n_win, n_tok, 3, heads, dh))
             slots = g_qkv.transpose(2, 0, 3, 1, 4)
-            # The chain summed three zero-padded slot gradients, turning
-            # any -0.0 into +0.0; adding 0.0 as each slot is filled does too.
-            np.add(gs @ k, 0.0, out=slots[0])
-            np.add(np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2), 0.0, out=slots[1])
-            np.add(gv, 0.0, out=slots[2])
-        return g_qkv.reshape(n_win, n_tok, c3), g_table
+            qt_gs = np.empty((n_win, heads, dh, n_tok))
 
-    return _finish("attention", (qkv, bias_table), out_data, bw)
+        def part(lo, hi):
+            gss, ps, ts, go = gs[lo:hi], p[lo:hi], tmp[lo:hi], g_out[lo:hi]
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(go, np.swapaxes(v[lo:hi], -1, -2), out=gss)
+                # softmax: p * (gs - sum(gs * p)), in gs
+                np.multiply(gss, ps, out=ts)
+                np.add.reduce(ts, axis=-1, keepdims=True, out=row[lo:hi])
+                gss -= row[lo:hi]
+                gss *= ps
+                if not needs[0]:
+                    return
+                # The chain summed three zero-padded slot gradients, turning
+                # any -0.0 into +0.0; adding 0.0 as each slot is filled does too.
+                s0, s1, s2 = slots[:, lo:hi]
+                np.multiply(gss, f, out=ts)
+                np.matmul(ts, k[lo:hi], out=s0)
+                s0 += 0.0
+                np.matmul(np.swapaxes(q[lo:hi], -1, -2), ts, out=qt_gs[lo:hi])
+                np.add(np.swapaxes(qt_gs[lo:hi], -1, -2), 0.0, out=s1)
+                np.matmul(np.swapaxes(ps, -1, -2), go, out=s2)
+                s2 += 0.0
+
+        _split(part, n_win, p.size)
+        g_table = None
+        if needs[1]:
+            g_table = np.zeros(table_shape, dtype=np.float64)
+            with np.errstate(over="ignore", invalid="ignore"):
+                g_bias = gs.sum(axis=(0,)).transpose(1, 2, 0).reshape(-1, heads)
+            np.add.at(g_table, index, g_bias)
+        return None if g_qkv is None else g_qkv.reshape(n_win, n_tok, c3), g_table
+
+    return _node("attention", (qkv, bias_table), out_data, bw)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
@@ -478,21 +747,41 @@ def gather_rows(a: Tensor, order: np.ndarray, inverse: np.ndarray,
                 shape: Sequence[int]) -> Tensor:
     """Rows ``order`` of each (len(order), a.shape[-1]) item of ``a``,
     reshaped to ``shape``: one data-movement node.  The backward gathers
-    the gradient with ``inverse``, the inverse permutation."""
+    the gradient with ``inverse``, the inverse permutation.  ``order`` is
+    a permutation of range(len(order)), as ``model`` builds and checks
+    them; an entry out of that range is clipped into it, not refused."""
     n, c = len(order), a.shape[-1] if a.ndim else 0
     if (not (a.ndim > 1 and a.size and n) or a.size % (n * c) or len(inverse) != n
             or math.prod(shape) != a.size):
         raise DimensionError(f"gather_rows of {n} rows cannot reorder "
                              f"{list(a.shape)} into {list(shape)}")
     src_shape = a.shape
-    # np.take gives a C-contiguous result where a[:, order] may not, and
-    # the summation order of later reductions depends on the layout
-    out_data = np.take(a.data.reshape(-1, n, c), order, axis=1).reshape(shape)
+    out_data = _gather(a.data, order, c, "gather_rows produced non-finite values")
 
     def bw(g: np.ndarray):
-        return (np.take(g.reshape(-1, n, c), inverse, axis=1).reshape(src_shape),)
+        return (_gather(g, inverse, c).reshape(src_shape),)
 
-    return _finish("gather_rows", (a,), out_data, bw)
+    return _node("gather_rows", (a,), out_data.reshape(shape), bw)
+
+
+def _gather(src: np.ndarray, order: np.ndarray, c: int, message: str | None = None):
+    """Rows ``order`` of each (len(order), c) item of ``src``, cut by item,
+    checked when a ``message`` is given.  The result is C-contiguous, as
+    the chain's layouts were, where src[:, order] may not be, and the
+    summation order of later reductions depends on the layout."""
+    items = src.reshape(-1, len(order), c)
+    out = np.empty(items.shape)
+    flags = np.empty(items.shape, dtype=bool) if message else None
+
+    def part(lo, hi):
+        # mode="clip" takes straight into out, where the default fills a
+        # copy first; order is a permutation, so nothing is clipped
+        np.take(items[lo:hi], order, axis=1, out=out[lo:hi], mode="clip")
+        if message and not _finite(out[lo:hi], flags[lo:hi]):
+            raise NonFiniteError(message)
+
+    _split(part, len(items), items.size)
+    return out
 
 
 def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
@@ -570,33 +859,63 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"layer_norm affine shapes {list(gamma.shape)}/{list(beta.shape)} "
             f"do not match normalized extent {c}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        # means as np.mean computes them, without its Python wrapper
-        xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / c
-        var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / c
-        inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-        xhat *= inv_std
-        out_data = xhat * gamma.data
-        out_data += beta.data
-    gamma_data = gamma.data
+    gamma_data, beta_data = gamma.data, beta.data
+    xl = x.data if x.ndim > 1 else x.data[None]  # cut along the first axis
+    xhat, out_data = np.empty(xl.shape), np.empty(xl.shape)
+    inv_std = np.empty(xl.shape[:-1] + (1,))  # a row mean, then the variance
+    flags = np.empty(xl.shape, dtype=bool)
+
+    def part(lo, hi):
+        xs, xh, o, s = xl[lo:hi], xhat[lo:hi], out_data[lo:hi], inv_std[lo:hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # means as np.mean computes them, without its Python wrapper
+            np.add.reduce(xs, axis=-1, keepdims=True, out=s)
+            s /= c
+            np.subtract(xs, s, out=xh)
+            np.add.reduce(np.multiply(xh, xh, out=o), axis=-1, keepdims=True, out=s)
+            s /= c
+            # inv_std = 1 / sqrt(var + eps)
+            s += LAYER_NORM_EPS
+            np.sqrt(s, out=s)
+            np.divide(1.0, s, out=s)
+            xh *= s
+            np.multiply(xh, gamma_data, out=o)
+            o += beta_data
+        if not _finite(o, flags[lo:hi]):
+            raise NonFiniteError("layer_norm produced non-finite values")
+
+    _split(part, len(xl), xl.size)
 
     def bw(g: np.ndarray):
-        # two fresh buffers: gx starts as gx_hat = g * gamma, tmp holds
-        # gx_hat * xhat, then g * xhat, then xhat * m2
-        axes = tuple(range(g.ndim - 1))
-        gx = np.multiply(g, gamma_data)
-        tmp = np.multiply(gx, xhat)
-        m2 = np.add.reduce(tmp, axis=-1, keepdims=True) / c
-        m1 = np.add.reduce(gx, axis=-1, keepdims=True) / c
-        ggamma = np.multiply(g, xhat, out=tmp).sum(axis=axes)
-        # gx = inv_std * (gx_hat - m1 - xhat * m2)
-        gx -= m1
-        gx -= np.multiply(xhat, m2, out=tmp)
-        gx *= inv_std
-        gbeta = g.sum(axis=axes)
-        return gx, ggamma, gbeta
+        gl = g if g.ndim > 1 else g[None]
+        # gx starts as gx_hat = g * gamma, tmp holds gx_hat * xhat, then
+        # xhat * m2; prod holds g * xhat for ggamma
+        gx, tmp, prod = np.empty((3,) + xhat.shape)
+        means = np.empty((2,) + inv_std.shape)
+        axes = tuple(range(gl.ndim - 1))
+        ggamma, gbeta = np.empty((2, c))
 
-    return _finish("layer_norm", (x, gamma, beta), out_data, bw)
+        def sums():  # over every row, so one task, uncut
+            np.add.reduce(np.multiply(gl, xhat, out=prod), axis=axes, out=ggamma)
+            np.add.reduce(gl, axis=axes, out=gbeta)
+
+        def part_rows(lo, hi):
+            gs, xh, gxs, ts = gl[lo:hi], xhat[lo:hi], gx[lo:hi], tmp[lo:hi]
+            m1, m2 = means[:, lo:hi]
+            np.multiply(gs, gamma_data, out=gxs)
+            np.add.reduce(np.multiply(gxs, xh, out=ts), axis=-1, keepdims=True, out=m2)
+            m2 /= c
+            np.add.reduce(gxs, axis=-1, keepdims=True, out=m1)
+            m1 /= c
+            # gx = inv_std * (gx_hat - m1 - xhat * m2)
+            gxs -= m1
+            gxs -= np.multiply(xh, m2, out=ts)
+            gxs *= inv_std[lo:hi]
+
+        _split(part_rows, len(gl), g.size, whole=((sums,),))
+        return gx.reshape(g.shape), ggamma, gbeta
+
+    return _node("layer_norm", (x, gamma, beta), out_data.reshape(x.shape), bw)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -605,53 +924,70 @@ def gelu(x: Tensor) -> Tensor:
     xf = x.data.reshape(-1)  # a view unless the input is strided
     t = np.empty_like(xf)
     out_data = np.empty_like(xf)
-    tmp = np.empty(min(xf.size, _GELU_BLOCK))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, xf.size, _GELU_BLOCK):
-            xb, tb, ob = xf[i:i + _GELU_BLOCK], t[i:i + _GELU_BLOCK], out_data[i:i + _GELU_BLOCK]
-            # t = tanh(sqrt(2/pi) * (x + c * ((x * x) * x)))
-            np.multiply(xb, xb, out=tb)
-            tb *= xb
-            tb *= _GELU_C
-            tb += xb
-            tb *= _SQRT_2_OVER_PI
-            np.tanh(tb, out=tb)
-            # out = (0.5 * x) * (1 + t)
-            np.multiply(xb, 0.5, out=ob)
-            ob *= np.add(tb, 1.0, out=tmp[:xb.size])
+    flags = np.empty(xf.shape, dtype=bool)
+    # parts of whole blocks, each with a block of scratch
+    width = _width(xf.size)
+    cuts = _cuts(xf.size, width, _GELU_BLOCK)
+    block = min(xf.size, _GELU_BLOCK)
+
+    def part(lo, hi, tmp):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(lo, hi, _GELU_BLOCK):
+                j = min(i + _GELU_BLOCK, hi)
+                xb, tb, ob = xf[i:j], t[i:j], out_data[i:j]
+                # t = tanh(sqrt(2/pi) * (x + c * ((x * x) * x)))
+                np.multiply(xb, xb, out=tb)
+                tb *= xb
+                tb *= _GELU_C
+                tb += xb
+                tb *= _SQRT_2_OVER_PI
+                np.tanh(tb, out=tb)
+                # out = (0.5 * x) * (1 + t)
+                np.multiply(xb, 0.5, out=ob)
+                ob *= np.add(tb, 1.0, out=tmp[:j - i])
+        if not _finite(out_data[lo:hi], flags[lo:hi]):
+            raise NonFiniteError("gelu produced non-finite values")
+
+    _run([(part, lo, hi, tmp) for (lo, hi), tmp in zip(cuts, np.empty((len(cuts), block)))],
+         width)
 
     def bw(g: np.ndarray):
         gf = g.reshape(-1)
         gx = np.empty_like(xf)
-        d_inner = np.empty_like(tmp)
-        sech2 = np.empty_like(tmp)
-        with np.errstate(over="ignore"):
-            for i in range(0, xf.size, _GELU_BLOCK):
-                xb, tb = xf[i:i + _GELU_BLOCK], t[i:i + _GELU_BLOCK]
-                gb, gxb = gf[i:i + _GELU_BLOCK], gx[i:i + _GELU_BLOCK]
-                db, sb = d_inner[:xb.size], sech2[:xb.size]
-                # d_inner = sqrt(2/pi) * (1 + 3c * (x * x))
-                np.multiply(xb, xb, out=db)
-                db *= 3.0 * _GELU_C
-                db += 1.0
-                db *= _SQRT_2_OVER_PI
-                # sech2 = 1 - t * t
-                np.multiply(tb, tb, out=sb)
-                np.subtract(1.0, sb, out=sb)
-                # gx = g * (0.5 * (1 + t) + ((0.5 * x) * sech2) * d_inner).
-                # Where sech2 is 0 that product is +-0 whatever d_inner is,
-                # and d_inner is inf once x * x overflows (|x| > 1.3e154), so
-                # the product is skipped there instead of giving 0 * inf = NaN.
-                np.multiply(xb, 0.5, out=gxb)
-                gxb *= sb
-                np.multiply(gxb, db, out=gxb, where=sb != 0.0)
-                half_1pt = np.add(tb, 1.0, out=sb)  # sech2 is no longer needed
-                half_1pt *= 0.5
-                gxb += half_1pt
-                gxb *= gb
+
+        def part_bw(lo, hi, d_inner, sech2, live):
+            with np.errstate(over="ignore"):
+                for i in range(lo, hi, _GELU_BLOCK):
+                    j = min(i + _GELU_BLOCK, hi)
+                    xb, tb, gb, gxb = xf[i:j], t[i:j], gf[i:j], gx[i:j]
+                    db, sb, lb = d_inner[:j - i], sech2[:j - i], live[:j - i]
+                    # d_inner = sqrt(2/pi) * (1 + 3c * (x * x))
+                    np.multiply(xb, xb, out=db)
+                    db *= 3.0 * _GELU_C
+                    db += 1.0
+                    db *= _SQRT_2_OVER_PI
+                    # sech2 = 1 - t * t
+                    np.multiply(tb, tb, out=sb)
+                    np.subtract(1.0, sb, out=sb)
+                    # gx = g * (0.5 * (1 + t) + ((0.5 * x) * sech2) * d_inner).
+                    # Where sech2 is 0 that product is +-0 whatever d_inner is,
+                    # and d_inner is inf once x * x overflows (|x| > 1.3e154), so
+                    # the product is skipped there instead of giving 0 * inf = NaN.
+                    np.multiply(xb, 0.5, out=gxb)
+                    gxb *= sb
+                    np.multiply(gxb, db, out=gxb, where=np.not_equal(sb, 0.0, out=lb))
+                    half_1pt = np.add(tb, 1.0, out=sb)  # sech2 is no longer needed
+                    half_1pt *= 0.5
+                    gxb += half_1pt
+                    gxb *= gb
+
+        d_inner, sech2 = np.empty((2, len(cuts), block))
+        live = np.empty((len(cuts), block), dtype=bool)
+        _run([(part_bw, *cut, *scratch) for cut, *scratch in zip(cuts, d_inner, sech2, live)],
+             width)
         return (gx.reshape(shape),)
 
-    return _finish("gelu", (x,), out_data.reshape(shape), bw)
+    return _node("gelu", (x,), out_data.reshape(shape), bw)
 
 
 def cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:

@@ -11,6 +11,7 @@ import pytest
 import procs
 import synth
 from swinscan import model as M
+from swinscan import tensor as T
 from swinscan import train as TR
 
 # Known-good recipes for the synthetic sets: the detection disks hit
@@ -27,6 +28,13 @@ def no_child_process_left():
     yield
     left = [pid for pid in procs.children(os.getpid()) if procs.running(pid)]
     assert left == [], f"child processes still running at the end of the session: {left}"
+
+
+@pytest.fixture(scope="session")
+def wide_pool():
+    """A pool of three threads, so that tests cut nodes into up to four
+    parts on any machine; a test sets its width to use fewer."""
+    return T._Pool(3)
 
 
 @pytest.fixture(scope="session")

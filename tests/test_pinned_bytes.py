@@ -8,6 +8,11 @@ must say why and re-derive the digest.
 import base64
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,11 +133,11 @@ def test_segment_512(kind, digest):
     assert sha(result.highlighted.tobytes() + measures.encode("ascii")) == digest
 
 
-def _forward_backward(num_classes):
-    # one batch-4 forward pass, its loss, and every parameter gradient
+def _forward_backward(num_classes, batch=4):
+    # one forward pass, its loss, and every parameter gradient
     weights = M.ModelWeights.init(M.default_config(num_classes), seed=0)
-    images = np.random.default_rng(1).normal(size=(4, 3, 64, 64))
-    labels = [k % num_classes for k in range(4)]
+    images = np.random.default_rng(1).normal(size=(batch, 3, 64, 64))
+    labels = [k % num_classes for k in range(batch)]
     with T.Tape() as tape:
         for tensor in weights.tensors():
             tape.watch(tensor)
@@ -152,6 +157,41 @@ def _forward_backward(num_classes):
 ])
 def test_forward_backward(num_classes, digest):
     assert _forward_backward(num_classes) == digest
+
+
+# At batch 32 the big nodes run in parts, one per usable core; the bits
+# are the same for any number of cores.
+BATCH_32 = {
+    2: "0e7be2f196bc3339cc45f56214d9d9d210cc8aa9b9ec2904a8aa1aaff6fe059e",
+    3: "138bce835ccd99d5d4d5897509a00f264d54ee32ecf40647c7bd739276b11833",
+}
+TESTS = str(Path(__file__).resolve().parent)
+SRC = str(Path(T.__file__).resolve().parents[1])
+# pins the interpreter to one of its cpus before swinscan splits anything,
+# then prints the part width and the batch-32 digest
+ON_ONE_CPU = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+              "import test_pinned_bytes as P; digest = P._forward_backward(int(sys.argv[1]), 32); "
+              "print(P.T._pool.width, digest)")
+
+
+@pytest.mark.parametrize("num_classes", [2, 3])
+def test_forward_backward_batch_32(num_classes):
+    assert _forward_backward(num_classes, 32) == BATCH_32[num_classes]
+
+
+def test_forward_backward_batch_32_in_four_parts(monkeypatch, wide_pool):
+    monkeypatch.setattr(T, "_pool", wide_pool)
+    monkeypatch.setattr(wide_pool, "width", 4)
+    assert _forward_backward(2, 32) == BATCH_32[2]
+
+
+def test_forward_backward_batch_32_on_one_cpu():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, TESTS, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", ON_ONE_CPU, "2"], env=env, cwd=TESTS,
+                          capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == [b"1", BATCH_32[2].encode()]
 
 
 def _classify(num_classes):
@@ -195,6 +235,22 @@ def init_service(tmp_path_factory):
         M.save_weights(str(path), M.ModelWeights.init(M.default_config(classes), seed=0))
         paths.append(str(path))
     return SV.PredictionService(*paths)
+
+
+def test_serving_starts_no_thread(init_service, monkeypatch):
+    # one image is a batch of 1: every node runs as one part, on the
+    # calling thread, and no pool is made
+    monkeypatch.setenv("SWINSCAN_TIMESTAMP", PINNED_TS)
+    monkeypatch.setattr(T, "_pool", None)
+    threads = threading.active_count()
+    weights = M.ModelWeights.init(M.default_config(3), seed=0)
+    M.forward_classify(np.random.default_rng(2).normal(size=(3, 64, 64)), weights)
+    body = json.dumps({"image": base64.b64encode(_request_images()["P5-disk-512x448"]).decode(),
+                       "task": "full", "pixel_spacing_mm": 0.5}).encode()
+    for route in (SV.PREDICT_ROUTE, SV.PDF_ROUTE):
+        assert init_service.respond(route, body).status == 200
+        assert threading.active_count() == threads
+    assert T._pool is None
 
 
 @pytest.mark.parametrize("name, route, digest", [

@@ -1,4 +1,9 @@
+import hashlib
 import math
+import os
+import signal
+import sys
+import time
 import weakref
 
 import numpy as np
@@ -629,6 +634,26 @@ class TestBackward:
         assert grads[0].tobytes() == grads[1].tobytes()
 
 
+class TestAccumulation:
+    """backward sums a key's gradients in an array of its own; it never
+    adds into an array a rule returned."""
+
+    def test_aliased_gradients_sum_out_of_place_bits(self):
+        # add returns its seed gradient g for both inputs, so a and b are
+        # first handed the same array, and each then receives g again
+        rng = np.random.default_rng(75)
+        a = T.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        b = T.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        with T.Tape() as tape:
+            u = T.add(a, b)
+            w = T.add(T.add(u, a), b)
+            loss = T.total_sum(T.gelu(w))
+        _, (g,) = forward_backward(T.gelu, [w.data], np.ones((4, 6)))
+        saved = g.copy()
+        T.backward(tape, loss)
+        assert _same_bits(a.grad, saved + saved) and _same_bits(b.grad, saved + saved)
+
+
 class TestTapeLifetime:
     """Nodes hold keys, not tensors, and backward consumes the tape."""
 
@@ -818,3 +843,195 @@ class TestInvariants:
             loss = T.total_sum(a)
         T.backward(tape, loss)
         assert a.grad.shape == a.data.shape
+
+
+@pytest.fixture
+def cut(monkeypatch, wide_pool):
+    """cut(None) runs every node as one part; cut(k) cuts it into up to k
+    parts of any size, on the calling thread and k - 1 of the pool's."""
+    monkeypatch.setattr(T, "_pool", wide_pool)
+
+    def set_width(width):
+        monkeypatch.setattr(T, "_PART_FLOOR", 1 << 62 if width is None else 1)
+        monkeypatch.setattr(wide_pool, "width", width or 1)
+
+    return set_width
+
+
+def _same_bits_in_parts(cut, op, inputs, g, widths=(2, 3, 4)):
+    """op's output and input gradients are the same bits in any number of
+    parts as in one."""
+    cut(None)
+    want_out, want = replay(op, inputs, g)
+    for width in widths:
+        cut(width)
+        got_out, got = replay(op, inputs, g)
+        assert _same_bits(got_out, want_out)
+        for a, e in zip(got, want):
+            assert (a is None and e is None) or _same_bits(a, e)
+
+
+class TestParts:
+    """The big nodes cut their batch into parts that run at once; each
+    part computes what the whole would for its slab."""
+
+    @pytest.mark.parametrize("batch", [3, 5, 32])
+    @pytest.mark.parametrize("xs, ws", [((16, 32), (32, 96)), ((4, 4, 32), (32, 128)),
+                                        ((256, 48), (48, 32)), ((64,), (64, 3))])
+    def test_linear(self, cut, batch, xs, ws):
+        rng = np.random.default_rng(81)
+        x, w, b = rng.normal(size=(batch,) + xs), rng.normal(size=ws), rng.normal(size=ws[1])
+        g = seed_gradient(rng, (batch,) + xs[:-1] + ws[1:])
+        _same_bits_in_parts(cut, T.linear, [x, w, b], g)
+
+    @pytest.mark.parametrize("batch", [3, 5, 32])
+    def test_gelu(self, cut, batch):
+        # blocks of _GELU_BLOCK and a ragged last one
+        rng = np.random.default_rng(82)
+        x = rng.normal(scale=3.0, size=(batch, 7, T._GELU_BLOCK // 5))
+        _same_bits_in_parts(cut, T.gelu, [x], seed_gradient(rng, x.shape))
+
+    @pytest.mark.parametrize("batch", [3, 5, 32])
+    def test_layer_norm(self, cut, batch):
+        rng = np.random.default_rng(83)
+        x = rng.normal(loc=0.3, scale=2.0, size=(batch, 8, 8, 64))
+        gamma, beta = rng.normal(size=64), rng.normal(size=64)
+        _same_bits_in_parts(cut, T.layer_norm, [x, gamma, beta], seed_gradient(rng, x.shape))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("heads", [2, 4])
+    @pytest.mark.parametrize("batch", [3, 5, 32])
+    def test_attention(self, cut, batch, heads, masked):
+        # masked, a part holds whole images: window w keeps mask[w % m]
+        rng = np.random.default_rng(84 + batch)
+        qkv, table, mask = TestAttention.inputs(rng, batch, heads, masked)
+        index = M.relative_bias_index().reshape(-1)
+        g = seed_gradient(rng, (qkv.shape[0], qkv.shape[1], qkv.shape[2] // 3))
+        _same_bits_in_parts(cut, lambda a, t: T.attention(a, t, index, mask), [qkv, table], g)
+
+    @pytest.mark.parametrize("batch", [3, 5, 32])
+    @pytest.mark.parametrize("b_shape", [(8, 8, 64), (64,), (8, 64)])
+    def test_add(self, cut, batch, b_shape):
+        rng = np.random.default_rng(85)
+        a, b = rng.normal(size=(batch, 8, 8, 64)), rng.normal(size=b_shape)
+        _same_bits_in_parts(cut, T.add, [a, b], seed_gradient(rng, a.shape))
+
+    @pytest.mark.parametrize("batch", [3, 5, 32])
+    def test_gather_rows(self, cut, batch):
+        rng = np.random.default_rng(86)
+        a = rng.normal(size=(batch, 16, 16, 32))
+        order, inverse = M._window_order(16, 16, M.SHIFT_SIZE)
+        out_shape = (batch * 16, 16, 32)
+        _same_bits_in_parts(cut, lambda t: T.gather_rows(t, order, inverse, out_shape), [a],
+                            seed_gradient(rng, out_shape))
+
+    @pytest.mark.parametrize("batch", [3, 32])
+    def test_backward_sums(self, cut, batch):
+        # a residual block's gradients meet in backward's sums
+        rng = np.random.default_rng(87)
+        x = rng.normal(size=(batch, 16, 32))
+        w1, w2 = rng.normal(scale=0.2, size=(32, 64)), rng.normal(scale=0.2, size=(64, 32))
+        b1, b2 = rng.normal(size=64), rng.normal(size=32)
+        grads = []
+        for width in (None, 4):
+            cut(width)
+            leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (x, w1, b1, w2, b2)]
+            with T.Tape() as tape:
+                h = T.gelu(T.linear(leaves[0], *leaves[1:3]))
+                y = T.add(leaves[0], T.linear(h, *leaves[3:]))
+                loss = T.total_sum(T.gelu(T.add(y, leaves[0])))
+            T.backward(tape, loss)
+            grads.append([t.grad for t in leaves])
+        for a, e in zip(*grads):
+            assert _same_bits(a, e)
+
+    def test_error_in_a_later_part_names_the_op(self, cut):
+        cut(4)
+        x = np.ones((8, 2, 2))
+        x[-1] = 1e200
+        with pytest.raises(NonFiniteError, match="^linear produced non-finite"):
+            T.linear(T.Tensor(x), T.Tensor(np.full((2, 2), 1e200)), T.Tensor(np.zeros(2)))
+        g = np.ones((8, 3))
+        g[-1, -1] = np.nan
+        with pytest.raises(NonFiniteError, match="^backward of add"):
+            T._check(g, "backward of add produced non-finite values")
+
+    def test_widths_and_cuts(self, monkeypatch, wide_pool):
+        monkeypatch.setattr(T, "_pool", wide_pool)
+        monkeypatch.setattr(wide_pool, "width", 1)  # one usable core
+        assert T._width(1 << 24) == 1
+        monkeypatch.setattr(wide_pool, "width", 4)
+        # one thread per floor of elements, at most one per core
+        assert [T._width(k * T._PART_FLOOR) for k in (1, 2, 3, 4, 9)] == [1, 2, 3, 4, 4]
+        assert T._width(2 * T._PART_FLOOR - 1) == 1
+        # contiguous parts at whole steps, the rest in the last
+        assert T._cuts(64, 4, 16) == [(0, 16), (16, 32), (32, 48), (48, 64)]
+        assert T._cuts(20, 4, 4) == [(0, 4), (4, 8), (8, 12), (12, 20)]
+        assert T._cuts(32, 3) == [(0, 10), (10, 21), (21, 32)]
+        assert T._cuts(5, 4, 4) == [(0, 5)]
+        assert T._cuts(1, 4) == [(0, 1)]
+
+    def test_error_of_the_first_failing_task_is_raised(self, cut):
+        cut(4)
+
+        def fail(i):
+            raise ValueError(i)
+
+        with pytest.raises(ValueError, match="^2$"):
+            T._run([(int, 0), (int, 1), (fail, 2), (fail, 3), (int, 4)], 4)
+
+    def test_every_task_runs_once_under_contention(self, cut, wide_pool):
+        # four threads, more than most test machines' cores, switching
+        # every microsecond: each task is still taken exactly once
+        cut(4)
+        runs = [0] * 500
+
+        def task(i):
+            runs[i] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and runs[0] < 20:
+                T._run([(task, i) for i in range(len(runs))], wide_pool.width)
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] >= 1 and runs == [runs[0]] * len(runs)
+
+
+class TestPool:
+    def test_batch_1_forward_makes_no_pool(self, monkeypatch):
+        monkeypatch.setattr(T, "_pool", None)
+        weights = M.ModelWeights.init(M.default_config(2), seed=0)
+        M.forward_batch(np.random.default_rng(3).normal(size=(1, 3, 64, 64)), weights)
+        assert T._pool is None
+
+    def test_forked_child_builds_its_own_pool(self):
+        # the parent's pool threads do not exist in a child: the child
+        # drops the pool at fork and builds one on its first split
+        weights = M.ModelWeights.init(M.default_config(2), seed=0)
+        images = np.random.default_rng(3).normal(size=(32, 3, 64, 64))
+        want = hashlib.sha256(M.forward_batch(images, weights).data.tobytes()).digest()
+        assert T._pool is not None
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child
+            try:
+                dropped = T._pool is None
+                got = hashlib.sha256(M.forward_batch(images, weights).data.tobytes()).digest()
+                os.write(write, bytes([dropped]) + got)
+            finally:
+                os._exit(0)
+        os.close(write)
+        try:
+            deadline = time.monotonic() + 60
+            while not os.waitpid(pid, os.WNOHANG)[0]:
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail("the forked child did not finish its forward pass")
+                time.sleep(0.02)
+            assert os.read(read, 64) == b"\x01" + want
+        finally:
+            os.close(read)
