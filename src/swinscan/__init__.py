@@ -9,6 +9,9 @@ import ctypes
 import os
 
 __version__ = "0.1.0"
+# before numpy loads: one BLAS thread unless set, as tensor.py uses every core
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1

@@ -5,8 +5,7 @@ Design notes:
 * Values are numpy float64 arrays.  Each node checks its own output, and
   ``backward`` each gradient a node returns, for NaN/Inf and raises
   ``NonFiniteError`` naming the op instead of propagating.  Values inside
-  a fused node are not checked; a NaN there reaches its output.  A check
-  is a max and a min pass, which propagate NaN and allocate nothing.
+  a fused node are not checked; a NaN there reaches its output.
 * Differentiation is eager: while a ``Tape`` is active, each operation
   whose inputs touch the graph appends one node holding the saved values
   its backward rule needs.  ``backward`` pops the nodes in reverse, so
@@ -34,7 +33,7 @@ Design notes:
   plain out-of-place expression, swapping operands only where IEEE
   addition and multiplication commute, so every rounding is the same;
   ``tests/test_tensor.py`` holds those expressions and compares bitwise.
-  ``gelu`` runs that sequence on _GELU_BLOCK elements at a time, so its
+  ``gelu`` runs that sequence on ``_GELU_BLOCK`` elements at a time, so its
   operands stay in cache; each element sees the same operations.
 * Per-node cost, not arithmetic, dominates a training step, so the model
   uses fused nodes: ``linear`` for ``add(matmul(x, w), b)``, and
@@ -49,30 +48,33 @@ Design notes:
   the reshape/permute/roll chains it replaced produced, so later
   reductions sum in the same order.
 * A big node runs on every usable core.  Its body is written over a
-  ``[lo, hi)`` slab of its leading axis, and ``_split`` cuts that axis
-  into one contiguous part per thread (at most one per usable core, each
-  of at least _PART_FLOOR elements): the calling thread and a pool of
-  ``len(os.sched_getaffinity(0)) - 1`` daemon threads, made on first use
-  and dropped in a forked child, take parts until none is left.
-  ``linear`` cuts the stacked matrices of x (its rank-2 form is one
-  stack, one part), ``attention`` its windows (whole images when
-  masked, so window w keeps mask[w % m]), ``layer_norm`` and ``add`` the
-  first axis, ``gather_rows`` the items it reorders, ``gelu`` the flat
-  array at whole _GELU_BLOCKs; ``backward``'s checks and sums cut each
-  gradient's first axis.  Each part runs its node's check on its slab.
-  Below two floors a node is one part on the calling thread: a batch-1
-  forward starts no thread.  The bits do not depend on the number of
-  parts, by two rules.  A part cuts the stacked operand, never a
-  flattened one: numpy multiplies a stack one matrix at a time, and a
-  slab of the stack makes the same BLAS calls, where a flattened product
-  has other bits.  A sum over the batch (``gw = x2.T @ g2``, a bias
-  gradient, ``ggamma``/``gbeta``, the attention bias table) is never cut:
-  BLAS gives a part of ``gw`` other bits than the whole once the part's
-  shape changes its kernel, and numpy's sum down a column slab costs as
-  much per row as the whole sum.  It runs whole, as a task beside the
-  parts.  Every buffer is allocated on the calling thread; pool threads
-  write into slices of it, call no public op, and run in a copy of the
-  caller's context, so they see its numpy error state.
+  ``[lo, hi)`` slab of its leading axis.  ``_cut`` cuts that axis into
+  one contiguous part per thread (at most one per usable core, each of
+  at least ``_PART_FLOOR`` elements) and has each part check its slab of
+  the output after the body; the first failing part's error is raised.
+  The calling thread and a pool of ``len(os.sched_getaffinity(0)) - 1``
+  daemon threads, made on first use and dropped in a forked child, take
+  parts until none is left.  ``linear`` cuts the stacked matrices of x
+  (its rank-2 form is one stack, one part), ``attention`` its windows
+  (whole images when masked, so window w keeps mask[w % m]),
+  ``layer_norm`` and ``add`` the first axis, ``gather_rows`` the items
+  it reorders; ``backward``'s checks and sums cut each gradient's first
+  axis.  ``gelu`` cuts at whole ``_GELU_BLOCK``s and calls ``_run``
+  itself, as each part needs scratch blocks of its own; it checks each
+  block.  Below two floors a node is one part on the calling thread,
+  checked whole: a batch-1 forward starts no thread.  The bits do not
+  depend on the number of parts, by two rules.  A part cuts the stacked
+  operand, never a flattened one: numpy multiplies a stack one matrix at
+  a time, and a slab of the stack makes the same BLAS calls, where a
+  flattened product has other bits.  A sum over the batch
+  (``gw = x2.T @ g2``, a bias gradient, ``ggamma``/``gbeta``, the
+  attention bias table) is never cut: BLAS gives a part of ``gw`` other
+  bits than the whole once the part's shape changes its kernel, and
+  numpy's sum down a column slab costs as much per row as the whole sum.
+  It runs whole, as a task beside the parts.  Every buffer, the flags a
+  part's check writes included, is allocated on the calling thread; pool
+  threads write into slices of it, call no public op, and run in a copy
+  of the caller's context, so they see its numpy error state.
 """
 
 from __future__ import annotations
@@ -199,23 +201,28 @@ def _run(tasks: list[tuple], width: int) -> None:
         raise errors[min(errors)]
 
 
-def _split(part: Callable, n: int, size: int, step: int = 1, whole: tuple = ()) -> None:
-    """Run ``part(lo, hi)`` over contiguous parts of range(n), the leading
-    extent of ``size`` elements, one part per thread, cut at multiples of
-    ``step``; ``whole`` holds tasks that run beside the parts, uncut."""
+def _cut(lead: np.ndarray, size: int, body: Callable, message: str | None = None,
+         step: int = 1, whole: tuple = ()) -> None:
+    """Run ``body(lo, hi)`` over parts of range(len(lead)), one per thread
+    for a node of ``size`` elements, cut at multiples of ``step``, and the
+    ``whole`` tasks uncut beside them.  With a ``message``, each part then
+    raises NonFiniteError(message) unless its slab of ``lead`` is finite."""
     width = _width(size)
     if width == 1:  # what _run does with one part, without building it
         for fn, *args in whole:
             fn(*args)
-        part(0, n)
-    else:
-        _run([*whole, *((part, lo, hi) for lo, hi in _cuts(n, width, step))], width)
+        body(0, len(lead))
+        if message and not np.isfinite(lead).all():
+            raise NonFiniteError(message)
+        return
+    flags = np.empty(lead.shape, dtype=bool) if message else None
 
+    def part(lo, hi):
+        body(lo, hi)
+        if message and not np.isfinite(lead[lo:hi], out=flags[lo:hi]).all():
+            raise NonFiniteError(message)
 
-def _finite(a: np.ndarray, flags: np.ndarray) -> np.bool_:
-    """No NaN and no infinity in ``a``; ``flags``, a bool array of its
-    shape that the calling thread allocated, takes np.isfinite."""
-    return np.isfinite(a, out=flags).all()
+    _run([*whole, *((part, lo, hi) for lo, hi in _cuts(len(lead), width, step))], width)
 
 
 def _lead(a: np.ndarray) -> np.ndarray:
@@ -230,20 +237,15 @@ def _stack(a: np.ndarray) -> np.ndarray:
 
 def _check(a: np.ndarray, message: str | None, onto: np.ndarray | None = None,
            out: np.ndarray | None = None) -> None:
-    """Raise NonFiniteError(message) unless ``a`` is finite, checking it in
-    parts (no check without a message); with ``onto``, each part then
-    writes ``out = onto + a``."""
+    """Raise NonFiniteError(message) unless ``a`` is finite, checked in parts
+    (not without a message); with ``onto``, each part first sets out = onto + a."""
     al = _lead(a)
-    ol, outl = (None, None) if onto is None else (_lead(onto), _lead(out))
-    flags = np.empty(al.shape, dtype=bool) if message else None
 
-    def part(lo, hi):
-        if message and not _finite(al[lo:hi], flags[lo:hi]):
-            raise NonFiniteError(message)
-        if ol is not None:
-            np.add(ol[lo:hi], al[lo:hi], out=outl[lo:hi])
+    def body(lo, hi):
+        if onto is not None:
+            np.add(_lead(onto)[lo:hi], al[lo:hi], out=_lead(out)[lo:hi])
 
-    _split(part, len(al), al.size)
+    _cut(al, al.size, body, message)
 
 
 class Tensor:
@@ -514,15 +516,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     al, bl = _lead(a.data), _lead(b.data)
     lead = a.ndim - b.ndim
     out_data = np.empty(a.shape)
-    outl, flags = _lead(out_data), np.empty(al.shape, dtype=bool)
+    outl = _lead(out_data)
 
     def part(lo, hi):
-        o = outl[lo:hi]
-        np.add(al[lo:hi], bl if lead else bl[lo:hi], out=o)
-        if not _finite(o, flags[lo:hi]):
-            raise NonFiniteError("add produced non-finite values")
+        np.add(al[lo:hi], bl if lead else bl[lo:hi], out=outl[lo:hi])
 
-    _split(part, len(al), al.size)
+    _cut(outl, al.size, part, "add produced non-finite values")
 
     def bw(g: np.ndarray):
         return g, g.sum(axis=tuple(range(lead))) if lead else g
@@ -546,17 +545,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     k, n = w_data.shape
     out_data = np.empty(x.shape[:-1] + (n,))
     x3, out3 = _stack(x_data), _stack(out_data)
-    flags = np.empty(out3.shape, dtype=bool)
 
     def part(lo, hi):
         o = out3[lo:hi]
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(x3[lo:hi], w_data, out=o)
             o += b_data
-        if not _finite(o, flags[lo:hi]):
-            raise NonFiniteError("linear produced non-finite values")
 
-    _split(part, len(x3), x_data.size + out_data.size)
+    _cut(out3, x_data.size + out_data.size, part, "linear produced non-finite values")
     needs = (x.requires_grad, w.requires_grad, b.requires_grad)
 
     def bw(g: np.ndarray):
@@ -579,7 +575,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 np.matmul(g3[lo:hi], w_data.T, out=gx3[lo:hi])
 
         with np.errstate(over="ignore", invalid="ignore"):
-            _split(part, len(g3), x_data.size + g.size, whole=tuple(whole))
+            _cut(g3, x_data.size + g.size, part, whole=tuple(whole))
         return gx, gw, gb
 
     return _node("linear", (x, w, b), out_data, bw)
@@ -626,7 +622,6 @@ def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
     p = np.empty((n_win, heads, n_tok, n_tok))
     row = np.empty((n_win, heads, n_tok, 1))  # a row max, then a row sum
     out_data = np.empty((n_win, n_tok, c))
-    flags = np.empty(out_data.shape, dtype=bool)
     # each head's output lands in its columns of out_data, the layout the
     # chain's transpose and reshape copied it to
     merged = out_data.reshape(n_win, n_tok, heads, dh).transpose(0, 2, 1, 3)
@@ -647,11 +642,10 @@ def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
             np.add.reduce(ps, axis=-1, keepdims=True, out=rs)
             ps /= rs
             np.matmul(ps, v[lo:hi], out=merged[lo:hi])
-        if not _finite(out_data[lo:hi], flags[lo:hi]):
-            raise NonFiniteError("attention produced non-finite values")
 
     # whole images when masked, so window w keeps mask[w % m]
-    _split(part, n_win, p.size, 1 if mask is None else len(mask))
+    _cut(out_data, p.size, part, "attention produced non-finite values",
+         1 if mask is None else len(mask))
     needs = (qkv.requires_grad, bias_table.requires_grad)
 
     def bw(g: np.ndarray):
@@ -687,7 +681,7 @@ def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
                 np.matmul(np.swapaxes(ps, -1, -2), go, out=s2)
                 s2 += 0.0
 
-        _split(part, n_win, p.size)
+        _cut(gs, p.size, part)
         g_table = None
         if needs[1]:
             g_table = np.zeros(table_shape, dtype=np.float64)
@@ -771,16 +765,13 @@ def _gather(src: np.ndarray, order: np.ndarray, c: int, message: str | None = No
     summation order of later reductions depends on the layout."""
     items = src.reshape(-1, len(order), c)
     out = np.empty(items.shape)
-    flags = np.empty(items.shape, dtype=bool) if message else None
 
     def part(lo, hi):
         # mode="clip" takes straight into out, where the default fills a
         # copy first; order is a permutation, so nothing is clipped
         np.take(items[lo:hi], order, axis=1, out=out[lo:hi], mode="clip")
-        if message and not _finite(out[lo:hi], flags[lo:hi]):
-            raise NonFiniteError(message)
 
-    _split(part, len(items), items.size)
+    _cut(out, items.size, part, message)
     return out
 
 
@@ -863,7 +854,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     xl = x.data if x.ndim > 1 else x.data[None]  # cut along the first axis
     xhat, out_data = np.empty(xl.shape), np.empty(xl.shape)
     inv_std = np.empty(xl.shape[:-1] + (1,))  # a row mean, then the variance
-    flags = np.empty(xl.shape, dtype=bool)
 
     def part(lo, hi):
         xs, xh, o, s = xl[lo:hi], xhat[lo:hi], out_data[lo:hi], inv_std[lo:hi]
@@ -881,10 +871,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             xh *= s
             np.multiply(xh, gamma_data, out=o)
             o += beta_data
-        if not _finite(o, flags[lo:hi]):
-            raise NonFiniteError("layer_norm produced non-finite values")
 
-    _split(part, len(xl), xl.size)
+    _cut(out_data, xl.size, part, "layer_norm produced non-finite values")
 
     def bw(g: np.ndarray):
         gl = g if g.ndim > 1 else g[None]
@@ -912,7 +900,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             gxs -= np.multiply(xh, m2, out=ts)
             gxs *= inv_std[lo:hi]
 
-        _split(part_rows, len(gl), g.size, whole=((sums,),))
+        _cut(gl, g.size, part_rows, whole=((sums,),))
         return gx.reshape(g.shape), ggamma, gbeta
 
     return _node("layer_norm", (x, gamma, beta), out_data.reshape(x.shape), bw)
@@ -924,13 +912,12 @@ def gelu(x: Tensor) -> Tensor:
     xf = x.data.reshape(-1)  # a view unless the input is strided
     t = np.empty_like(xf)
     out_data = np.empty_like(xf)
-    flags = np.empty(xf.shape, dtype=bool)
-    # parts of whole blocks, each with a block of scratch
+    # parts of whole blocks, each with a block of scratch and one of flags
     width = _width(xf.size)
     cuts = _cuts(xf.size, width, _GELU_BLOCK)
     block = min(xf.size, _GELU_BLOCK)
 
-    def part(lo, hi, tmp):
+    def part(lo, hi, tmp, flags):
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(lo, hi, _GELU_BLOCK):
                 j = min(i + _GELU_BLOCK, hi)
@@ -945,11 +932,11 @@ def gelu(x: Tensor) -> Tensor:
                 # out = (0.5 * x) * (1 + t)
                 np.multiply(xb, 0.5, out=ob)
                 ob *= np.add(tb, 1.0, out=tmp[:j - i])
-        if not _finite(out_data[lo:hi], flags[lo:hi]):
-            raise NonFiniteError("gelu produced non-finite values")
+                if not np.isfinite(ob, out=flags[:j - i]).all():
+                    raise NonFiniteError("gelu produced non-finite values")
 
-    _run([(part, lo, hi, tmp) for (lo, hi), tmp in zip(cuts, np.empty((len(cuts), block)))],
-         width)
+    tmp, flags = np.empty((len(cuts), block)), np.empty((len(cuts), block), dtype=bool)
+    _run([(part, *cut, *scratch) for cut, *scratch in zip(cuts, tmp, flags)], width)
 
     def bw(g: np.ndarray):
         gf = g.reshape(-1)

@@ -1,9 +1,11 @@
-"""Importing swinscan keeps freed buffers in the heap.
+"""Importing swinscan sets process-wide defaults before numpy loads.
 
-A child process allocates and frees two 16 MiB arrays per round.  Under
-glibc's defaults each round maps or trims those pages and faults them in
-again; once swinscan is imported, a round reuses the heap and takes
-about no minor page faults.
+It keeps freed buffers in the heap.  A child process allocates and frees
+two 16 MiB arrays per round.  Under glibc's defaults each round maps or
+trims those pages and faults them in again; once swinscan is imported, a
+round reuses the heap and takes about no minor page faults.
+
+It also defaults BLAS to one thread, unless the environment sets a count.
 """
 
 import os
@@ -57,3 +59,26 @@ def test_freed_buffers_stay_in_the_heap():
     # 32 MiB is 8,192 pages; the defaults fault in about 1,000 per round
     assert without > 100
     assert with_swinscan < 10
+
+
+BLAS_THREADS = """
+import os
+import sys
+import swinscan
+print("numpy" in sys.modules, os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"])
+"""
+
+
+def _blas_threads(**preset: str) -> list[str]:
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [os.environ.get("PYTHONPATH")])])
+    env.update(preset)
+    done = subprocess.run([sys.executable, "-c", BLAS_THREADS], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return done.stdout.split()
+
+
+def test_blas_threads_default_to_one_unless_set():
+    assert _blas_threads() == ["False", "1", "1"]
+    assert _blas_threads(OPENBLAS_NUM_THREADS="3") == ["False", "3", "1"]

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import signal
 import sys
 import time
@@ -871,6 +872,26 @@ def _same_bits_in_parts(cut, op, inputs, g, widths=(2, 3, 4)):
             assert (a is None and e is None) or _same_bits(a, e)
 
 
+_SWAP = np.array([1, 0, 3, 2])
+# op -> (input shape, a call of the op on one input); "backward of linear"
+# checks a gradient as backward adds it into another
+_FAILING = {
+    "add": ((8, 4, 6), lambda x: T.add(x, T.Tensor(np.ones(6)))),
+    "linear": ((8, 4, 6), lambda x: T.linear(x, T.Tensor(np.ones((6, 2))), T.Tensor(np.zeros(2)))),
+    "attention": ((8, 4, 6), lambda x: T.attention(x, T.Tensor(np.zeros((1, 1))),
+                                                   np.zeros(16, dtype=np.intp))),
+    "layer_norm": ((8, 4, 6), lambda x: T.layer_norm(x, T.Tensor(np.ones(6)),
+                                                     T.Tensor(np.zeros(6)))),
+    "gather_rows": ((8, 4, 6), lambda x: T.gather_rows(x, _SWAP, _SWAP, x.shape)),
+    "gelu": ((8, T._GELU_BLOCK // 4), T.gelu),  # two blocks
+    "backward of add": ((8, 3), lambda x: T._check(
+        x.data, "backward of add produced non-finite values")),
+    "backward of linear": ((8, 3), lambda x: T._check(
+        x.data, "backward of linear produced non-finite values", np.ones(x.shape),
+        np.empty(x.shape))),
+}
+
+
 class TestParts:
     """The big nodes cut their batch into parts that run at once; each
     part computes what the whole would for its slab."""
@@ -945,16 +966,18 @@ class TestParts:
         for a, e in zip(*grads):
             assert _same_bits(a, e)
 
-    def test_error_in_a_later_part_names_the_op(self, cut):
-        cut(4)
-        x = np.ones((8, 2, 2))
-        x[-1] = 1e200
-        with pytest.raises(NonFiniteError, match="^linear produced non-finite"):
-            T.linear(T.Tensor(x), T.Tensor(np.full((2, 2), 1e200)), T.Tensor(np.zeros(2)))
-        g = np.ones((8, 3))
-        g[-1, -1] = np.nan
-        with pytest.raises(NonFiniteError, match="^backward of add"):
-            T._check(g, "backward of add produced non-finite values")
+    @pytest.mark.parametrize("width", [1, 4])
+    @pytest.mark.parametrize("slab, bad", [(0, np.nan), (-1, np.inf)])
+    @pytest.mark.parametrize("op", list(_FAILING))
+    def test_error_in_a_later_part_names_the_op(self, cut, op, slab, bad, width):
+        # a NaN or an infinity in the first or the last of 8 slabs reaches
+        # that slab of the output (or is the gradient backward checks)
+        cut(width)
+        shape, run = _FAILING[op]
+        x = T.Tensor(np.ones(shape))
+        x.data[slab] = bad  # the constructor refuses non-finite values
+        with pytest.raises(NonFiniteError, match=f"^{op} produced non-finite"):
+            run(x)
 
     def test_widths_and_cuts(self, monkeypatch, wide_pool):
         monkeypatch.setattr(T, "_pool", wide_pool)
@@ -998,6 +1021,12 @@ class TestParts:
         finally:
             sys.setswitchinterval(interval)
         assert runs[0] >= 1 and runs == [runs[0]] * len(runs)
+
+
+def test_design_notes_cite_only_names_the_module_has():
+    cited = set(re.findall(r"``(_\w+)``", T.__doc__))
+    assert "_cut" in cited
+    assert sorted(name for name in cited if not hasattr(T, name)) == []
 
 
 class TestPool:
