@@ -966,10 +966,21 @@ class TestParts:
         for a, e in zip(*grads):
             assert _same_bits(a, e)
 
+    def test_error_in_a_later_part_names_the_op(self, cut):
+        cut(4)
+        x = np.ones((8, 2, 2))
+        x[-1] = 1e200
+        with pytest.raises(NonFiniteError, match="^linear produced non-finite"):
+            T.linear(T.Tensor(x), T.Tensor(np.full((2, 2), 1e200)), T.Tensor(np.zeros(2)))
+        g = np.ones((8, 3))
+        g[-1, -1] = np.nan
+        with pytest.raises(NonFiniteError, match="^backward of add"):
+            T._check(g, "backward of add produced non-finite values")
+
     @pytest.mark.parametrize("width", [1, 4])
     @pytest.mark.parametrize("slab, bad", [(0, np.nan), (-1, np.inf)])
     @pytest.mark.parametrize("op", list(_FAILING))
-    def test_error_in_a_later_part_names_the_op(self, cut, op, slab, bad, width):
+    def test_error_in_any_part_names_the_op(self, cut, op, slab, bad, width):
         # a NaN or an infinity in the first or the last of 8 slabs reaches
         # that slab of the output (or is the gradient backward checks)
         cut(width)
