@@ -285,8 +285,8 @@ def estimate_size(regions, pixel_spacing_mm: float | None = None) -> Segmentatio
     given.  An empty labeling yields found=False with zero area.
     """
     labels, areas = regions
-    if pixel_spacing_mm is not None and pixel_spacing_mm <= 0:
-        raise InputError(f"pixel spacing must be positive, got {pixel_spacing_mm}")
+    if pixel_spacing_mm is not None and not 0 < pixel_spacing_mm < np.inf:  # false for NaN too
+        raise InputError(f"pixel spacing must be finite and positive, got {pixel_spacing_mm}")
     if not areas:
         return SegmentationResult(
             found=False, area_px=0, area_mm2=None, bbox=None, centroid=None
@@ -354,8 +354,7 @@ def segment(rgb, pixel_spacing_mm: float | None = None,
         r0, c0, r1, c1 = result.bbox
         box = np.s_[r0:r1 + 1, c0:c1 + 1]
         region = np.zeros(mask.shape, dtype=bool)
-        # the first label of the largest area is the one estimate_size took
-        region[box] = labels[box] == areas.index(result.area_px) + 1
+        region[box] = labels[box] == _largest_label(areas)  # the one estimate_size took
         overlay = highlight_yellow(image, region)
     else:
         overlay = _rgb_copy(image)

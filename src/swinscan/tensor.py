@@ -19,11 +19,11 @@ Design notes:
 * Gradients are plain numpy arrays stored on ``Tensor.grad`` and are only
   written for watched leaves (tensors created with ``requires_grad=True``
   or registered through ``Tape.watch``).  A watched leaf that does not
-  reach the loss receives an exact zero gradient.  ``backward`` sums a
-  key's gradients in one array it allocates for the second and adds the
-  later ones into in place: the order of the additions is unchanged.  It
-  never adds into an array a rule returned, since ``add`` returns its
-  seed gradient for both inputs and ``reshape`` a view of it.
+  reach the loss receives an exact zero gradient.  Every rule returns a
+  gradient for each input but ``linear``'s ``x`` (None for image patches).
+  ``backward`` keeps a key's first gradient as returned, and each later
+  gradient goes into a fresh array, summed left to right: never into an
+  array a rule returned (``add`` returns its seed gradient twice).
 * GELU uses the tanh approximation, so no error-function dependency is
   needed and the derivative stays in closed form.  Its cube is the product
   ``(x * x) * x``: numpy's ``x ** 3`` goes through ``pow``, about fifty
@@ -59,14 +59,16 @@ Design notes:
   (whole images when masked, so window w keeps mask[w % m]),
   ``layer_norm`` and ``add`` the first axis, ``gather_rows`` the items
   it reorders; ``backward``'s checks and sums cut each gradient's first
-  axis.  ``gelu`` cuts at whole ``_GELU_BLOCK``s and calls ``_run``
-  itself, as each part needs scratch blocks of its own; it checks each
-  block.  Below two floors a node is one part on the calling thread,
-  checked whole: a batch-1 forward starts no thread.  The bits do not
-  depend on the number of parts, by two rules.  A part cuts the stacked
-  operand, never a flattened one: numpy multiplies a stack one matrix at
-  a time, and a slab of the stack makes the same BLAS calls, where a
-  flattened product has other bits.  A sum over the batch
+  axis.  ``add``, ``gather_rows`` and those sums only move or add memory,
+  yet run whole they cost train-64 about 6 % of its samples/s on 2 cores.
+  ``gelu`` cuts at whole ``_GELU_BLOCK``s and calls ``_run`` itself, as
+  each part needs scratch blocks of its own; it checks each block.
+  Below two floors a node is one part on the calling thread, checked
+  whole: a batch-1 forward starts no thread.  The bits do not depend on
+  the number of parts, by two rules.  A part cuts the stacked operand,
+  never a flattened one: numpy multiplies a stack one matrix at a time,
+  and a slab of the stack makes the same BLAS calls, where a flattened
+  product has other bits.  A sum over the batch
   (``gw = x2.T @ g2``, a bias gradient, ``ggamma``/``gbeta``, the
   attention bias table) is never cut: BLAS gives a part of ``gw`` other
   bits than the whole once the part's shape changes its kernel, and
@@ -235,17 +237,19 @@ def _stack(a: np.ndarray) -> np.ndarray:
     return a if a.ndim > 2 else a[None]
 
 
-def _check(a: np.ndarray, message: str | None, onto: np.ndarray | None = None,
-           out: np.ndarray | None = None) -> None:
-    """Raise NonFiniteError(message) unless ``a`` is finite, checked in parts
-    (not without a message); with ``onto``, each part first sets out = onto + a."""
-    al = _lead(a)
+def _check(g: np.ndarray, message: str | None, onto: np.ndarray | None = None) -> np.ndarray:
+    """Raise NonFiniteError(message) unless ``g`` is finite, checked in parts
+    (not without a message).  Returns ``g``, or with ``onto`` a fresh array
+    that each part first fills with onto + g."""
+    gl = _lead(g)
+    out = g if onto is None else np.empty(onto.shape)
 
     def body(lo, hi):
         if onto is not None:
-            np.add(_lead(onto)[lo:hi], al[lo:hi], out=_lead(out)[lo:hi])
+            np.add(_lead(onto)[lo:hi], gl[lo:hi], out=_lead(out)[lo:hi])
 
-    _cut(al, al.size, body, message)
+    _cut(gl, gl.size, body, message)
+    return out
 
 
 class Tensor:
@@ -428,10 +432,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ContractError("backward has already consumed this tape")
     tape.consumed = True
     grads: dict[int, np.ndarray] = {tape.key(loss): np.ones((), dtype=np.float64)}
-    # keys whose sum lives in an array allocated here, which only this
-    # loop references; a rule may return its seed gradient (add) or a view
-    # of it (reshape), so nothing a rule returned is added into
-    owned: set[int] = set()
     nodes = tape.nodes
     while nodes:
         # rebinding node drops the previous one, and with it the arrays
@@ -440,7 +440,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
         gout = grads.pop(node.output_key, None)
         if gout is None:
             continue
-        owned.discard(node.output_key)
         gins = node.backward_fn(gout)
         checked = None
         for key, g in zip(node.input_keys, gins):
@@ -449,15 +448,12 @@ def backward(tape: Tape, loss: Tensor) -> None:
             # add returns one array for both inputs; it is checked once
             message = None if g is checked else f"backward of {node.op} produced non-finite values"
             checked = g
-            acc = out = None if key is None else grads.get(key)
-            if acc is None:
-                if key is not None:
-                    grads[key] = g
-            elif key not in owned:
-                out = grads[key] = np.empty(acc.shape)
-                owned.add(key)
+            # each later gradient goes into a fresh array, never one a rule returned
+            acc = None if key is None else grads.get(key)
             if message or acc is not None:
-                _check(g, message, acc, out)
+                g = _check(g, message, acc)
+            if key is not None:
+                grads[key] = g
     for key, t in tape._watched.items():
         g = grads.get(key)
         if g is None:
@@ -534,8 +530,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     ``w`` is rank 2, shared across the leading dims of ``x``, and ``b``
     has one entry per column of ``w``.  Forward and backward evaluate the
-    expressions of ``add(matmul(x, w), b)``.  An input that needs no
-    gradient gets ``None``: image patches cost no ``g @ w.T``.
+    expressions of ``add(matmul(x, w), b)``.  Its rule always returns
+    ``gw`` and ``gb``; only ``x`` gets ``None`` when it needs no gradient,
+    so image patches cost no ``g @ w.T``.
     """
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionError(
@@ -553,21 +550,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             o += b_data
 
     _cut(out3, x_data.size + out_data.size, part, "linear produced non-finite values")
-    needs = (x.requires_grad, w.requires_grad, b.requires_grad)
+    needs_x = x.requires_grad
 
     def bw(g: np.ndarray):
-        gx = gw = gb = None
+        gw, gb = np.empty((k, n)), np.empty(n)
+        gx = np.empty(x_data.shape) if needs_x else None
         # gw and gb sum over the batch: each is one task, uncut, beside
         # the parts of gx
-        whole = []
-        if needs[1]:
-            gw = np.empty((k, n))
-            whole.append((np.matmul, x_data.reshape(-1, k).T, g.reshape(-1, n), gw))
-        if needs[2]:
-            gb = np.empty(n)
-            whole.append((np.add.reduce, g, tuple(range(g.ndim - 1)), None, gb))
-        if needs[0]:
-            gx = np.empty(x_data.shape)
+        whole = ((np.matmul, x_data.reshape(-1, k).T, g.reshape(-1, n), gw),
+                 (np.add.reduce, g, tuple(range(g.ndim - 1)), None, gb))
         g3, gx3 = _stack(g), gx if gx is None else _stack(gx)
 
         def part(lo, hi):
@@ -575,7 +566,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 np.matmul(g3[lo:hi], w_data.T, out=gx3[lo:hi])
 
         with np.errstate(over="ignore", invalid="ignore"):
-            _cut(g3, x_data.size + g.size, part, whole=tuple(whole))
+            _cut(g3, x_data.size + g.size, part, whole=whole)
         return gx, gw, gb
 
     return _node("linear", (x, w, b), out_data, bw)
@@ -646,18 +637,15 @@ def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
     # whole images when masked, so window w keeps mask[w % m]
     _cut(out_data, p.size, part, "attention produced non-finite values",
          1 if mask is None else len(mask))
-    needs = (qkv.requires_grad, bias_table.requires_grad)
 
     def bw(g: np.ndarray):
         g_out = g.reshape(n_win, n_tok, heads, dh).transpose(0, 2, 1, 3)
         gs = np.empty(p.shape)
         tmp = np.empty(p.shape)  # gs * p, then gs * f
         row = np.empty((n_win, heads, n_tok, 1))
-        g_qkv = slots = qt_gs = None
-        if needs[0]:
-            g_qkv = np.empty((n_win, n_tok, 3, heads, dh))
-            slots = g_qkv.transpose(2, 0, 3, 1, 4)
-            qt_gs = np.empty((n_win, heads, dh, n_tok))
+        g_qkv = np.empty((n_win, n_tok, 3, heads, dh))
+        slots = g_qkv.transpose(2, 0, 3, 1, 4)
+        qt_gs = np.empty((n_win, heads, dh, n_tok))
 
         def part(lo, hi):
             gss, ps, ts, go = gs[lo:hi], p[lo:hi], tmp[lo:hi], g_out[lo:hi]
@@ -668,8 +656,6 @@ def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
                 np.add.reduce(ts, axis=-1, keepdims=True, out=row[lo:hi])
                 gss -= row[lo:hi]
                 gss *= ps
-                if not needs[0]:
-                    return
                 # The chain summed three zero-padded slot gradients, turning
                 # any -0.0 into +0.0; adding 0.0 as each slot is filled does too.
                 s0, s1, s2 = slots[:, lo:hi]
@@ -682,13 +668,11 @@ def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
                 s2 += 0.0
 
         _cut(gs, p.size, part)
-        g_table = None
-        if needs[1]:
-            g_table = np.zeros(table_shape, dtype=np.float64)
-            with np.errstate(over="ignore", invalid="ignore"):
-                g_bias = gs.sum(axis=(0,)).transpose(1, 2, 0).reshape(-1, heads)
-            np.add.at(g_table, index, g_bias)
-        return None if g_qkv is None else g_qkv.reshape(n_win, n_tok, c3), g_table
+        g_table = np.zeros(table_shape, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_bias = gs.sum(axis=(0,)).transpose(1, 2, 0).reshape(-1, heads)
+        np.add.at(g_table, index, g_bias)
+        return g_qkv.reshape(n_win, n_tok, c3), g_table
 
     return _node("attention", (qkv, bias_table), out_data, bw)
 

