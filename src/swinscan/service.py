@@ -52,6 +52,7 @@ from .errors import (
     ContractError,
     EmptyInputError,
     InputError,
+    NonFiniteError,
     PdfFormatError,
     PdfLayoutError,
     PnmError,
@@ -130,6 +131,8 @@ class Reply(NamedTuple):
 # the exception is an instance of wins, and a RequestError names its own
 ERROR_REPLIES = (
     (RequestError, None),
+    # pixels reach the model in [-1, 1], so only the weights can overflow it
+    (NonFiniteError, (500, "internal")),
     (SwinscanError, (400, "bad_request")),
     (Exception, (500, "internal")),
 )

@@ -3,9 +3,11 @@
 Design notes:
 
 * Values are numpy float64 arrays.  Each node checks its own output, and
-  ``backward`` each gradient a node returns, for NaN/Inf and raises
-  ``NonFiniteError`` naming the op instead of propagating.  Values inside
-  a fused node are not checked; a NaN there reaches its output.
+  ``backward`` each gradient a node returns and each sum of two, for
+  NaN/Inf and raises ``NonFiniteError`` naming the op instead of
+  propagating.  Values inside a fused node are not checked; a NaN there
+  reaches its output.  So numpy's warnings add nothing: ``_cut``,
+  ``backward`` and the uncut arithmetic ops run with them off.
 * Differentiation is eager: while a ``Tape`` is active, each operation
   whose inputs touch the graph appends one node holding the saved values
   its backward rule needs.  ``backward`` pops the nodes in reverse, so
@@ -48,21 +50,21 @@ Design notes:
   the reshape/permute/roll chains it replaced produced, so later
   reductions sum in the same order.
 * A big node runs on every usable core.  Its body is written over a
-  ``[lo, hi)`` slab of its leading axis.  ``_cut`` cuts that axis into
-  one contiguous part per thread (at most one per usable core, each of
-  at least ``_PART_FLOOR`` elements) and has each part check its slab of
-  the output after the body; the first failing part's error is raised.
+  ``[lo, hi)`` slab of its leading axis.  ``_cut``, the one runner that
+  puts work on the pool, cuts that axis into one contiguous part per
+  thread (at most one per usable core, each of at least ``_PART_FLOOR``
+  elements) and has each part check its slab of the output after the
+  body; the first failing part's error is raised.
   The calling thread and a pool of ``len(os.sched_getaffinity(0)) - 1``
   daemon threads, made on first use and dropped in a forked child, take
   parts until none is left.  ``linear`` cuts the stacked matrices of x
   (its rank-2 form is one stack, one part), ``attention`` its windows
   (whole images when masked, so window w keeps mask[w % m]),
   ``layer_norm`` and ``add`` the first axis, ``gather_rows`` the items
-  it reorders; ``backward``'s checks and sums cut each gradient's first
-  axis.  ``add``, ``gather_rows`` and those sums only move or add memory,
-  yet run whole they cost train-64 about 6 % of its samples/s on 2 cores.
-  ``gelu`` cuts at whole ``_GELU_BLOCK``s and calls ``_run`` itself, as
-  each part needs scratch blocks of its own; it checks each block.
+  it reorders, ``gelu`` its flat array at whole ``_GELU_BLOCK``s;
+  ``backward``'s checks and sums cut each gradient's first axis.
+  ``add``, ``gather_rows`` and those sums only move or add memory, yet
+  run whole they cost train-64 about 6 % of its samples/s on 2 cores.
   Below two floors a node is one part on the calling thread, checked
   whole: a batch-1 forward starts no thread.  The bits do not depend on
   the number of parts, by two rules.  A part cuts the stacked operand,
@@ -73,10 +75,11 @@ Design notes:
   attention bias table) is never cut: BLAS gives a part of ``gw`` other
   bits than the whole once the part's shape changes its kernel, and
   numpy's sum down a column slab costs as much per row as the whole sum.
-  It runs whole, as a task beside the parts.  Every buffer, the flags a
-  part's check writes included, is allocated on the calling thread; pool
-  threads write into slices of it, call no public op, and run in a copy
-  of the caller's context, so they see its numpy error state.
+  It runs whole, as a task beside the parts.  Outputs and saved arrays
+  are allocated on the calling thread and parts write into slices of
+  them; a part's scratch (``gelu``'s blocks) is its own.  Pool threads
+  call no public op and run in a copy of the caller's context, taken
+  inside ``_cut``'s error state, so they too run with warnings off.
 """
 
 from __future__ import annotations
@@ -166,65 +169,53 @@ def _cuts(n: int, count: int, step: int = 1) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _run(tasks: list[tuple], width: int) -> None:
-    """Run every task ``(fn, *args)`` once, on this thread and ``width - 1``
-    threads of the pool, each taking the next task until none is left.
-    Pool threads run in a copy of this thread's context, so they see its
-    numpy error state.  Returns once all are done, raising the error of
-    the first task in the list that failed."""
-    helpers = min(width, len(tasks)) - 1
-    if helpers < 1:  # in list order on this thread: the first error stops it
-        for fn, *args in tasks:
-            fn(*args)
-        return
-    todo: queue.SimpleQueue = queue.SimpleQueue()
-    for i, task in enumerate(tasks):
-        todo.put((i, task))
-    errors: dict[int, Exception] = {}
-
-    def drain():
-        while True:
-            try:
-                i, (fn, *args) = todo.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                fn(*args)
-            except Exception as exc:  # raised below, on the calling thread
-                errors[i] = exc
-
-    jobs, done = _get_pool().jobs, queue.SimpleQueue()
-    for _ in range(helpers):
-        jobs.put((contextvars.copy_context(), drain, done))
-    drain()
-    for _ in range(helpers):
-        done.get()
-    if errors:
-        raise errors[min(errors)]
-
-
 def _cut(lead: np.ndarray, size: int, body: Callable, message: str | None = None,
          step: int = 1, whole: tuple = ()) -> None:
     """Run ``body(lo, hi)`` over parts of range(len(lead)), one per thread
     for a node of ``size`` elements, cut at multiples of ``step``, and the
-    ``whole`` tasks uncut beside them.  With a ``message``, each part then
-    raises NonFiniteError(message) unless its slab of ``lead`` is finite."""
-    width = _width(size)
-    if width == 1:  # what _run does with one part, without building it
-        for fn, *args in whole:
-            fn(*args)
-        body(0, len(lead))
-        if message and not np.isfinite(lead).all():
-            raise NonFiniteError(message)
-        return
-    flags = np.empty(lead.shape, dtype=bool) if message else None
+    ``whole`` tasks ``(fn, *args)`` uncut before them, all with numpy's
+    warnings off.  With a ``message``, each part then raises
+    NonFiniteError(message) unless its slab of ``lead`` is finite.  Returns
+    once every task is done, raising the error of the first failing one."""
 
     def part(lo, hi):
         body(lo, hi)
-        if message and not np.isfinite(lead[lo:hi], out=flags[lo:hi]).all():
+        if message and not np.isfinite(lead[lo:hi]).all():
             raise NonFiniteError(message)
 
-    _run([*whole, *((part, lo, hi) for lo, hi in _cuts(len(lead), width, step))], width)
+    width = _width(size)
+    # entered before the pool threads' copies of this context are taken
+    with np.errstate(all="ignore"):
+        if width == 1:  # in order on this thread, without a task list
+            for fn, *args in whole:
+                fn(*args)
+            return part(0, len(lead))
+        tasks = [*whole, *((part, lo, hi) for lo, hi in _cuts(len(lead), width, step))]
+        todo: queue.SimpleQueue = queue.SimpleQueue()
+        for task in enumerate(tasks):
+            todo.put(task)
+        errors: dict[int, Exception] = {}
+
+        def drain():
+            while True:
+                try:
+                    i, (fn, *args) = todo.get_nowait()
+                except queue.Empty:
+                    return
+                try:
+                    fn(*args)
+                except Exception as exc:  # raised below, on the calling thread
+                    errors[i] = exc
+
+        helpers = min(width, len(tasks)) - 1
+        jobs, done = _get_pool().jobs, queue.SimpleQueue()
+        for _ in range(helpers):
+            jobs.put((contextvars.copy_context(), drain, done))
+        drain()
+        for _ in range(helpers):
+            done.get()
+    if errors:
+        raise errors[min(errors)]
 
 
 def _lead(a: np.ndarray) -> np.ndarray:
@@ -238,17 +229,18 @@ def _stack(a: np.ndarray) -> np.ndarray:
 
 
 def _check(g: np.ndarray, message: str | None, onto: np.ndarray | None = None) -> np.ndarray:
-    """Raise NonFiniteError(message) unless ``g`` is finite, checked in parts
-    (not without a message).  Returns ``g``, or with ``onto`` a fresh array
-    that each part first fills with onto + g."""
+    """Return ``g``, or with ``onto`` a fresh array that each part fills
+    with onto + g, and raise NonFiniteError(message) unless what it
+    returns is finite, checked in parts (not without a message)."""
     gl = _lead(g)
     out = g if onto is None else np.empty(onto.shape)
+    outl = _lead(out)
 
     def body(lo, hi):
         if onto is not None:
-            np.add(_lead(onto)[lo:hi], gl[lo:hi], out=_lead(out)[lo:hi])
+            np.add(_lead(onto)[lo:hi], gl[lo:hi], out=outl[lo:hi])
 
-    _cut(gl, gl.size, body, message)
+    _cut(outl, outl.size, body, message)
     return out
 
 
@@ -433,32 +425,34 @@ def backward(tape: Tape, loss: Tensor) -> None:
     tape.consumed = True
     grads: dict[int, np.ndarray] = {tape.key(loss): np.ones((), dtype=np.float64)}
     nodes = tape.nodes
-    while nodes:
-        # rebinding node drops the previous one, and with it the arrays
-        # its rule saved
-        node = nodes.pop()
-        gout = grads.pop(node.output_key, None)
-        if gout is None:
-            continue
-        gins = node.backward_fn(gout)
-        checked = None
-        for key, g in zip(node.input_keys, gins):
-            if g is None:
+    # every gradient and sum is checked, so numpy's warnings add nothing
+    with np.errstate(all="ignore"):
+        while nodes:
+            # rebinding node drops the previous one, and with it the arrays
+            # its rule saved
+            node = nodes.pop()
+            gout = grads.pop(node.output_key, None)
+            if gout is None:
                 continue
-            # add returns one array for both inputs; it is checked once
-            message = None if g is checked else f"backward of {node.op} produced non-finite values"
-            checked = g
-            # each later gradient goes into a fresh array, never one a rule returned
-            acc = None if key is None else grads.get(key)
-            if message or acc is not None:
-                g = _check(g, message, acc)
-            if key is not None:
-                grads[key] = g
-    for key, t in tape._watched.items():
-        g = grads.get(key)
-        if g is None:
-            g = np.zeros_like(t.data)
-        t.grad = g if t.grad is None else t.grad + g
+            gins = node.backward_fn(gout)
+            message = f"backward of {node.op} produced non-finite values"
+            checked = None
+            for key, g in zip(node.input_keys, gins):
+                if g is None:
+                    continue
+                # add returns one array for both inputs: it is checked once,
+                # and each later gradient of a key goes into a fresh array
+                acc = None if key is None else grads.get(key)
+                if acc is not None or g is not checked:
+                    checked, g = g, _check(g, message, acc)
+                if key is not None:
+                    grads[key] = g
+        message = "backward's sum into a leaf's grad produced non-finite values"
+        for key, t in tape._watched.items():
+            g = grads.get(key)
+            if g is None:
+                g = np.zeros_like(t.data)
+            t.grad = g if t.grad is None else _check(g, message, t.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +539,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def part(lo, hi):
         o = out3[lo:hi]
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(x3[lo:hi], w_data, out=o)
-            o += b_data
+        np.matmul(x3[lo:hi], w_data, out=o)
+        o += b_data
 
     _cut(out3, x_data.size + out_data.size, part, "linear produced non-finite values")
     needs_x = x.requires_grad
@@ -565,8 +558,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             if gx3 is not None:
                 np.matmul(g3[lo:hi], w_data.T, out=gx3[lo:hi])
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            _cut(g3, x_data.size + g.size, part, whole=whole)
+        _cut(g3, x_data.size + g.size, part, whole=whole)
         return gx, gw, gb
 
     return _node("linear", (x, w, b), out_data, bw)
@@ -620,19 +612,18 @@ def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
     def part(lo, hi):
         np.copyto(qkv_t[:, lo:hi], packed[lo:hi].transpose(2, 0, 3, 1, 4))
         ps, rs = p[lo:hi], row[lo:hi]
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(q[lo:hi], np.swapaxes(k[lo:hi], -1, -2), out=ps)
-            ps *= f
-            ps += bias
-            if mask is not None:  # through a view: window w gets mask[w % m]
-                scores = ps.reshape(-1, len(mask), heads, n_tok, n_tok)
-                scores += mask[:, None]
-            np.maximum.reduce(ps, axis=-1, keepdims=True, out=rs)
-            ps -= rs
-            np.exp(ps, out=ps)
-            np.add.reduce(ps, axis=-1, keepdims=True, out=rs)
-            ps /= rs
-            np.matmul(ps, v[lo:hi], out=merged[lo:hi])
+        np.matmul(q[lo:hi], np.swapaxes(k[lo:hi], -1, -2), out=ps)
+        ps *= f
+        ps += bias
+        if mask is not None:  # through a view: window w gets mask[w % m]
+            scores = ps.reshape(-1, len(mask), heads, n_tok, n_tok)
+            scores += mask[:, None]
+        np.maximum.reduce(ps, axis=-1, keepdims=True, out=rs)
+        ps -= rs
+        np.exp(ps, out=ps)
+        np.add.reduce(ps, axis=-1, keepdims=True, out=rs)
+        ps /= rs
+        np.matmul(ps, v[lo:hi], out=merged[lo:hi])
 
     # whole images when masked, so window w keeps mask[w % m]
     _cut(out_data, p.size, part, "attention produced non-finite values",
@@ -649,28 +640,26 @@ def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
 
         def part(lo, hi):
             gss, ps, ts, go = gs[lo:hi], p[lo:hi], tmp[lo:hi], g_out[lo:hi]
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.matmul(go, np.swapaxes(v[lo:hi], -1, -2), out=gss)
-                # softmax: p * (gs - sum(gs * p)), in gs
-                np.multiply(gss, ps, out=ts)
-                np.add.reduce(ts, axis=-1, keepdims=True, out=row[lo:hi])
-                gss -= row[lo:hi]
-                gss *= ps
-                # The chain summed three zero-padded slot gradients, turning
-                # any -0.0 into +0.0; adding 0.0 as each slot is filled does too.
-                s0, s1, s2 = slots[:, lo:hi]
-                np.multiply(gss, f, out=ts)
-                np.matmul(ts, k[lo:hi], out=s0)
-                s0 += 0.0
-                np.matmul(np.swapaxes(q[lo:hi], -1, -2), ts, out=qt_gs[lo:hi])
-                np.add(np.swapaxes(qt_gs[lo:hi], -1, -2), 0.0, out=s1)
-                np.matmul(np.swapaxes(ps, -1, -2), go, out=s2)
-                s2 += 0.0
+            np.matmul(go, np.swapaxes(v[lo:hi], -1, -2), out=gss)
+            # softmax: p * (gs - sum(gs * p)), in gs
+            np.multiply(gss, ps, out=ts)
+            np.add.reduce(ts, axis=-1, keepdims=True, out=row[lo:hi])
+            gss -= row[lo:hi]
+            gss *= ps
+            # The chain summed three zero-padded slot gradients, turning
+            # any -0.0 into +0.0; adding 0.0 as each slot is filled does too.
+            s0, s1, s2 = slots[:, lo:hi]
+            np.multiply(gss, f, out=ts)
+            np.matmul(ts, k[lo:hi], out=s0)
+            s0 += 0.0
+            np.matmul(np.swapaxes(q[lo:hi], -1, -2), ts, out=qt_gs[lo:hi])
+            np.add(np.swapaxes(qt_gs[lo:hi], -1, -2), 0.0, out=s1)
+            np.matmul(np.swapaxes(ps, -1, -2), go, out=s2)
+            s2 += 0.0
 
         _cut(gs, p.size, part)
         g_table = np.zeros(table_shape, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g_bias = gs.sum(axis=(0,)).transpose(1, 2, 0).reshape(-1, heads)
+        g_bias = gs.sum(axis=(0,)).transpose(1, 2, 0).reshape(-1, heads)
         np.add.at(g_table, index, g_bias)
         return g_qkv.reshape(n_win, n_tok, c3), g_table
 
@@ -680,7 +669,8 @@ def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
 def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply by a python scalar."""
     f = float(factor)
-    out_data = a.data * f
+    with np.errstate(all="ignore"):
+        out_data = a.data * f
 
     def bw(g: np.ndarray):
         return (g * f,)
@@ -793,7 +783,8 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 def reduce_mean(a: Tensor, axis: int) -> Tensor:
     n = a.shape[axis]
-    out_data = a.data.mean(axis=axis)
+    with np.errstate(all="ignore"):
+        out_data = a.data.mean(axis=axis)
 
     def bw(g: np.ndarray):
         return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
@@ -802,7 +793,8 @@ def reduce_mean(a: Tensor, axis: int) -> Tensor:
 
 
 def total_sum(a: Tensor) -> Tensor:
-    out_data = np.asarray(a.data.sum())
+    with np.errstate(all="ignore"):
+        out_data = np.asarray(a.data.sum())
     src_shape = a.shape
 
     def bw(g: np.ndarray):
@@ -815,9 +807,10 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, stabilized by the row max."""
     if x.size == 0:
         raise EmptyInputError("softmax of an empty tensor")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    with np.errstate(all="ignore"):
+        z = x.data - x.data.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        y = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g: np.ndarray):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -841,20 +834,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
     def part(lo, hi):
         xs, xh, o, s = xl[lo:hi], xhat[lo:hi], out_data[lo:hi], inv_std[lo:hi]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # means as np.mean computes them, without its Python wrapper
-            np.add.reduce(xs, axis=-1, keepdims=True, out=s)
-            s /= c
-            np.subtract(xs, s, out=xh)
-            np.add.reduce(np.multiply(xh, xh, out=o), axis=-1, keepdims=True, out=s)
-            s /= c
-            # inv_std = 1 / sqrt(var + eps)
-            s += LAYER_NORM_EPS
-            np.sqrt(s, out=s)
-            np.divide(1.0, s, out=s)
-            xh *= s
-            np.multiply(xh, gamma_data, out=o)
-            o += beta_data
+        # means as np.mean computes them, without its Python wrapper
+        np.add.reduce(xs, axis=-1, keepdims=True, out=s)
+        s /= c
+        np.subtract(xs, s, out=xh)
+        np.add.reduce(np.multiply(xh, xh, out=o), axis=-1, keepdims=True, out=s)
+        s /= c
+        # inv_std = 1 / sqrt(var + eps)
+        s += LAYER_NORM_EPS
+        np.sqrt(s, out=s)
+        np.divide(1.0, s, out=s)
+        xh *= s
+        np.multiply(xh, gamma_data, out=o)
+        o += beta_data
 
     _cut(out_data, xl.size, part, "layer_norm produced non-finite values")
 
@@ -896,66 +888,57 @@ def gelu(x: Tensor) -> Tensor:
     xf = x.data.reshape(-1)  # a view unless the input is strided
     t = np.empty_like(xf)
     out_data = np.empty_like(xf)
-    # parts of whole blocks, each with a block of scratch and one of flags
-    width = _width(xf.size)
-    cuts = _cuts(xf.size, width, _GELU_BLOCK)
-    block = min(xf.size, _GELU_BLOCK)
 
-    def part(lo, hi, tmp, flags):
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(lo, hi, _GELU_BLOCK):
-                j = min(i + _GELU_BLOCK, hi)
-                xb, tb, ob = xf[i:j], t[i:j], out_data[i:j]
-                # t = tanh(sqrt(2/pi) * (x + c * ((x * x) * x)))
-                np.multiply(xb, xb, out=tb)
-                tb *= xb
-                tb *= _GELU_C
-                tb += xb
-                tb *= _SQRT_2_OVER_PI
-                np.tanh(tb, out=tb)
-                # out = (0.5 * x) * (1 + t)
-                np.multiply(xb, 0.5, out=ob)
-                ob *= np.add(tb, 1.0, out=tmp[:j - i])
-                if not np.isfinite(ob, out=flags[:j - i]).all():
-                    raise NonFiniteError("gelu produced non-finite values")
+    def part(lo, hi):  # whole blocks, with a block of scratch of its own
+        tmp = np.empty(min(hi - lo, _GELU_BLOCK))
+        for i in range(lo, hi, _GELU_BLOCK):
+            j = min(i + _GELU_BLOCK, hi)
+            xb, tb, ob = xf[i:j], t[i:j], out_data[i:j]
+            # t = tanh(sqrt(2/pi) * (x + c * ((x * x) * x)))
+            np.multiply(xb, xb, out=tb)
+            tb *= xb
+            tb *= _GELU_C
+            tb += xb
+            tb *= _SQRT_2_OVER_PI
+            np.tanh(tb, out=tb)
+            # out = (0.5 * x) * (1 + t)
+            np.multiply(xb, 0.5, out=ob)
+            ob *= np.add(tb, 1.0, out=tmp[:j - i])
 
-    tmp, flags = np.empty((len(cuts), block)), np.empty((len(cuts), block), dtype=bool)
-    _run([(part, *cut, *scratch) for cut, *scratch in zip(cuts, tmp, flags)], width)
+    _cut(out_data, xf.size, part, "gelu produced non-finite values", _GELU_BLOCK)
 
     def bw(g: np.ndarray):
         gf = g.reshape(-1)
         gx = np.empty_like(xf)
 
-        def part_bw(lo, hi, d_inner, sech2, live):
-            with np.errstate(over="ignore"):
-                for i in range(lo, hi, _GELU_BLOCK):
-                    j = min(i + _GELU_BLOCK, hi)
-                    xb, tb, gb, gxb = xf[i:j], t[i:j], gf[i:j], gx[i:j]
-                    db, sb, lb = d_inner[:j - i], sech2[:j - i], live[:j - i]
-                    # d_inner = sqrt(2/pi) * (1 + 3c * (x * x))
-                    np.multiply(xb, xb, out=db)
-                    db *= 3.0 * _GELU_C
-                    db += 1.0
-                    db *= _SQRT_2_OVER_PI
-                    # sech2 = 1 - t * t
-                    np.multiply(tb, tb, out=sb)
-                    np.subtract(1.0, sb, out=sb)
-                    # gx = g * (0.5 * (1 + t) + ((0.5 * x) * sech2) * d_inner).
-                    # Where sech2 is 0 that product is +-0 whatever d_inner is,
-                    # and d_inner is inf once x * x overflows (|x| > 1.3e154), so
-                    # the product is skipped there instead of giving 0 * inf = NaN.
-                    np.multiply(xb, 0.5, out=gxb)
-                    gxb *= sb
-                    np.multiply(gxb, db, out=gxb, where=np.not_equal(sb, 0.0, out=lb))
-                    half_1pt = np.add(tb, 1.0, out=sb)  # sech2 is no longer needed
-                    half_1pt *= 0.5
-                    gxb += half_1pt
-                    gxb *= gb
+        def part_bw(lo, hi):
+            d_inner, sech2 = np.empty((2, min(hi - lo, _GELU_BLOCK)))
+            live = np.empty(len(sech2), dtype=bool)
+            for i in range(lo, hi, _GELU_BLOCK):
+                j = min(i + _GELU_BLOCK, hi)
+                xb, tb, gb, gxb = xf[i:j], t[i:j], gf[i:j], gx[i:j]
+                db, sb, lb = d_inner[:j - i], sech2[:j - i], live[:j - i]
+                # d_inner = sqrt(2/pi) * (1 + 3c * (x * x))
+                np.multiply(xb, xb, out=db)
+                db *= 3.0 * _GELU_C
+                db += 1.0
+                db *= _SQRT_2_OVER_PI
+                # sech2 = 1 - t * t
+                np.multiply(tb, tb, out=sb)
+                np.subtract(1.0, sb, out=sb)
+                # gx = g * (0.5 * (1 + t) + ((0.5 * x) * sech2) * d_inner).
+                # Where sech2 is 0 that product is +-0 whatever d_inner is,
+                # and d_inner is inf once x * x overflows (|x| > 1.3e154), so
+                # the product is skipped there instead of giving 0 * inf = NaN.
+                np.multiply(xb, 0.5, out=gxb)
+                gxb *= sb
+                np.multiply(gxb, db, out=gxb, where=np.not_equal(sb, 0.0, out=lb))
+                half_1pt = np.add(tb, 1.0, out=sb)  # sech2 is no longer needed
+                half_1pt *= 0.5
+                gxb += half_1pt
+                gxb *= gb
 
-        d_inner, sech2 = np.empty((2, len(cuts), block))
-        live = np.empty((len(cuts), block), dtype=bool)
-        _run([(part_bw, *cut, *scratch) for cut, *scratch in zip(cuts, d_inner, sech2, live)],
-             width)
+        _cut(gx, xf.size, part_bw, step=_GELU_BLOCK)
         return (gx.reshape(shape),)
 
     return _node("gelu", (x,), out_data.reshape(shape), bw)
@@ -976,9 +959,10 @@ def cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
     for i, lab in enumerate(idx):
         if lab < 0 or lab >= c:
             raise LabelError(f"label {int(lab)} at position {i} is out of range for {c} classes")
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out_data = np.asarray(-log_probs[np.arange(b), idx].mean())
+    with np.errstate(all="ignore"):
+        z = logits.data - logits.data.max(axis=-1, keepdims=True)
+        log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        out_data = np.asarray(-log_probs[np.arange(b), idx].mean())
 
     def bw(g: np.ndarray):
         soft = np.exp(log_probs)

@@ -13,12 +13,7 @@ import synth
 from swinscan import model as M
 from swinscan import tensor as T
 from swinscan import train as TR
-
-# Known-good recipes for the synthetic sets: the detection disks hit
-# 100% by epoch 5 at lr 1e-2 and saturate to confident margins by 10;
-# the three-shape classification set wants a gentler rate and longer.
-DETECT_RECIPE = TR.TrainConfig(epochs=10, learning_rate=1e-2, seed=0)
-CLASSIFY_RECIPE = TR.TrainConfig(epochs=16, learning_rate=5e-3, seed=0)
+from synth import CLASSIFY_RECIPE, DETECT_RECIPE
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import synth
-from conftest import DETECT_RECIPE
+from synth import DETECT_RECIPE
 from gradcheck import FD_STEP, analytic_grads, check_grads, max_rel_error
 from test_metrics import cm_from_counts, oracle_measures, sequences_for
 from test_model import dense_attention_oracle, region_id_oracle

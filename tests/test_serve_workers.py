@@ -21,7 +21,7 @@ import procs
 import synth
 from swinscan import data as D
 from swinscan import service as SV
-from swinscan.errors import PdfLayoutError
+from swinscan.errors import NonFiniteError, PdfLayoutError
 
 PINNED_TS = "2026-02-03T04:05:06Z"
 
@@ -101,6 +101,8 @@ class TestErrorTable:
          "too big"),
         (PdfLayoutError("does not fit"), 400, "bad_request", "does not fit"),
         (RuntimeError("patient_ref=P-0042"), 500, "internal", "internal error"),
+        (NonFiniteError("linear produced non-finite values"), 500, "internal",
+         "internal error"),
     ])
     def test_reply_per_exception_type(self, exc, status, code, message):
         body = json.dumps({"error": {"code": code, "message": message}},

@@ -349,6 +349,21 @@ class TestServicePipeline:
         service.respond(SV.PDF_ROUTE, request_body(disk))
         assert "highlight_yellow" in calls
 
+    def test_model_overflow_is_an_internal_error(self, tmp_path, disk):
+        # finite weights that load_weights accepts, large enough that the
+        # model overflows; no request can do that, so the server is at fault
+        paths = []
+        for name, classes in (("detect", 2), ("classify", 3)):
+            weights = M.ModelWeights.init(M.default_config(classes), seed=0)
+            for t in weights.tensors():
+                t.data[...] = 1e300
+            paths.append(str(tmp_path / f"{name}.swnw"))
+            M.save_weights(paths[-1], weights)
+        reply = SV.PredictionService(*paths).respond(SV.PREDICT_ROUTE, request_body(disk))
+        assert reply.status == 500
+        assert json.loads(reply.body) == {"error": {"code": "internal",
+                                                    "message": "internal error"}}
+
     def test_identical_requests_identical_bytes(self, service, disk):
         body = request_body(disk, patient_ref="rep")
         first = service.respond(SV.PREDICT_ROUTE, body)

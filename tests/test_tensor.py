@@ -5,6 +5,7 @@ import re
 import signal
 import sys
 import time
+import warnings
 import weakref
 
 import numpy as np
@@ -634,7 +635,8 @@ class TestBackward:
 class TestAccumulation:
     """backward keeps a key's first gradient as its rule returned it and
     sums each later one, left to right, into a fresh array; it never adds
-    into an array a rule returned."""
+    into an array a rule returned.  It checks every sum, the one into a
+    leaf's .grad included."""
 
     def test_aliased_gradients_sum_out_of_place_bits(self):
         # add returns its seed gradient g for both inputs, so a and b are
@@ -672,6 +674,25 @@ class TestAccumulation:
         T.backward(tape, loss)
         assert len(to_a) == 3 and _same_bits(a.grad, (to_a[0] + to_a[1]) + to_a[2])
         assert all(_same_bits(gi, copy) for gi, copy in returned)
+
+    def test_sum_into_a_leaf_grad_is_checked(self):
+        a = T.Tensor([1.0], requires_grad=True)
+        a.grad = np.array([1e308])
+        with T.Tape() as tape:
+            loss = T.total_sum(T.scale(a, 1e308))
+        with pytest.raises(NonFiniteError, match="^backward's sum into a leaf's grad"):
+            T.backward(tape, loss)
+
+    def test_finite_sum_into_a_leaf_grad_keeps_its_bits(self):
+        rng = np.random.default_rng(77)
+        x, before = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+        _, (g,) = forward_backward(T.gelu, [x], np.ones((4, 6)))
+        a = T.Tensor(x, requires_grad=True)
+        a.grad = before.copy()
+        with T.Tape() as tape:
+            loss = T.total_sum(T.gelu(a))
+        T.backward(tape, loss)
+        assert _same_bits(a.grad, before + g)
 
 
 class TestTapeLifetime:
@@ -910,6 +931,66 @@ _FAILING = {
 }
 
 
+def _sum_of_two_gradients(x):
+    # add hands backward one gradient of 1e308 for each of its inputs,
+    # both x, and backward sums them
+    with T.Tape() as tape:
+        loss = T.total_sum(T.scale(T.add(x, x), 1e308))
+    T.backward(tape, loss)
+
+
+# rows big enough that numpy lets go of the GIL, so pool threads take parts
+_HUGE = np.full((8, 1024), 1e308)
+_SPREAD = np.tile([1e308, -1e308], (8, 512))  # each row's max minus its min overflows
+# op -> (an input of finite values, a call of the op on it that overflows
+# inside, the values it returns, or None where it raises NonFiniteError
+# naming the op); every row overflows, so each part of a cut node does
+_OVERFLOWS = {
+    "matmul": (_HUGE, lambda x: T.matmul(x, T.Tensor(_HUGE.T)), None),
+    "add": (_HUGE, lambda x: T.add(x, x), None),
+    # x @ w is 5e307, and adding the bias overflows
+    "linear": (np.ones((8, 32, 1024)), lambda x: T.linear(
+        x, T.Tensor(np.full((1024, 64), 1e308 / 2048)), T.Tensor(np.full(64, 1.6e308))), None),
+    "attention": (np.full((8, 16, 48), 1e200), lambda x: T.attention(
+        x, T.Tensor(np.zeros((1, 1))), np.zeros(256, dtype=np.intp)), None),
+    "scale": (_HUGE, lambda x: T.scale(x, 10.0), None),
+    "reduce_mean": (_HUGE, lambda x: T.reduce_mean(x, 1), None),
+    "total_sum": (_HUGE, T.total_sum, None),
+    "softmax_lastdim": (_SPREAD, T.softmax_lastdim, np.where(_SPREAD > 0, 1 / 512, 0.0)),
+    "layer_norm": (_HUGE, lambda x: T.layer_norm(x, T.Tensor(np.ones(1024)),
+                                                 T.Tensor(np.zeros(1024))), None),
+    # x * x overflows; four blocks, so four parts
+    "gelu": (np.tile([1e200, -1e200], (128, 256)), T.gelu, np.tile([1e200, 0.0], (128, 256))),
+    "cross_entropy": (_SPREAD[:, :2], lambda x: T.cross_entropy(x, [1] * 8), None),
+    "backward of add": (np.full((8, 1024), 1e-300), _sum_of_two_gradients, None),
+}
+
+
+class TestOverflow:
+    """numpy warns of nothing an op computes: an overflow from finite
+    inputs ends as NonFiniteError naming the op, or as the right values."""
+
+    @pytest.mark.parametrize("width", [1, 4])
+    @pytest.mark.parametrize("op", list(_OVERFLOWS))
+    def test_reported_not_warned(self, cut, op, width):
+        # at width 4 pool threads take some of a cut node's parts in most
+        # calls, not in all: ten calls make a miss in each unlikely.  A
+        # warning is recorded, not raised: raised in a pool thread's part,
+        # it would lose to the first part's NonFiniteError
+        cut(width)
+        data, run, want = _OVERFLOWS[op]
+        x = T.Tensor(data, requires_grad=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(10):
+                if want is None:
+                    with pytest.raises(NonFiniteError, match=f"^{op} produced non-finite"):
+                        run(x)
+                else:
+                    assert np.array_equal(run(x).data, want)
+        assert [str(w.message) for w in caught] == []
+
+
 class TestParts:
     """The big nodes cut their batch into parts that run at once; each
     part computes what the whole would for its slab."""
@@ -1041,7 +1122,8 @@ class TestParts:
             raise ValueError(i)
 
         with pytest.raises(ValueError, match="^2$"):
-            T._run([(int, 0), (int, 1), (fail, 2), (fail, 3), (int, 4)], 4)
+            T._cut(np.zeros(4), 4, lambda lo, hi: None,
+                   whole=((int, 0), (int, 1), (fail, 2), (fail, 3), (int, 4)))
 
     def test_every_task_runs_once_under_contention(self, cut, wide_pool):
         # four threads, more than most test machines' cores, switching
@@ -1057,7 +1139,8 @@ class TestParts:
         try:
             deadline = time.monotonic() + 5
             while time.monotonic() < deadline and runs[0] < 20:
-                T._run([(task, i) for i in range(len(runs))], wide_pool.width)
+                T._cut(np.zeros(4), 4, lambda lo, hi: None,
+                       whole=tuple((task, i) for i in range(len(runs))))
         finally:
             sys.setswitchinterval(interval)
         assert runs[0] >= 1 and runs == [runs[0]] * len(runs)

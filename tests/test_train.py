@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import synth
-from conftest import DETECT_RECIPE
+from synth import DETECT_RECIPE
 from swinscan import data as D
 from swinscan import metrics as MX
 from swinscan import model as M
