@@ -350,12 +350,5 @@ def segment(rgb, pixel_spacing_mm: float | None = None,
     result = estimate_size((labels, areas), pixel_spacing_mm)
     if not overlay:
         return result
-    if result.found:
-        r0, c0, r1, c1 = result.bbox
-        box = np.s_[r0:r1 + 1, c0:c1 + 1]
-        region = np.zeros(mask.shape, dtype=bool)
-        region[box] = labels[box] == _largest_label(areas)  # the one estimate_size took
-        overlay = highlight_yellow(image, region)
-    else:
-        overlay = _rgb_copy(image)
-    return replace(result, highlighted=overlay)
+    region = labels == _largest_label(areas) if areas else mask  # none: mask is all False
+    return replace(result, highlighted=highlight_yellow(image, region))

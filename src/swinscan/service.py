@@ -878,6 +878,9 @@ class _Handler(BaseHTTPRequestHandler):
         body = self._read_body()
         if body is None:
             return
+        if self.path not in _ROUTES:  # whatever the load: it takes no permit
+            self._refuse(404, "not_found", f"no route {self.path}")
+            return
         # held until the reply is written, so that server_close waits for it
         if not self.server.permits.acquire(blocking=False):
             self._refuse(503, "overloaded",
@@ -888,10 +891,8 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 if self.path == PREDICT_ROUTE:
                     reply = self.server.service.handle_predict(body)
-                elif self.path == PDF_ROUTE:
-                    reply = self.server.service.handle_report_pdf(body)
                 else:
-                    raise RequestError(404, "not_found", f"no route {self.path}")
+                    reply = self.server.service.handle_report_pdf(body)
             except Exception as exc:
                 reply = error_reply(exc)
             self._send(reply)

@@ -3,11 +3,12 @@
 Design notes:
 
 * Values are numpy float64 arrays.  Each node checks its own output, and
-  ``backward`` each gradient a node returns and each sum of two, for
-  NaN/Inf and raises ``NonFiniteError`` naming the op instead of
-  propagating.  Values inside a fused node are not checked; a NaN there
-  reaches its output.  So numpy's warnings add nothing: ``_cut``,
-  ``backward`` and the uncut arithmetic ops run with them off.
+  ``backward`` each gradient it keeps, but the incoming one a rule passes
+  through, and each sum of two, for NaN/Inf and raises ``NonFiniteError``
+  naming the op instead of propagating.  Values inside a fused node are
+  not checked; a NaN there reaches its output.  So numpy's warnings add
+  nothing: ``_cut``, ``backward`` and the uncut arithmetic ops run with
+  them off, and each pool thread turns them off once, when it starts.
 * Differentiation is eager: while a ``Tape`` is active, each operation
   whose inputs touch the graph appends one node holding the saved values
   its backward rule needs.  ``backward`` pops the nodes in reverse, so
@@ -21,11 +22,10 @@ Design notes:
 * Gradients are plain numpy arrays stored on ``Tensor.grad`` and are only
   written for watched leaves (tensors created with ``requires_grad=True``
   or registered through ``Tape.watch``).  A watched leaf that does not
-  reach the loss receives an exact zero gradient.  Every rule returns a
-  gradient for each input but ``linear``'s ``x`` (None for image patches).
-  ``backward`` keeps a key's first gradient as returned, and each later
-  gradient goes into a fresh array, summed left to right: never into an
-  array a rule returned (``add`` returns its seed gradient twice).
+  reach the loss receives an exact zero gradient.  ``backward`` drops the
+  gradient of an input that needs none, keeps a key's first one as
+  returned and sums each later one into a fresh array, left to right:
+  never into an array a rule returned (``add`` returns its seed twice).
 * GELU uses the tanh approximation, so no error-function dependency is
   needed and the derivative stays in closed form.  Its cube is the product
   ``(x * x) * x``: numpy's ``x ** 3`` goes through ``pow``, about fifty
@@ -64,7 +64,8 @@ Design notes:
   it reorders, ``gelu`` its flat array at whole ``_GELU_BLOCK``s;
   ``backward``'s checks and sums cut each gradient's first axis.
   ``add``, ``gather_rows`` and those sums only move or add memory, yet
-  run whole they cost train-64 about 6 % of its samples/s on 2 cores.
+  run whole they made train-64 slower on 2 vCPU: p50 206.7 -> 220.0 ms,
+  111.5 -> 102.8 samples/s (9 alternating 15 s pairs, worse in all 9).
   Below two floors a node is one part on the calling thread, checked
   whole: a batch-1 forward starts no thread.  The bits do not depend on
   the number of parts, by two rules.  A part cuts the stacked operand,
@@ -78,13 +79,11 @@ Design notes:
   It runs whole, as a task beside the parts.  Outputs and saved arrays
   are allocated on the calling thread and parts write into slices of
   them; a part's scratch (``gelu``'s blocks) is its own.  Pool threads
-  call no public op and run in a copy of the caller's context, taken
-  inside ``_cut``'s error state, so they too run with warnings off.
+  call no public op.
 """
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
 import os
@@ -124,10 +123,11 @@ class _Pool:
             threading.Thread(target=self._serve, name="swinscan-part", daemon=True).start()
 
     def _serve(self) -> None:
+        np.seterr(all="ignore")  # every part's output is checked, as on the calling thread
         while True:
-            context, drain, done = self.jobs.get()
+            drain, done = self.jobs.get()
             try:
-                context.run(drain)
+                drain()
             finally:
                 done.put(None)
 
@@ -184,7 +184,6 @@ def _cut(lead: np.ndarray, size: int, body: Callable, message: str | None = None
             raise NonFiniteError(message)
 
     width = _width(size)
-    # entered before the pool threads' copies of this context are taken
     with np.errstate(all="ignore"):
         if width == 1:  # in order on this thread, without a task list
             for fn, *args in whole:
@@ -210,7 +209,7 @@ def _cut(lead: np.ndarray, size: int, body: Callable, message: str | None = None
         helpers = min(width, len(tasks)) - 1
         jobs, done = _get_pool().jobs, queue.SimpleQueue()
         for _ in range(helpers):
-            jobs.put((contextvars.copy_context(), drain, done))
+            jobs.put((drain, done))
         drain()
         for _ in range(helpers):
             done.get()
@@ -436,17 +435,14 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 continue
             gins = node.backward_fn(gout)
             message = f"backward of {node.op} produced non-finite values"
-            checked = None
             for key, g in zip(node.input_keys, gins):
-                if g is None:
+                if key is None:
                     continue
-                # add returns one array for both inputs: it is checked once,
-                # and each later gradient of a key goes into a fresh array
-                acc = None if key is None else grads.get(key)
-                if acc is not None or g is not checked:
-                    checked, g = g, _check(g, message, acc)
-                if key is not None:
-                    grads[key] = g
+                acc = grads.get(key)
+                # gout was checked when it was kept, or is the loss seed
+                if acc is not None or g is not gout:
+                    g = _check(g, message, acc)
+                grads[key] = g
         message = "backward's sum into a leaf's grad produced non-finite values"
         for key, t in tape._watched.items():
             g = grads.get(key)
@@ -478,7 +474,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul inner extents differ: {list(a.shape)} vs {list(b.shape)}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         out_data = a.data @ b.data
     a_data, b_data = a.data, b.data
 

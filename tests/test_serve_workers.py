@@ -184,28 +184,45 @@ class GatedService(SV.PredictionService):
         return SV.Reply(200, "application/json", b"{}")
 
 
-def test_requests_beyond_the_wait_bound_get_503(tmp_path):
-    gate = tmp_path / "gate"
+@contextlib.contextmanager
+def gated_server(gate):
+    """A server of GatedService(gate) with one worker; yields its port."""
     with one_cpu():
         server = SV.create_server(GatedService(gate), port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        port = server.server_address[1]
+        yield server.server_address[1]
+    finally:
+        gate.touch()  # a worker still at the gate goes on, and ends at EOF
+        server.shutdown()
+        server.server_close()
+
+
+def start_clients(port, count):
+    """count threads that each POST to PREDICT_ROUTE on a connection of
+    their own; returns them and the queue their replies go to."""
+    replies = queue.Queue()
+
+    def client():
+        conn = Client(port)
+        try:
+            replies.put(conn.post(SV.PREDICT_ROUTE, b"{}"))
+        finally:
+            conn.close()
+
+    threads = [threading.Thread(target=client) for _ in range(count)]
+    for t in threads:
+        t.start()
+    return threads, replies
+
+
+def test_requests_beyond_the_wait_bound_get_503(tmp_path):
+    gate = tmp_path / "gate"
+    with gated_server(gate) as port:
         admitted = 1 + SV.WAITING_PER_WORKER
         clients = 8
-        replies = queue.Queue()
-
-        def client():
-            conn = Client(port)
-            try:
-                replies.put(conn.post(SV.PREDICT_ROUTE, b"{}"))
-            finally:
-                conn.close()
-
-        threads = [threading.Thread(target=client) for _ in range(clients)]
-        for t in threads:
-            t.start()
+        threads, replies = start_clients(port, clients)
         # the one worker waits at the gate, so only refusals can come back
         refused = [replies.get(timeout=30) for _ in range(clients - admitted)]
         for status, headers, payload in refused:
@@ -219,10 +236,26 @@ def test_requests_beyond_the_wait_bound_get_503(tmp_path):
         for t in threads:
             t.join(timeout=30)
         assert not any(t.is_alive() for t in threads)
-    finally:
-        gate.touch()  # a worker still at the gate goes on, and ends at EOF
-        server.shutdown()
-        server.server_close()
+
+
+def test_unknown_route_gets_404_when_every_permit_is_held(tmp_path):
+    gate = tmp_path / "gate"
+    with gated_server(gate) as port:
+        admitted = 1 + SV.WAITING_PER_WORKER
+        threads, replies = start_clients(port, admitted + 1)
+        # one refusal: every permit is held until the gate opens
+        assert replies.get(timeout=30)[0] == 503
+        conn = Client(port)
+        try:
+            status, _, payload = conn.post("/v1/nothing", b"{}")
+        finally:
+            conn.close()
+        assert (status, json.loads(payload)["error"]["code"]) == (404, "not_found")
+        gate.touch()
+        assert [replies.get(timeout=30)[0] for _ in range(admitted)] == [200] * admitted
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import queue
 import re
 import signal
 import sys
@@ -618,6 +619,29 @@ class TestBackward:
         with pytest.raises(ContractError):
             T.backward(tape, out)
 
+    def test_passed_through_gradient_is_not_checked_again(self, monkeypatch):
+        # total_sum's gradient is checked as it is kept; add passes it on
+        # to a and b as it is
+        check, calls = T._check, []
+        monkeypatch.setattr(T, "_check", lambda *args: calls.append(args[1]) or check(*args))
+        a = T.Tensor(np.ones((2, 3)), requires_grad=True)
+        b = T.Tensor(np.ones((2, 3)), requires_grad=True)
+        with T.Tape() as tape:
+            loss = T.total_sum(T.add(a, b))
+        T.backward(tape, loss)
+        assert calls == ["backward of total_sum produced non-finite values"]
+        assert np.array_equal(a.grad, np.ones((2, 3))) and np.array_equal(b.grad, a.grad)
+
+    def test_gradient_of_an_input_that_needs_none_is_dropped(self):
+        a = T.Tensor([1.0, 2.0], requires_grad=True)
+        c = T.Tensor([3.0, 4.0])
+        with T.Tape() as tape:
+            out = T._node("custom", (a, c), a.data * c.data,
+                          lambda g: (g * c.data, np.full(2, np.inf)))
+            loss = T.total_sum(out)
+        T.backward(tape, loss)
+        assert np.array_equal(a.grad, [3.0, 4.0])
+
     def test_identical_tapes_give_bitwise_identical_grads(self):
         rng = np.random.default_rng(13)
         data = rng.normal(size=(4, 4))
@@ -1153,6 +1177,13 @@ def test_design_notes_cite_only_names_the_module_has():
 
 
 class TestPool:
+    def test_pool_threads_run_with_warnings_off(self):
+        # outside any np.errstate: a pool thread's own state is all off
+        seen, done = [], queue.SimpleQueue()
+        T._Pool(1).jobs.put((lambda: seen.append(np.geterr()), done))
+        done.get(timeout=30)
+        assert seen == [dict.fromkeys(("divide", "over", "under", "invalid"), "ignore")]
+
     def test_batch_1_forward_makes_no_pool(self, monkeypatch):
         monkeypatch.setattr(T, "_pool", None)
         weights = M.ModelWeights.init(M.default_config(2), seed=0)
