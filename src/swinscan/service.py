@@ -73,7 +73,7 @@ REPORT_VERSION = "1"
 VALID_TASKS = ("detect", "classify", "full")
 MAX_REQUEST_BYTES = 8 * 1024 * 1024
 # largest accepted pixel spacing; keeps area_px * spacing**2 finite for
-# any image the request cap admits
+# any image the side limit admits
 MAX_PIXEL_SPACING_MM = 1000.0
 MAX_IMAGE_SIDE_PX = 2048  # uncompressed RGB beyond this will not fit a page budget
 DEFAULT_PORT = 8000
@@ -176,6 +176,12 @@ def parse_request(body: bytes) -> PredictRequest:
         raw = base64.b64decode(encoded, validate=True)
     except (binascii.Error, ValueError) as exc:
         raise RequestError(400, "bad_encoding", f"image is not valid base64: {exc}")
+    return _request(raw, task, obj.get("pixel_spacing_mm"), obj.get("patient_ref"))
+
+
+def _request(raw: bytes, task: str, spacing, patient_ref) -> PredictRequest:
+    """Check an image file's bytes and the other fields of a request with
+    a valid task: the checks parse_request and `predict` share."""
     try:
         _, width, height, _, _ = D.pnm_header(raw)
         if max(height, width) > MAX_IMAGE_SIDE_PX:
@@ -188,7 +194,6 @@ def parse_request(body: bytes) -> PredictRequest:
     except PnmError as exc:
         raise RequestError(400, "bad_image", f"image bytes are not a readable PNM: {exc}")
 
-    spacing = obj.get("pixel_spacing_mm")
     if spacing is not None:
         # the chained comparison also rejects NaN and infinities
         if (not isinstance(spacing, (int, float)) or isinstance(spacing, bool)
@@ -200,7 +205,6 @@ def parse_request(body: bytes) -> PredictRequest:
             )
         spacing = float(spacing)
 
-    patient_ref = obj.get("patient_ref")
     if patient_ref is not None and not isinstance(patient_ref, str):
         raise RequestError(400, "bad_patient_ref", "patient_ref must be text")
 
@@ -1087,13 +1091,7 @@ def _cmd_eval(args) -> int:
 def _cmd_predict(args) -> int:
     service = PredictionService(args.weights_detect, args.weights_classify)
     with open(args.image, "rb") as fh:
-        raw = fh.read()
-    body = {"image": base64.b64encode(raw).decode("ascii"), "task": args.task}
-    if args.spacing is not None:
-        body["pixel_spacing_mm"] = args.spacing
-    if args.patient_ref is not None:
-        body["patient_ref"] = args.patient_ref
-    request = parse_request(json.dumps(body).encode("utf-8"))
+        request = _request(fh.read(), args.task, args.spacing, args.patient_ref)
     report, highlighted = service.run(request, overlay=bool(args.pdf))
     if args.pdf:
         with open(args.pdf, "wb") as fh:

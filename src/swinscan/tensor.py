@@ -89,6 +89,7 @@ import math
 import os
 import queue
 import threading
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -282,24 +283,16 @@ class Tensor:
         return f"Tensor(shape={list(self.shape)}{flag})"
 
 
+@dataclass(slots=True, eq=False)
 class TapeNode:
     """One recorded operation: its op, the keys of its inputs (None for an
     input that needs no gradient), its output's key and its backward rule.
     It references no ``Tensor``."""
 
-    __slots__ = ("op", "input_keys", "output_key", "backward_fn")
-
-    def __init__(
-        self,
-        op: str,
-        input_keys: tuple[int | None, ...],
-        output_key: int,
-        backward_fn: Callable[[np.ndarray], tuple[np.ndarray | None, ...]],
-    ):
-        self.op = op
-        self.input_keys = input_keys
-        self.output_key = output_key
-        self.backward_fn = backward_fn
+    op: str
+    input_keys: tuple[int | None, ...]
+    output_key: int
+    backward_fn: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
 
 
 _TAPE_SERIALS = itertools.count()

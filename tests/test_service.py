@@ -219,6 +219,18 @@ class TestParseRequest:
         assert exc_info.value.code == "bad_image"
         assert "pixel value 200 exceeds maxval 7" in str(exc_info.value)
 
+    @pytest.mark.parametrize("fields, code", [
+        ({"task": "nope", "image": "QUJD"}, "bad_task"),
+        ({"image": "!!!", "pixel_spacing_mm": 0}, "bad_encoding"),
+        ({"image": "QUJD", "pixel_spacing_mm": "thin"}, "bad_image"),
+        ({"pixel_spacing_mm": -1, "patient_ref": 5}, "bad_spacing"),
+    ], ids=["task-image", "encoding-spacing", "image-spacing", "spacing-patient_ref"])
+    def test_first_of_two_faults_is_refused(self, disk, fields, code):
+        with pytest.raises(SV.RequestError) as exc_info:
+            SV.parse_request(json.dumps(
+                {"image": encode_image(disk), "task": "full", **fields}).encode())
+        assert exc_info.value.code == code
+
 
 class TestBuildReport:
     def test_fixed_inputs_are_byte_identical(self):
@@ -1170,9 +1182,16 @@ class TestCli:
         assert "Traceback" not in err and err.startswith("swinscan: error: seed")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("options, fields", [
+        ([], {}),
+        (["--spacing", "0.5"], {"pixel_spacing_mm": 0.5}),
+        (["--patient-ref", "case-7"], {"patient_ref": "case-7"}),
+        (["--spacing", "0.5", "--patient-ref", "Zoë"],
+         {"pixel_spacing_mm": 0.5, "patient_ref": "Zoë"}),
+    ], ids=["no-options", "spacing", "patient_ref", "spacing-non-ascii-patient_ref"])
     def test_cli_and_service_agree(self, capsys, monkeypatch, tmp_path,
                                    detect_weights_path, classify_weights_path,
-                                   service, disk):
+                                   service, disk, options, fields):
         monkeypatch.setenv("SWINSCAN_TIMESTAMP", PINNED_TS)
         image_path = tmp_path / "scan.pnm"
         image_path.write_bytes(D.write_pnm(disk))
@@ -1181,11 +1200,33 @@ class TestCli:
             "--weights-detect", detect_weights_path,
             "--weights-classify", classify_weights_path,
             "--image", str(image_path),
+            *options,
         ])
         assert code == 0
         cli_json = capsys.readouterr().out.strip()
-        served = service.respond(SV.PREDICT_ROUTE, request_body(disk)).body
+        served = service.respond(SV.PREDICT_ROUTE, request_body(disk, **fields)).body
         assert cli_json.encode("ascii") == served
+
+    def test_predict_takes_an_image_whose_request_body_would_pass_the_cap(
+            self, capsys, monkeypatch, tmp_path, detect_weights_path,
+            classify_weights_path, service):
+        # 1600 x 1600 x 3 bytes are 10 MB as base64, past MAX_REQUEST_BYTES
+        monkeypatch.setenv("SWINSCAN_TIMESTAMP", PINNED_TS)
+        raw = D.write_pnm(synth.disk_image(side=1600, radius=250.0,
+                                           rng=np.random.default_rng(13)))
+        assert len(base64.b64encode(raw)) > SV.MAX_REQUEST_BYTES
+        image_path = tmp_path / "large.ppm"
+        image_path.write_bytes(raw)
+        code = SV.main([
+            "predict",
+            "--weights-detect", detect_weights_path,
+            "--weights-classify", classify_weights_path,
+            "--image", str(image_path),
+        ])
+        assert code == 0
+        pixels, maxval = D.load_pnm(raw)
+        report, _ = service.run(SV.PredictRequest(pixels, maxval, "full"), overlay=False)
+        assert capsys.readouterr().out == SV.canonical_json(report).decode("ascii") + "\n"
 
     def test_train_cli_round_trip(self, capsys, tmp_path, detect_samples):
         manifest = synth.write_dataset(detect_samples[:8], str(tmp_path / "ds"))
