@@ -5,11 +5,14 @@ segmentation with size estimation, a nine-measure evaluation suite, and a
 JSON-over-HTTP service that renders PDF diagnostic reports.
 """
 
+import contextlib
 import ctypes
 import os
+import sys
 
 __version__ = "0.1.0"
 # before numpy loads: one BLAS thread unless set, as tensor.py uses every core
+_BLAS_THREADS_SET = "OPENBLAS_NUM_THREADS" in os.environ
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
@@ -42,4 +45,16 @@ def _keep_heap() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
+def _one_blas_thread() -> None:
+    """Give the scipy-openblas of a numpy wheel that loaded first one thread,
+    found by dlsym through the core module that links it; elsewhere, nothing."""
+    core = sys.modules.get("numpy._core._multiarray_umath")
+    if core is not None and not _BLAS_THREADS_SET:
+        with contextlib.suppress(AttributeError, OSError):
+            set_threads = ctypes.CDLL(core.__file__).scipy_openblas_set_num_threads64_
+            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+            set_threads(1)
+
+
 _keep_heap()
+_one_blas_thread()

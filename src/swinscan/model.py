@@ -360,8 +360,7 @@ def _block(x, weights, prefix, shifted):
     x = T.add(shortcut, window_reverse(windows, b, h, w, shifted))
 
     y = T.layer_norm(x, p["norm2.gamma"], p["norm2.beta"])
-    y = T.gelu(T.linear(y, p["mlp.fc1.weight"], p["mlp.fc1.bias"]))
-    y = T.linear(y, p["mlp.fc2.weight"], p["mlp.fc2.bias"])
+    y = T.mlp(y, p["mlp.fc1.weight"], p["mlp.fc1.bias"], p["mlp.fc2.weight"], p["mlp.fc2.bias"])
     return T.add(x, y)
 
 

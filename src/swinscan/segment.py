@@ -19,7 +19,7 @@ estimate_size and highlight_yellow read only the selected region's
 bounding box once they have found it.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,9 +44,9 @@ _GRAY_BLOCK = 65536
 class SegmentationResult:
     """Size estimate for the selected region plus the overlay image.
 
-    found is False when the mask had no region at all; bbox, centroid
-    and area_mm2 are then None and area_px is 0.  bbox is inclusive:
-    (row0, col0, row1, col1).
+    found is False when the mask had no region at all; bbox, centroid,
+    area_mm2 and region (the measured HxW mask) are then None and area_px
+    is 0.  bbox is inclusive: (row0, col0, row1, col1).
     """
 
     found: bool
@@ -55,6 +55,7 @@ class SegmentationResult:
     bbox: tuple[int, int, int, int] | None
     centroid: tuple[float, float] | None
     highlighted: np.ndarray | None = None
+    region: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _as_8bit(image, rank: int) -> np.ndarray:
@@ -307,7 +308,7 @@ def estimate_size(regions, pixel_spacing_mm: float | None = None) -> Segmentatio
     if pixel_spacing_mm is not None:
         area_mm2 = area_px * float(pixel_spacing_mm) ** 2
     return SegmentationResult(
-        found=True, area_px=area_px, area_mm2=area_mm2, bbox=bbox, centroid=centroid
+        found=True, area_px=area_px, area_mm2=area_mm2, bbox=bbox, centroid=centroid, region=hit
     )
 
 
@@ -350,5 +351,5 @@ def segment(rgb, pixel_spacing_mm: float | None = None,
     result = estimate_size((labels, areas), pixel_spacing_mm)
     if not overlay:
         return result
-    region = labels == _largest_label(areas) if areas else mask  # none: mask is all False
+    region = result.region if result.found else mask  # none: mask is all False
     return replace(result, highlighted=highlight_yellow(image, region))

@@ -35,16 +35,18 @@ Design notes:
   plain out-of-place expression, swapping operands only where IEEE
   addition and multiplication commute, so every rounding is the same;
   ``tests/test_tensor.py`` holds those expressions and compares bitwise.
-  ``gelu`` runs that sequence on ``_GELU_BLOCK`` elements at a time, so its
-  operands stay in cache; each element sees the same operations.
+  ``_gelu`` and ``_gelu_grad`` run GELU on ``_GELU_BLOCK`` elements at a
+  time, so operands stay in cache; each element sees the same operations.
 * Per-node cost, not arithmetic, dominates a training step, so the model
-  uses fused nodes: ``linear`` for ``add(matmul(x, w), b)``, and
-  ``attention`` for the window-attention chain from the packed q/k/v to
-  the merged heads.  Each evaluates the chain's expressions on the same
-  memory layouts and gives the same bits, values and gradients; the
-  unfused ops (``scale``, ``take_rows``, ``slice_axis``, ...) stay as the
-  oracle the tests compare against.  ``attention`` adds its mask, one
-  matrix per window position of an image, through a view of its scores.
+  uses fused nodes: ``linear`` for ``add(matmul(x, w), b)``, ``mlp`` for
+  fc1, ``gelu`` and fc2, and ``attention`` for the window-attention chain
+  from the packed q/k/v to the merged heads.  Each evaluates the chain's
+  expressions on the same memory layouts and gives the same bits, values
+  and gradients; the unfused ops stay as the tests' oracle.  A backward
+  may rebuild elementwise values its chain saved, by the same ufunc calls,
+  never a matrix product: ``mlp`` saves no GELU output or tanh (50 of a
+  batch-32 tape's 141 MB).  ``attention`` adds its mask, one matrix per
+  window position of an image, through a view of its scores.
 * Every token shuffle of the model is one ``gather_rows`` node: a fixed
   row permutation by ``np.take``, whose C-contiguous result is the layout
   the reshape/permute/roll chains it replaced produced, so later
@@ -58,10 +60,10 @@ Design notes:
   The calling thread and a pool of ``len(os.sched_getaffinity(0)) - 1``
   daemon threads, made on first use and dropped in a forked child, take
   parts until none is left.  ``linear`` cuts the stacked matrices of x
-  (its rank-2 form is one stack, one part), ``attention`` its windows
-  (whole images when masked, so window w keeps mask[w % m]),
-  ``layer_norm`` and ``add`` the first axis, ``gather_rows`` the items
-  it reorders, ``gelu`` its flat array at whole ``_GELU_BLOCK``s;
+  (its rank-2 form is one stack, one part), ``mlp`` its items,
+  ``attention`` its windows (whole images when masked, so window w keeps
+  mask[w % m]), ``layer_norm`` and ``add`` the first axis, ``gather_rows``
+  the items it reorders, ``gelu`` its flat array at whole ``_GELU_BLOCK``s;
   ``backward``'s checks and sums cut each gradient's first axis.
   ``add``, ``gather_rows`` and those sums only move or add memory, yet
   run whole they made train-64 slower on 2 vCPU: p50 206.7 -> 220.0 ms,
@@ -78,8 +80,7 @@ Design notes:
   numpy's sum down a column slab costs as much per row as the whole sum.
   It runs whole, as a task beside the parts.  Outputs and saved arrays
   are allocated on the calling thread and parts write into slices of
-  them; a part's scratch (``gelu``'s blocks) is its own.  Pool threads
-  call no public op.
+  them; a part's scratch is its own.  Pool threads call no public op.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ import os
 import queue
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -522,8 +524,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"linear shapes incompatible: {list(x.shape)} @ {list(w.shape)} + {list(b.shape)}"
         )
     x_data, w_data, b_data = x.data, w.data, b.data
-    k, n = w_data.shape
-    out_data = np.empty(x.shape[:-1] + (n,))
+    out_data = np.empty(x.shape[:-1] + w_data.shape[1:])
     x3, out3 = _stack(x_data), _stack(out_data)
 
     def part(lo, hi):
@@ -532,25 +533,68 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         o += b_data
 
     _cut(out3, x_data.size + out_data.size, part, "linear produced non-finite values")
-    needs_x = x.requires_grad
+    return _node("linear", (x, w, b), out_data,
+                 partial(_linear_grad, x_data, w_data, needs_x=x.requires_grad))
 
-    def bw(g: np.ndarray):
-        gw, gb = np.empty((k, n)), np.empty(n)
-        gx = np.empty(x_data.shape) if needs_x else None
-        # gw and gb sum over the batch: each is one task, uncut, beside
-        # the parts of gx
-        whole = ((np.matmul, x_data.reshape(-1, k).T, g.reshape(-1, n), gw),
-                 (np.add.reduce, g, tuple(range(g.ndim - 1)), None, gb))
-        g3, gx3 = _stack(g), gx if gx is None else _stack(gx)
 
-        def part(lo, hi):
-            if gx3 is not None:
-                np.matmul(g3[lo:hi], w_data.T, out=gx3[lo:hi])
+def _linear_grad(x: np.ndarray, w: np.ndarray, g: np.ndarray, needs_x: bool):
+    """(gx, gw, gb) of ``x @ w + b`` for the output gradient ``g``."""
+    k, n = w.shape
+    gw, gb = np.empty((k, n)), np.empty(n)
+    gx = np.empty(x.shape) if needs_x else None
+    # gw and gb sum over the batch: each is one task, uncut, beside the
+    # parts of gx
+    whole = ((np.matmul, x.reshape(-1, k).T, g.reshape(-1, n), gw),
+             (np.add.reduce, g, tuple(range(g.ndim - 1)), None, gb))
+    g3, gx3 = _stack(g), gx if gx is None else _stack(gx)
 
-        _cut(g3, x_data.size + g.size, part, whole=whole)
-        return gx, gw, gb
+    def part(lo, hi):
+        if gx3 is not None:
+            np.matmul(g3[lo:hi], w.T, out=gx3[lo:hi])
 
-    return _node("linear", (x, w, b), out_data, bw)
+    _cut(g3, x.size + g.size, part, whole=whole)
+    return gx, gw, gb
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one node with the chain's
+    bits.  It saves only x and the hidden h; its backward rebuilds GELU's output and tanh."""
+    if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0]
+            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
+        raise DimensionError(f"mlp shapes incompatible: {list(x.shape)} @ {list(w1.shape)} + "
+                             f"{list(b1.shape)}, then @ {list(w2.shape)} + {list(b2.shape)}")
+    x_data, w1_data, b1_data, w2_data, b2_data = x.data, w1.data, b1.data, w2.data, b2.data
+    needs_x, (m, n) = x.requires_grad, w2_data.shape
+    h, out_data = np.empty(x.shape[:-1] + (m,)), np.empty(x.shape[:-1] + (n,))
+    x3, h3, out3 = _stack(x_data), _stack(h), _stack(out_data)
+
+    def part(lo, hi):  # each item of the stack makes the BLAS calls linear's slab makes
+        t, a = np.empty((2,) + h3.shape[1:])
+        for i in range(lo, hi):
+            np.matmul(x3[i], w1_data, out=h3[i])
+            h3[i] += b1_data
+            _gelu(h3[i].reshape(-1), t.reshape(-1), a.reshape(-1), 0, a.size)
+            np.matmul(a, w2_data, out=out3[i])
+            out3[i] += b2_data
+
+    _cut(out3, x_data.size + h.size + out_data.size, part, "mlp produced non-finite values")
+
+    def bw(g: np.ndarray):  # gelu's saved values again, then the chain's three rules
+        t3, a, gh3 = np.empty((3,) + h3.shape)
+        g3, gw2, gb2 = _stack(g), np.empty((m, n)), np.empty(n)
+        _cut(a.reshape(-1), h.size, partial(_gelu, h.reshape(-1), t3.reshape(-1), a.reshape(-1)),
+             step=_GELU_BLOCK, whole=((np.add.reduce, g, tuple(range(g.ndim - 1)), None, gb2),))
+
+        def part_gh(lo, hi):  # g @ w2.T an item at a time, then GELU's derivative
+            ga = np.empty(h3.shape[1:])
+            for i in range(lo, hi):
+                np.matmul(g3[i], w2_data.T, out=ga)
+                _gelu_grad(*(v.reshape(-1) for v in (h3[i], t3[i], ga, gh3[i])), 0, ga.size)
+
+        _cut(gh3, h.size, part_gh, whole=((np.matmul, a.reshape(-1, m).T, g.reshape(-1, n), gw2),))
+        return (*_linear_grad(x_data, w1_data, gh3.reshape(h.shape), needs_x), gw2, gb2)
+
+    return _node("mlp", (x, w1, b1, w2, b2), out_data, bw)
 
 
 def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
@@ -871,63 +915,64 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _node("layer_norm", (x, gamma, beta), out_data.reshape(x.shape), bw)
 
 
+def _gelu(x, t, out, lo: int, hi: int) -> None:
+    """GELU of the flat x[lo:hi] into out and its tanh into t, by blocks."""
+    tmp = np.empty(min(hi - lo, _GELU_BLOCK))
+    for i in range(lo, hi, _GELU_BLOCK):
+        j = min(i + _GELU_BLOCK, hi)
+        xb, tb, ob = x[i:j], t[i:j], out[i:j]
+        # t = tanh(sqrt(2/pi) * (x + c * ((x * x) * x)))
+        np.multiply(xb, xb, out=tb)
+        tb *= xb
+        tb *= _GELU_C
+        tb += xb
+        tb *= _SQRT_2_OVER_PI
+        np.tanh(tb, out=tb)
+        # out = (0.5 * x) * (1 + t)
+        np.multiply(xb, 0.5, out=ob)
+        ob *= np.add(tb, 1.0, out=tmp[:j - i])
+
+
+def _gelu_grad(x, t, g, gx, lo: int, hi: int) -> None:
+    """gx[lo:hi] = g * GELU'(x), flat, from the tanh t that _gelu left, by blocks."""
+    d_inner, sech2 = np.empty((2, min(hi - lo, _GELU_BLOCK)))
+    live = np.empty(len(sech2), dtype=bool)
+    for i in range(lo, hi, _GELU_BLOCK):
+        j = min(i + _GELU_BLOCK, hi)
+        xb, tb, gb, gxb = x[i:j], t[i:j], g[i:j], gx[i:j]
+        db, sb, lb = d_inner[:j - i], sech2[:j - i], live[:j - i]
+        # d_inner = sqrt(2/pi) * (1 + 3c * (x * x))
+        np.multiply(xb, xb, out=db)
+        db *= 3.0 * _GELU_C
+        db += 1.0
+        db *= _SQRT_2_OVER_PI
+        # sech2 = 1 - t * t
+        np.multiply(tb, tb, out=sb)
+        np.subtract(1.0, sb, out=sb)
+        # gx = g * (0.5 * (1 + t) + ((0.5 * x) * sech2) * d_inner).
+        # Where sech2 is 0 that product is +-0 whatever d_inner is,
+        # and d_inner is inf once x * x overflows (|x| > 1.3e154), so
+        # the product is skipped there instead of giving 0 * inf = NaN.
+        np.multiply(xb, 0.5, out=gxb)
+        gxb *= sb
+        np.multiply(gxb, db, out=gxb, where=np.not_equal(sb, 0.0, out=lb))
+        half_1pt = np.add(tb, 1.0, out=sb)  # sech2 is no longer needed
+        half_1pt *= 0.5
+        gxb += half_1pt
+        gxb *= gb
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian-error linear unit, tanh approximation."""
     shape = x.data.shape
     xf = x.data.reshape(-1)  # a view unless the input is strided
-    t = np.empty_like(xf)
-    out_data = np.empty_like(xf)
-
-    def part(lo, hi):  # whole blocks, with a block of scratch of its own
-        tmp = np.empty(min(hi - lo, _GELU_BLOCK))
-        for i in range(lo, hi, _GELU_BLOCK):
-            j = min(i + _GELU_BLOCK, hi)
-            xb, tb, ob = xf[i:j], t[i:j], out_data[i:j]
-            # t = tanh(sqrt(2/pi) * (x + c * ((x * x) * x)))
-            np.multiply(xb, xb, out=tb)
-            tb *= xb
-            tb *= _GELU_C
-            tb += xb
-            tb *= _SQRT_2_OVER_PI
-            np.tanh(tb, out=tb)
-            # out = (0.5 * x) * (1 + t)
-            np.multiply(xb, 0.5, out=ob)
-            ob *= np.add(tb, 1.0, out=tmp[:j - i])
-
-    _cut(out_data, xf.size, part, "gelu produced non-finite values", _GELU_BLOCK)
+    t, out_data = np.empty_like(xf), np.empty_like(xf)
+    _cut(out_data, xf.size, partial(_gelu, xf, t, out_data), "gelu produced non-finite values",
+         _GELU_BLOCK)
 
     def bw(g: np.ndarray):
-        gf = g.reshape(-1)
         gx = np.empty_like(xf)
-
-        def part_bw(lo, hi):
-            d_inner, sech2 = np.empty((2, min(hi - lo, _GELU_BLOCK)))
-            live = np.empty(len(sech2), dtype=bool)
-            for i in range(lo, hi, _GELU_BLOCK):
-                j = min(i + _GELU_BLOCK, hi)
-                xb, tb, gb, gxb = xf[i:j], t[i:j], gf[i:j], gx[i:j]
-                db, sb, lb = d_inner[:j - i], sech2[:j - i], live[:j - i]
-                # d_inner = sqrt(2/pi) * (1 + 3c * (x * x))
-                np.multiply(xb, xb, out=db)
-                db *= 3.0 * _GELU_C
-                db += 1.0
-                db *= _SQRT_2_OVER_PI
-                # sech2 = 1 - t * t
-                np.multiply(tb, tb, out=sb)
-                np.subtract(1.0, sb, out=sb)
-                # gx = g * (0.5 * (1 + t) + ((0.5 * x) * sech2) * d_inner).
-                # Where sech2 is 0 that product is +-0 whatever d_inner is,
-                # and d_inner is inf once x * x overflows (|x| > 1.3e154), so
-                # the product is skipped there instead of giving 0 * inf = NaN.
-                np.multiply(xb, 0.5, out=gxb)
-                gxb *= sb
-                np.multiply(gxb, db, out=gxb, where=np.not_equal(sb, 0.0, out=lb))
-                half_1pt = np.add(tb, 1.0, out=sb)  # sech2 is no longer needed
-                half_1pt *= 0.5
-                gxb += half_1pt
-                gxb *= gb
-
-        _cut(gx, xf.size, part_bw, step=_GELU_BLOCK)
+        _cut(gx, xf.size, partial(_gelu_grad, xf, t, g.reshape(-1), gx), step=_GELU_BLOCK)
         return (gx.reshape(shape),)
 
     return _node("gelu", (x,), out_data.reshape(shape), bw)

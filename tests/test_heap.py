@@ -5,7 +5,8 @@ two 16 MiB arrays per round.  Under glibc's defaults each round maps or
 trims those pages and faults them in again; once swinscan is imported, a
 round reuses the heap and takes about no minor page faults.
 
-It also defaults BLAS to one thread, unless the environment sets a count.
+It also defaults BLAS to one thread, unless the environment sets a count,
+and gives one thread to the OpenBLAS of a numpy that loaded first.
 """
 
 import os
@@ -82,3 +83,40 @@ def _blas_threads(**preset: str) -> list[str]:
 def test_blas_threads_default_to_one_unless_set():
     assert _blas_threads() == ["False", "1", "1"]
     assert _blas_threads(OPENBLAS_NUM_THREADS="3") == ["False", "3", "1"]
+
+
+NUMPY_FIRST = """
+import ctypes
+import glob
+import os
+import numpy
+libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+found = glob.glob(os.path.join(libs, "libscipy_openblas*"))
+get = getattr(ctypes.CDLL(found[0]), "scipy_openblas_get_num_threads64_", None) if found else None
+if get is None:
+    print("none")
+else:
+    before = get()
+    import swinscan
+    print(before, get())
+"""
+
+
+def _threads_numpy_first(**preset: str) -> list[str]:
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [os.environ.get("PYTHONPATH")])])
+    env.update(preset)
+    done = subprocess.run([sys.executable, "-c", NUMPY_FIRST], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    counts = done.stdout.split()
+    if counts == ["none"]:
+        pytest.skip("numpy bundles no scipy-openblas with a thread-count call")
+    return counts
+
+
+def test_blas_threads_capped_when_numpy_loaded_first():
+    assert _threads_numpy_first()[1] == "1"
+    # a count the user set is left alone, whatever OpenBLAS made of it
+    before, after = _threads_numpy_first(OPENBLAS_NUM_THREADS="2")
+    assert after == before

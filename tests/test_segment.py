@@ -377,9 +377,12 @@ class TestEstimateSize:
         mask = np.zeros((6, 12), dtype=bool)
         mask[0, 0:5] = True    # area 5
         mask[3:6, 6:9] = True  # area 9
-        result = S.estimate_size(S.connected_components(mask))
+        labels, areas = S.connected_components(mask)
+        result = S.estimate_size((labels, areas))
         assert result.area_px == 9
         assert result.bbox == (3, 6, 5, 8)
+        # the region it measured, which segment's overlay highlights
+        assert result.region.dtype == bool and np.array_equal(result.region, labels == 2)
 
     def test_area_tie_goes_to_smallest_label(self):
         mask = np.zeros((5, 5), dtype=bool)
@@ -392,7 +395,7 @@ class TestEstimateSize:
         result = S.estimate_size(S.connected_components(np.zeros((3, 3), dtype=bool)))
         assert not result.found
         assert result.area_px == 0
-        assert result.bbox is None and result.centroid is None
+        assert result.bbox is None and result.centroid is None and result.region is None
 
     def test_bad_spacing_rejected(self):
         # NaN passes a `<= 0` test, and it and the infinities give a

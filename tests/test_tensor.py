@@ -6,8 +6,10 @@ import re
 import signal
 import sys
 import time
+import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -77,6 +79,11 @@ def forward_backward(op, inputs, g):
 def linear_chain(x, w, b):
     """The unfused linear: the two nodes T.linear replaces."""
     return T.add(T.matmul(x, w), b)
+
+
+def mlp_chain(x, w1, b1, w2, b2):
+    """The unfused MLP: the three nodes T.mlp replaces."""
+    return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
 
 
 def attention_chain(qkv, bias_table, index, mask):
@@ -368,7 +375,9 @@ class TestLinear:
         rng = np.random.default_rng(42)
         x, w, b = rng.normal(size=(2, 256, 48)), rng.normal(size=(48, 32)), rng.normal(size=32)
         g = seed_gradient(rng, (2, 256, 32))
-        _, (gx, gw, gb) = replay(T.linear, [x, w, b], g, requires_grad=[False, True, True])
+        with T.Tape() as tape:  # the rule itself: replay drops a gradient nothing needs
+            T.linear(T.Tensor(x), T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True))
+        gx, gw, gb = tape.nodes[0].backward_fn(g)
         _, (_, want_w, want_b) = replay(linear_chain, [x, w, b], g)
         assert gx is None
         assert _same_bits(gw, want_w) and _same_bits(gb, want_b)
@@ -392,6 +401,89 @@ class TestLinear:
             loss = T.total_sum(T.linear(x, w, T.Tensor(np.zeros(2))))
         with pytest.raises(NonFiniteError, match="^backward of linear produced non-finite"):
             T.backward(tape, loss)
+
+
+class TestMlp:
+    @pytest.mark.parametrize("width", [1, 4])
+    @pytest.mark.parametrize("batch", [1, 32])
+    @pytest.mark.parametrize("xs, ws", [((16, 16, 32), (32, 128)), ((8, 8, 64), (64, 256)),
+                                        ((64, 32), (32, 128))])
+    def test_bitwise_equal_to_linear_gelu_linear_chain(self, cut, batch, xs, ws, width):
+        # the model's two stages, 4-D, and a 3-D stack of token rows
+        cut(width)
+        rng = np.random.default_rng(43)
+        c, m = ws
+        inputs = [rng.normal(size=(batch,) + xs), rng.normal(scale=0.3, size=(c, m)),
+                  rng.normal(size=m), rng.normal(scale=0.3, size=(m, c)), rng.normal(size=c)]
+        g = seed_gradient(rng, (batch,) + xs)
+        got_out, got = replay(T.mlp, inputs, g)
+        want_out, want = replay(mlp_chain, inputs, g)
+        assert _same_bits(got_out, want_out)
+        assert len(got) == 5
+        for a, e in zip(got, want):
+            assert _same_bits(a, e)
+
+    def test_rank_2_input_is_one_stack(self):
+        rng = np.random.default_rng(44)
+        inputs = [rng.normal(size=(9, 4)), rng.normal(size=(4, 8)), rng.normal(size=8),
+                  rng.normal(size=(8, 3)), rng.normal(size=3)]
+        g = seed_gradient(rng, (9, 3))
+        got_out, got = replay(T.mlp, inputs, g)
+        want_out, want = replay(mlp_chain, inputs, g)
+        assert _same_bits(got_out, want_out)
+        for a, e in zip(got, want):
+            assert _same_bits(a, e)
+
+    def test_input_without_grad_gets_none_and_same_weight_grads(self):
+        # the rule makes no gh @ w1.T for an x that needs no gradient
+        rng = np.random.default_rng(45)
+        inputs = [rng.normal(size=(2, 16, 8)), rng.normal(size=(8, 32)), rng.normal(size=32),
+                  rng.normal(size=(32, 8)), rng.normal(size=8)]
+        g = seed_gradient(rng, (2, 16, 8))
+        x, *params = (T.Tensor(a, requires_grad=i > 0) for i, a in enumerate(inputs))
+        with T.Tape() as tape:
+            T.mlp(x, *params)
+        gx, *got = tape.nodes[0].backward_fn(g)
+        _, (_, *want) = replay(mlp_chain, inputs, g)
+        assert gx is None
+        for a, e in zip(got, want):
+            assert _same_bits(a, e)
+
+    def test_shape_mismatch_names_all_shapes(self):
+        x, w, b = T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((3, 4))), T.Tensor(np.zeros(4))
+        with pytest.raises(DimensionError, match=r"\[2, 3\] @ \[3, 4\] \+ \[4\], then @ \[3, 3\]"):
+            T.mlp(x, w, b, T.Tensor(np.zeros((3, 3))), T.Tensor(np.zeros(3)))
+        with pytest.raises(DimensionError):
+            T.mlp(x, w, b, T.Tensor(np.zeros((4, 3))), T.Tensor(np.zeros(4)))
+
+    @staticmethod
+    def taped_arrays(weights, images):
+        """Sizes of the numpy arrays alive once a taped forward_batch ends."""
+        tracemalloc.start()
+        try:
+            with T.Tape():
+                M.forward_batch(images, weights)
+                snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        arrays = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        return Counter(trace.size for trace in arrays.traces)
+
+    def test_taped_forward_holds_no_gelu_output_or_tanh(self, monkeypatch):
+        # each block's tape keeps the hidden h, (batch, side, side, 4 * dim),
+        # once; the chain kept gelu's tanh and output of that size too
+        weights = M.ModelWeights.init(M.default_config(2), seed=0)
+        images = np.random.default_rng(3).normal(size=(8, 3, 64, 64))
+        M.forward_batch(images[:1], weights)  # builds the orders and masks kept per grid
+        sizes = self.taped_arrays(weights, images)
+        hidden = [(8 * (M.GRID_SIZE >> s) ** 2 * M.MLP_RATIO * (M.EMBED_DIM << s) * 8, depth)
+                  for s, depth in enumerate(M.DEPTHS)]
+        for h, depth in hidden:
+            assert sizes[h] == depth
+        monkeypatch.setattr(T, "mlp", mlp_chain)
+        chain = self.taped_arrays(weights, images)
+        total = lambda c: sum(size * n for size, n in c.items())  # noqa: E731
+        assert total(chain) - total(sizes) == sum(2 * h * depth for h, depth in hidden)
 
 
 class TestAttention:
@@ -866,6 +958,15 @@ class TestGradientsAgainstFiniteDifferences:
             b = T.Tensor(rng.normal(size=sw[1]), requires_grad=True)
             check_grads(lambda x=x, w=w, b=b: T.total_sum(T.gelu(T.linear(x, w, b))), [x, w, b])
 
+    def test_mlp_grad(self):
+        rng = np.random.default_rng(29)
+        for sx, m in [((3, 4), 5), ((2, 3, 4), 6), ((2, 2, 3, 2), 3)]:
+            c = sx[-1]
+            params = [T.Tensor(a, requires_grad=True) for a in (
+                rng.normal(size=sx), rng.normal(size=(c, m)), rng.normal(size=m),
+                rng.normal(size=(m, c)), rng.normal(size=c))]
+            check_grads(lambda p=params: T.total_sum(T.gelu(T.mlp(*p))), params)
+
     @pytest.mark.parametrize("masked", [False, True])
     def test_attention_grad(self, masked):
         # windows of 2x2 tokens: a 9-row bias table, 2 heads of 2 channels
@@ -948,6 +1049,8 @@ _FAILING = {
                                                      T.Tensor(np.zeros(6)))),
     "gather_rows": ((8, 4, 6), lambda x: T.gather_rows(x, _SWAP, _SWAP, x.shape)),
     "gelu": ((8, T._GELU_BLOCK // 4), T.gelu),  # two blocks
+    "mlp": ((8, 4, 6), lambda x: T.mlp(x, T.Tensor(np.ones((6, 3))), T.Tensor(np.zeros(3)),
+                                       T.Tensor(np.ones((3, 2))), T.Tensor(np.zeros(2)))),
     "backward of add": ((8, 3), lambda x: T._check(
         x.data, "backward of add produced non-finite values")),
     "backward of linear": ((8, 3), lambda x: T._check(
@@ -975,6 +1078,10 @@ _OVERFLOWS = {
     # x @ w is 5e307, and adding the bias overflows
     "linear": (np.ones((8, 32, 1024)), lambda x: T.linear(
         x, T.Tensor(np.full((1024, 64), 1e308 / 2048)), T.Tensor(np.full(64, 1.6e308))), None),
+    # x @ w1 is 5e307, adding b1 overflows, and GELU and fc2 carry the inf
+    "mlp": (np.ones((8, 32, 1024)), lambda x: T.mlp(
+        x, T.Tensor(np.full((1024, 64), 1e308 / 2048)), T.Tensor(np.full(64, 1.6e308)),
+        T.Tensor(np.ones((64, 8))), T.Tensor(np.zeros(8))), None),
     "attention": (np.full((8, 16, 48), 1e200), lambda x: T.attention(
         x, T.Tensor(np.zeros((1, 1))), np.zeros(256, dtype=np.intp)), None),
     "scale": (_HUGE, lambda x: T.scale(x, 10.0), None),
@@ -1027,6 +1134,14 @@ class TestParts:
         x, w, b = rng.normal(size=(batch,) + xs), rng.normal(size=ws), rng.normal(size=ws[1])
         g = seed_gradient(rng, (batch,) + xs[:-1] + ws[1:])
         _same_bits_in_parts(cut, T.linear, [x, w, b], g)
+
+    @pytest.mark.parametrize("batch", [3, 5, 32])
+    def test_mlp(self, cut, batch):
+        # the items of a part run one after another through per-part scratch
+        rng = np.random.default_rng(88)
+        inputs = [rng.normal(size=(batch, 8, 8, 32)), rng.normal(scale=0.3, size=(32, 128)),
+                  rng.normal(size=128), rng.normal(scale=0.3, size=(128, 32)), rng.normal(size=32)]
+        _same_bits_in_parts(cut, T.mlp, inputs, seed_gradient(rng, (batch, 8, 8, 32)))
 
     @pytest.mark.parametrize("batch", [3, 5, 32])
     def test_gelu(self, cut, batch):
