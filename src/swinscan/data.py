@@ -175,31 +175,41 @@ def _header_integer(blob: bytes, pos: int, what: str):
     return start, end, int(digits)
 
 
-def _ascii_values(blob: bytes, at: int, needed: int, maxval: int) -> np.ndarray:
+def _ascii_values(blob: bytes, at: int, needed: int, maxval: int, window: int = 0) -> np.ndarray:
     """The first `needed` decimal values of the P2/P3 body at blob[at:].
 
     Decodes in bulk with the rules of a token-by-token scan: tokens are
     split by whitespace, a '#' that opens a token starts a comment that
     runs to the end of its line, and tokens past `needed` are ignored.
-    The first bad token, in body order, raises its PnmError.
+    The first bad token, in body order, raises its PnmError.  Only a
+    prefix of the body is read: a first `window` of bytes (by default
+    4 per value, three digits and a separator, plus 2), doubled until its
+    first `needed` tokens end inside it or it holds the whole body.
     """
     body = np.frombuffer(blob, dtype=np.uint8)[at:]
-    sep = _WS_TABLE[body]
-    hashes = np.flatnonzero(body == ord("#"))
-    if len(hashes):
-        # blob[at] is the whitespace that ends maxval, so no '#' is first;
-        # a '#' inside a comment ends at the same newline as the comment
-        hashes = hashes[sep[hashes - 1]]
-        newlines = np.flatnonzero(body == ord("\n"))
-        ends = np.append(newlines, len(body))[np.searchsorted(newlines, hashes)]
-        outer = np.diff(ends, prepend=-1) != 0
-        step = np.zeros(len(body) + 1, dtype=np.int8)
-        step[hashes[outer]] = 1
-        step[ends[outer]] = -1
-        sep |= np.cumsum(step[:-1], dtype=np.int8) > 0
-
-    # tokens [start, end) are the runs of non-separator bytes
-    change = np.flatnonzero(np.diff(np.concatenate(([False], ~sep, [False]))))
+    size = window or 4 * needed + 2
+    while True:
+        span = body[:size]
+        sep = _WS_TABLE[span]
+        hashes = np.flatnonzero(span == ord("#"))
+        if len(hashes):
+            # blob[at] is the whitespace that ends maxval, so no '#' is first;
+            # a '#' inside a comment ends at the same newline as the comment
+            hashes = hashes[sep[hashes - 1]]
+            newlines = np.flatnonzero(span == ord("\n"))
+            ends = np.append(newlines, len(span))[np.searchsorted(newlines, hashes)]
+            outer = np.diff(ends, prepend=-1) != 0
+            step = np.zeros(len(span) + 1, dtype=np.int8)
+            step[hashes[outer]] = 1
+            step[ends[outer]] = -1
+            sep |= np.cumsum(step[:-1], dtype=np.int8) > 0
+        # tokens [start, end) are the runs of non-separator bytes; one that
+        # reaches the end of a window short of the body may go on past it
+        change = np.flatnonzero(np.diff(np.concatenate(([False], ~sep, [False]))))
+        if len(span) == len(body) or (len(change) >= 2 * needed
+                                      and change[2 * needed - 1] < len(span)):
+            break
+        size *= 2
     start, end = change[0:2 * needed:2], change[1:2 * needed:2]
     if not len(start):
         raise PnmError("missing pixel value", offset=len(blob))

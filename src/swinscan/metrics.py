@@ -170,14 +170,6 @@ def binary_report(cm: ConfusionMatrix) -> MetricsReport:
     )
 
 
-def _one_vs_rest(cm: ConfusionMatrix, c: int) -> ConfusionMatrix:
-    tp = cm.counts[c][c]
-    fn = sum(cm.counts[c]) - tp
-    fp = sum(cm.counts[r][c] for r in range(cm.k)) - tp
-    tn = cm.total - tp - fn - fp
-    return ConfusionMatrix(((tn, fp), (fn, tp)))
-
-
 def macro_multiclass(cm: ConfusionMatrix) -> MetricsReport:
     """Unweighted mean of the one-vs-rest binary report per class.
 
@@ -185,7 +177,12 @@ def macro_multiclass(cm: ConfusionMatrix) -> MetricsReport:
     """
     if cm.k != 3:
         raise ContractError(f"macro averaging is defined for k == 3, got {cm.k}")
-    per_class = tuple(binary_report(_one_vs_rest(cm, c)) for c in range(cm.k))
+    per_class = []
+    for c in range(cm.k):  # class c against the rest
+        tp = cm.counts[c][c]
+        fn = sum(cm.counts[c]) - tp
+        fp = sum(cm.counts[r][c] for r in range(cm.k)) - tp
+        per_class.append(binary_report(ConfusionMatrix(((cm.total - tp - fn - fp, fp), (fn, tp)))))
 
     def macro(name):
         values = [getattr(r, name) for r in per_class]
@@ -196,7 +193,7 @@ def macro_multiclass(cm: ConfusionMatrix) -> MetricsReport:
         return sum(values) / len(values)
 
     report = MetricsReport(*(macro(name) for name in MetricsReport.MEASURES))
-    report.per_class = per_class
+    report.per_class = tuple(per_class)
     return report
 
 

@@ -305,17 +305,16 @@ def window_attention(windows: T.Tensor, weights: dict, mask: np.ndarray = None) 
     window position of an image (entries 0 or MASK_NEG), as
     :func:`build_shift_mask` returns it, applied before the softmax.
 
-    Three tape nodes: the qkv ``T.linear``, one ``T.attention`` for the
-    scores, bias, mask, softmax and weighted sum, and the output
-    ``T.linear``.
+    Two tape nodes: one ``T.attention`` for the qkv projection, scores,
+    bias, mask, softmax and weighted sum, and the output ``T.linear``.
     """
     c = windows.shape[-1]
     bias_table = weights["bias_table"]
     num_heads = bias_table.shape[1]
     if c % num_heads != 0:
         raise ConfigurationError(f"channels {c} not divisible by {num_heads} heads")
-    qkv = T.linear(windows, weights["qkv.weight"], weights["qkv.bias"])
-    out = T.attention(qkv, bias_table, _BIAS_INDEX, mask)
+    out = T.attention(windows, weights["qkv.weight"], weights["qkv.bias"], bias_table,
+                      _BIAS_INDEX, mask)
     return T.linear(out, weights["proj.weight"], weights["proj.bias"])
 
 

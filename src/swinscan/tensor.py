@@ -40,13 +40,14 @@ Design notes:
 * Per-node cost, not arithmetic, dominates a training step, so the model
   uses fused nodes: ``linear`` for ``add(matmul(x, w), b)``, ``mlp`` for
   fc1, ``gelu`` and fc2, and ``attention`` for the window-attention chain
-  from the packed q/k/v to the merged heads.  Each evaluates the chain's
-  expressions on the same memory layouts and gives the same bits, values
-  and gradients; the unfused ops stay as the tests' oracle.  A backward
-  may rebuild elementwise values its chain saved, by the same ufunc calls,
-  never a matrix product: ``mlp`` saves no GELU output or tanh (50 of a
-  batch-32 tape's 141 MB).  ``attention`` adds its mask, one matrix per
-  window position of an image, through a view of its scores.
+  from the q/k/v projection to the merged heads.  Each evaluates the
+  chain's expressions on the same memory layouts and gives the same bits,
+  values and gradients; the unfused ops stay as the tests' oracle.  ``mlp``
+  and ``attention`` save their input, and rebuild the rest with the
+  forward's calls: a batch-32 tape ends its forward at 38 MiB, not 86,
+  and a train-64 step takes about 6 % longer (fc1, qkv and the softmax
+  again, on 2 vCPU).  ``attention`` adds its mask, one matrix per window
+  position, through a view of its scores.
 * Every token shuffle of the model is one ``gather_rows`` node: a fixed
   row permutation by ``np.take``, whose C-contiguous result is the layout
   the reshape/permute/roll chains it replaced produced, so later
@@ -537,15 +538,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                  partial(_linear_grad, x_data, w_data, needs_x=x.requires_grad))
 
 
-def _linear_grad(x: np.ndarray, w: np.ndarray, g: np.ndarray, needs_x: bool):
-    """(gx, gw, gb) of ``x @ w + b`` for the output gradient ``g``."""
+def _linear_grad(x: np.ndarray, w: np.ndarray, g: np.ndarray, needs_x: bool, whole: tuple = ()):
+    """(gx, gw, gb) of ``x @ w + b`` for the output gradient ``g``; the
+    ``whole`` tasks of a fused caller run beside its parts."""
     k, n = w.shape
     gw, gb = np.empty((k, n)), np.empty(n)
     gx = np.empty(x.shape) if needs_x else None
     # gw and gb sum over the batch: each is one task, uncut, beside the
     # parts of gx
     whole = ((np.matmul, x.reshape(-1, k).T, g.reshape(-1, n), gw),
-             (np.add.reduce, g, tuple(range(g.ndim - 1)), None, gb))
+             (np.add.reduce, g, tuple(range(g.ndim - 1)), None, gb), *whole)
     g3, gx3 = _stack(g), gx if gx is None else _stack(gx)
 
     def part(lo, hi):
@@ -558,145 +560,155 @@ def _linear_grad(x: np.ndarray, w: np.ndarray, g: np.ndarray, needs_x: bool):
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one node with the chain's
-    bits.  It saves only x and the hidden h; its backward rebuilds GELU's output and tanh."""
+    bits.  It saves only x; its backward rebuilds h, tanh and GELU's output."""
     if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0]
             or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
         raise DimensionError(f"mlp shapes incompatible: {list(x.shape)} @ {list(w1.shape)} + "
                              f"{list(b1.shape)}, then @ {list(w2.shape)} + {list(b2.shape)}")
     x_data, w1_data, b1_data, w2_data, b2_data = x.data, w1.data, b1.data, w2.data, b2.data
     needs_x, (m, n) = x.requires_grad, w2_data.shape
-    h, out_data = np.empty(x.shape[:-1] + (m,)), np.empty(x.shape[:-1] + (n,))
-    x3, h3, out3 = _stack(x_data), _stack(h), _stack(out_data)
+    out_data = np.empty(x.shape[:-1] + (n,))
+    x3, out3 = _stack(x_data), _stack(out_data)
+    item = x3.shape[1:-1] + (m,)  # one item's hidden h
+    h_size = len(x3) * math.prod(item)
+
+    def hidden(i, h, t, a):  # fc1 and GELU of item i into h, its tanh t and a
+        np.matmul(x3[i], w1_data, out=h)
+        h += b1_data
+        _gelu(h.reshape(-1), t.reshape(-1), a.reshape(-1), 0, a.size)
 
     def part(lo, hi):  # each item of the stack makes the BLAS calls linear's slab makes
-        t, a = np.empty((2,) + h3.shape[1:])
+        h, t, a = np.empty((3,) + item)
         for i in range(lo, hi):
-            np.matmul(x3[i], w1_data, out=h3[i])
-            h3[i] += b1_data
-            _gelu(h3[i].reshape(-1), t.reshape(-1), a.reshape(-1), 0, a.size)
+            hidden(i, h, t, a)
             np.matmul(a, w2_data, out=out3[i])
             out3[i] += b2_data
 
-    _cut(out3, x_data.size + h.size + out_data.size, part, "mlp produced non-finite values")
+    _cut(out3, x_data.size + h_size + out_data.size, part, "mlp produced non-finite values")
 
-    def bw(g: np.ndarray):  # gelu's saved values again, then the chain's three rules
-        t3, a, gh3 = np.empty((3,) + h3.shape)
+    def bw(g: np.ndarray):  # the forward's values again, then the chain's three rules
         g3, gw2, gb2 = _stack(g), np.empty((m, n)), np.empty(n)
-        _cut(a.reshape(-1), h.size, partial(_gelu, h.reshape(-1), t3.reshape(-1), a.reshape(-1)),
-             step=_GELU_BLOCK, whole=((np.add.reduce, g, tuple(range(g.ndim - 1)), None, gb2),))
+        a, gh = np.empty((2, len(x3)) + item)  # whole: gw2 sums over a, gw1 over gh
 
         def part_gh(lo, hi):  # g @ w2.T an item at a time, then GELU's derivative
-            ga = np.empty(h3.shape[1:])
+            h, t, ga = np.empty((3,) + item)
             for i in range(lo, hi):
+                hidden(i, h, t, a[i])
                 np.matmul(g3[i], w2_data.T, out=ga)
-                _gelu_grad(*(v.reshape(-1) for v in (h3[i], t3[i], ga, gh3[i])), 0, ga.size)
+                _gelu_grad(*(v.reshape(-1) for v in (h, t, ga, gh[i])), 0, ga.size)
 
-        _cut(gh3, h.size, part_gh, whole=((np.matmul, a.reshape(-1, m).T, g.reshape(-1, n), gw2),))
-        return (*_linear_grad(x_data, w1_data, gh3.reshape(h.shape), needs_x), gw2, gb2)
+        _cut(gh, h_size, part_gh, whole=((np.add.reduce, g, tuple(range(g.ndim - 1)), None, gb2),))
+        gw2_sum = (np.matmul, a.reshape(-1, m).T, g.reshape(-1, n), gw2)
+        return (*_linear_grad(x_data, w1_data, gh, needs_x, (gw2_sum,)), gw2, gb2)
 
     return _node("mlp", (x, w1, b1, w2, b2), out_data, bw)
 
 
-def attention(qkv: Tensor, bias_table: Tensor, index: np.ndarray,
+def attention(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, bias_table: Tensor, index: np.ndarray,
               mask: np.ndarray | None = None) -> Tensor:
-    """Multi-head self-attention from packed projections, as one node.
+    """Multi-head self-attention of windows of tokens, as one node.
 
-    ``qkv`` is (windows, tokens, 3 * C): q, k and v in that order, each
-    split into ``bias_table.shape[1]`` heads.  Row ``index[i * tokens + j]``
-    of ``bias_table`` is added to the score of token ``i`` attending to
+    ``x`` is (windows, tokens, C_in) and ``x @ w_qkv + b_qkv`` packs q, k
+    and v in that order, each C wide and split into
+    ``bias_table.shape[1]`` heads.  Row ``index[i * tokens + j]`` of
+    ``bias_table`` is added to the score of token ``i`` attending to
     ``j``, and ``mask`` (m, tokens, tokens), if given, to every head's
     scores, ``mask[w % m]`` to window ``w``; ``m`` must divide the window
     count.  Returns the heads' outputs merged, (windows, tokens, C).
 
-    Computes what the chain ``slice_axis`` -> q @ k^T -> ``scale`` ->
-    ``add`` of the ``take_rows`` bias -> ``add`` of the mask ->
-    ``softmax_lastdim`` -> @ v computes, with the same expressions on the
-    same layouts, but in one score buffer.
+    Computes what ``linear`` and then the chain ``slice_axis`` -> q @ k^T
+    -> ``scale`` -> ``add`` of the ``take_rows`` bias -> ``add`` of the
+    mask -> ``softmax_lastdim`` -> @ v compute, with the same expressions
+    on the same layouts, in per-part scratch.  It saves only ``x``: its
+    backward rebuilds the projection, q, k, v and the softmax.
     """
-    if (qkv.ndim != 3 or bias_table.ndim != 2 or bias_table.shape[1] == 0
-            or qkv.shape[2] % (3 * bias_table.shape[1])
-            or np.shape(index) != (qkv.shape[1] ** 2,)):
+    if (x.ndim != 3 or w_qkv.ndim != 2 or x.shape[2] != w_qkv.shape[0]
+            or b_qkv.shape != w_qkv.shape[1:] or bias_table.ndim != 2
+            or bias_table.shape[1] == 0 or w_qkv.shape[1] % (3 * bias_table.shape[1])
+            or np.shape(index) != (x.shape[1] ** 2,)):
         raise DimensionError(
-            f"attention over {list(qkv.shape)} with a {list(bias_table.shape)} bias table "
-            f"and {np.size(index)} index entries"
+            f"attention over {list(x.shape)} @ {list(w_qkv.shape)} + {list(b_qkv.shape)} with a "
+            f"{list(bias_table.shape)} bias table and {np.size(index)} index entries"
         )
-    n_win, n_tok, c3 = qkv.shape
+    n_win, n_tok, _ = x.shape
     if mask is not None and (mask.shape[1:] != (n_tok, n_tok)
                              or len(mask) == 0 or n_win % len(mask)):
         raise DimensionError(
             f"mask shape {list(mask.shape)} does not match {n_win} windows of {n_tok} tokens"
         )
-    table_shape = bias_table.shape
-    heads = table_shape[1]
+    x_data, w_data, b_data, table = x.data, w_qkv.data, b_qkv.data, bias_table.data
+    needs_x = x.requires_grad
+    heads, c3 = table.shape[1], w_data.shape[1]
     c, dh = c3 // 3, c3 // (3 * heads)
     f = float(1.0 / np.sqrt(dh))
-    packed = qkv.data.reshape(n_win, n_tok, 3, heads, dh)
-    # q, k and v are C-contiguous slices of one copy, the layouts
-    # slice_axis gave the chain's matmuls
-    q, k, v = qkv_t = np.empty((3, n_win, heads, n_tok, dh))
-    bias = bias_table.data[index].reshape(n_tok, n_tok, heads).transpose(2, 0, 1)
-    p = np.empty((n_win, heads, n_tok, n_tok))
-    row = np.empty((n_win, heads, n_tok, 1))  # a row max, then a row sum
+    step = 1 if mask is None else len(mask)  # whole images when masked: window w keeps mask[w % m]
     out_data = np.empty((n_win, n_tok, c))
     # each head's output lands in its columns of out_data, the layout the
     # chain's transpose and reshape copied it to
     merged = out_data.reshape(n_win, n_tok, heads, dh).transpose(0, 2, 1, 3)
 
-    def part(lo, hi):
-        np.copyto(qkv_t[:, lo:hi], packed[lo:hi].transpose(2, 0, 3, 1, 4))
-        ps, rs = p[lo:hi], row[lo:hi]
-        np.matmul(q[lo:hi], np.swapaxes(k[lo:hi], -1, -2), out=ps)
-        ps *= f
-        ps += bias
+    def softmax(lo, hi):
+        """q, k, v and the probabilities p of windows [lo, hi), in fresh arrays."""
+        qkv = np.matmul(x_data[lo:hi], w_data)
+        qkv += b_data
+        # q, k and v are C-contiguous slices of one copy, the layouts
+        # slice_axis gave the chain's matmuls
+        q, k, v = qkv_t = np.empty((3, hi - lo, heads, n_tok, dh))
+        np.copyto(qkv_t, qkv.reshape(hi - lo, n_tok, 3, heads, dh).transpose(2, 0, 3, 1, 4))
+        p = np.matmul(q, np.swapaxes(k, -1, -2))
+        p *= f
+        p += table[index].reshape(n_tok, n_tok, heads).transpose(2, 0, 1)
         if mask is not None:  # through a view: window w gets mask[w % m]
-            scores = ps.reshape(-1, len(mask), heads, n_tok, n_tok)
+            scores = p.reshape(-1, len(mask), heads, n_tok, n_tok)
             scores += mask[:, None]
-        np.maximum.reduce(ps, axis=-1, keepdims=True, out=rs)
-        ps -= rs
-        np.exp(ps, out=ps)
-        np.add.reduce(ps, axis=-1, keepdims=True, out=rs)
-        ps /= rs
-        np.matmul(ps, v[lo:hi], out=merged[lo:hi])
+        row = np.maximum.reduce(p, axis=-1, keepdims=True)  # a row max, then a row sum
+        p -= row
+        np.exp(p, out=p)
+        np.add.reduce(p, axis=-1, keepdims=True, out=row)
+        p /= row
+        return q, k, v, p
 
-    # whole images when masked, so window w keeps mask[w % m]
-    _cut(out_data, p.size, part, "attention produced non-finite values",
-         1 if mask is None else len(mask))
+    def part(lo, hi):
+        _, _, v, p = softmax(lo, hi)
+        np.matmul(p, v, out=merged[lo:hi])
+
+    _cut(out_data, n_win * heads * n_tok ** 2, part, "attention produced non-finite values", step)
 
     def bw(g: np.ndarray):
         g_out = g.reshape(n_win, n_tok, heads, dh).transpose(0, 2, 1, 3)
-        gs = np.empty(p.shape)
-        tmp = np.empty(p.shape)  # gs * p, then gs * f
-        row = np.empty((n_win, heads, n_tok, 1))
+        # whole: the bias table sums over gs, gw_qkv over g_qkv
+        gs = np.empty((n_win, heads, n_tok, n_tok))
         g_qkv = np.empty((n_win, n_tok, 3, heads, dh))
         slots = g_qkv.transpose(2, 0, 3, 1, 4)
-        qt_gs = np.empty((n_win, heads, dh, n_tok))
 
         def part(lo, hi):
-            gss, ps, ts, go = gs[lo:hi], p[lo:hi], tmp[lo:hi], g_out[lo:hi]
-            np.matmul(go, np.swapaxes(v[lo:hi], -1, -2), out=gss)
-            # softmax: p * (gs - sum(gs * p)), in gs
-            np.multiply(gss, ps, out=ts)
-            np.add.reduce(ts, axis=-1, keepdims=True, out=row[lo:hi])
-            gss -= row[lo:hi]
+            q, k, v, ps = softmax(lo, hi)
+            gss, go = gs[lo:hi], g_out[lo:hi]
+            np.matmul(go, np.swapaxes(v, -1, -2), out=gss)
+            # softmax: p * (gs - sum(gs * p)), in gs; ts holds gs * p, then gs * f
+            ts = np.multiply(gss, ps)
+            gss -= np.add.reduce(ts, axis=-1, keepdims=True)
             gss *= ps
             # The chain summed three zero-padded slot gradients, turning
             # any -0.0 into +0.0; adding 0.0 as each slot is filled does too.
             s0, s1, s2 = slots[:, lo:hi]
             np.multiply(gss, f, out=ts)
-            np.matmul(ts, k[lo:hi], out=s0)
+            np.matmul(ts, k, out=s0)
             s0 += 0.0
-            np.matmul(np.swapaxes(q[lo:hi], -1, -2), ts, out=qt_gs[lo:hi])
-            np.add(np.swapaxes(qt_gs[lo:hi], -1, -2), 0.0, out=s1)
+            np.add(np.swapaxes(np.swapaxes(q, -1, -2) @ ts, -1, -2), 0.0, out=s1)
             np.matmul(np.swapaxes(ps, -1, -2), go, out=s2)
             s2 += 0.0
 
-        _cut(gs, p.size, part)
-        g_table = np.zeros(table_shape, dtype=np.float64)
-        g_bias = gs.sum(axis=(0,)).transpose(1, 2, 0).reshape(-1, heads)
-        np.add.at(g_table, index, g_bias)
-        return g_qkv.reshape(n_win, n_tok, c3), g_table
+        _cut(gs, gs.size, part, step=step)
+        g_table = np.zeros(table.shape)
 
-    return _node("attention", (qkv, bias_table), out_data, bw)
+        def table_sum():
+            np.add.at(g_table, index, gs.sum(axis=(0,)).transpose(1, 2, 0).reshape(-1, heads))
+
+        return (*_linear_grad(x_data, w_data, g_qkv.reshape(n_win, n_tok, c3), needs_x,
+                              ((table_sum,),)), g_table)
+
+    return _node("attention", (x, w_qkv, b_qkv, bias_table), out_data, bw)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:

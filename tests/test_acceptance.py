@@ -134,16 +134,18 @@ def _op_worst_error():
                 [x, w, b] if x_grad else [w, b],
             ))
 
-    for windows, tokens, heads, dh, m in [(2, 4, 2, 2, None), (4, 4, 2, 2, 2), (3, 4, 1, 3, 1)]:
-        qkv = T.Tensor(rng.normal(size=(windows, tokens, 3 * heads * dh)), requires_grad=True)
-        table = T.Tensor(rng.normal(size=(5, heads)), requires_grad=True)
+    for windows, tokens, c_in, heads, dh, m in [(2, 4, 3, 2, 2, None), (4, 4, 4, 2, 2, 2),
+                                                 (3, 4, 2, 1, 3, 1)]:
+        # x, w_qkv and b_qkv: attention runs the q/k/v projection itself
+        params = [T.Tensor(a, requires_grad=True) for a in (
+            rng.normal(size=(windows, tokens, c_in)), rng.normal(size=(c_in, 3 * heads * dh)),
+            rng.normal(size=3 * heads * dh), rng.normal(size=(5, heads)))]
         index = rng.integers(0, 5, size=tokens * tokens)
         # 0 or -100 per token pair, as the shift mask; the diagonal stays open
         mask = None if m is None else np.where(
             (rng.random((m, tokens, tokens)) < 0.4) & ~np.eye(tokens, dtype=bool), -100.0, 0.0)
         bump(check_grads(
-            lambda q=qkv, t=table, i=index, k=mask: T.total_sum(T.gelu(T.attention(q, t, i, k))),
-            [qkv, table],
+            lambda p=params, i=index, k=mask: T.total_sum(T.gelu(T.attention(*p, i, k))), params,
         ))
 
     for shape, rows, out in [((2, 6, 3), 6, (4, 3, 3)), ((1, 4, 2), 4, (1, 2, 2, 2)),
@@ -288,10 +290,12 @@ def test_03_attention_cost_linear_in_token_count(capsys, monkeypatch):
             macs[side] += x.size * w.shape[-1]
             return linear(x, w, b)
 
-        def counted_attention(qkv, table, index, mask=None):
-            # q @ k^T and p @ v: each window's tokens**2 * C, twice
-            macs[side] += 2 * (qkv.size // 3) * qkv.shape[1]
-            return attention(qkv, table, index, mask)
+        def counted_attention(x, w, b, table, index, mask=None):
+            # the q/k/v projection, x.size * 3C, then q @ k^T and p @ v:
+            # each window's tokens**2 * C, twice
+            n_win, n_tok, _ = x.shape
+            macs[side] += x.size * w.shape[-1] + 2 * n_win * n_tok * (w.shape[-1] // 3) * n_tok
+            return attention(x, w, b, table, index, mask)
 
         for side in (16, 32):
             grid = rng.normal(size=(side, side, c))

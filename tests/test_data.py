@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -284,10 +285,14 @@ class TestAsciiBody:
         b"   ",
     ])
     def test_matches_token_loop(self, body):
+        # from every first window: each edge cuts a token, a comment or a
+        # '#', or falls between them
         blob = HEADER + body
-        assert outcome(D._ascii_values, blob, len(HEADER), 6, 255) == outcome(
-            token_loop_values, blob, len(HEADER), 6, 255
-        )
+        want = outcome(token_loop_values, blob, len(HEADER), 6, 255)
+        assert outcome(D._ascii_values, blob, len(HEADER), 6, 255) == want
+        for window in range(1, len(body) + 2):
+            decode = lambda *a, w=window: D._ascii_values(*a, window=w)  # noqa: E731
+            assert outcome(decode, blob, len(HEADER), 6, 255) == want, window
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_bodies_match_token_loop(self, seed):
@@ -299,10 +304,45 @@ class TestAsciiBody:
             body = b" " + b"".join(pieces[i] for i in rng.integers(0, len(pieces), 20))
             needed = int(rng.integers(1, 8))
             maxval = int(rng.choice([1, 7, 99, 255]))
+            window = int(rng.integers(0, len(body) + 2))  # 0: the default
+            decode = lambda *a, w=window: D._ascii_values(*a, window=w)  # noqa: E731
             blob = HEADER + body
-            assert outcome(D._ascii_values, blob, len(HEADER), needed, maxval) == outcome(
+            assert outcome(decode, blob, len(HEADER), needed, maxval) == outcome(
                 token_loop_values, blob, len(HEADER), needed, maxval
-            ), body
+            ), (body, window)
+
+    def test_reads_no_further_than_the_last_value(self):
+        # 8 MB of tokens past a 4x4 image's 16 values: the decode's traced
+        # peak is bounded by the image's body, not by what follows it
+        image = b"P2\n4 4\n255\n" + b"7 " * 16
+        blob = image + b"1 " * (4 << 20)
+        D.load_pnm(blob[:1024])  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            pixels, _ = D.load_pnm(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(pixels, np.full((4, 4, 1), 7, dtype=np.uint8))
+        assert peak < 2 * len(image) + (64 << 10), peak
+
+    @pytest.mark.parametrize("fmt", ["P2", "P3"])
+    def test_serve_sized_body_decodes_in_one_window(self, monkeypatch, fmt):
+        # write_pnm's 64 px ASCII bodies, every value three digits wide
+        calls = []
+
+        class Counted:
+            def __getitem__(self, span):
+                calls.append(len(span))
+                return table[span]
+
+        table = D._WS_TABLE
+        monkeypatch.setattr(D, "_WS_TABLE", Counted())
+        image = np.random.default_rng(5).integers(100, 256, size=(64, 64)) / 255.0
+        blob = D.write_pnm(np.stack([image] * 3), fmt)
+        pixels, _ = D.load_pnm(blob)
+        assert pixels.size == 64 * 64 * (3 if fmt == "P3" else 1)
+        assert len(calls) == 1
 
     def test_leading_zeros_beyond_int_digit_limit(self):
         # int() refuses strings of over 4300 digits; the value is still 1

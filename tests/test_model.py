@@ -592,10 +592,10 @@ class TestForward:
         with T.Tape() as tape:
             M.forward_batch(np.zeros((2, 3, 64, 64)), w)
         assert Counter(node.op for node in tape.nodes) == {
-            "linear": 10, "mlp": 4, "attention": 4, "layer_norm": 10, "matmul": 1,
+            "linear": 6, "mlp": 4, "attention": 4, "layer_norm": 10, "matmul": 1,
             "add": 8, "gather_rows": 9, "reshape": 2, "reduce_mean": 1,
         }
-        assert len(tape.nodes) == 49
+        assert len(tape.nodes) == 45
 
     def test_blocks_run_the_window_helpers_and_the_built_mask(self, monkeypatch):
         # every block partitions and reverses through the helpers, and a
@@ -609,9 +609,9 @@ class TestForward:
             monkeypatch.setattr(M, name, counted)
         attention = T.attention
 
-        def recorded(qkv, table, index, mask=None):
+        def recorded(x, w, b, table, index, mask=None):
             masks.append(mask)
-            return attention(qkv, table, index, mask)
+            return attention(x, w, b, table, index, mask)
         monkeypatch.setattr(T, "attention", recorded)
         w = M.ModelWeights.init(M.default_config(2), seed=0)
         M.forward_batch(np.zeros((32, 3, 64, 64)), w)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import os
 import queue
@@ -9,7 +10,6 @@ import time
 import tracemalloc
 import warnings
 import weakref
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -456,34 +456,63 @@ class TestMlp:
         with pytest.raises(DimensionError):
             T.mlp(x, w, b, T.Tensor(np.zeros((4, 3))), T.Tensor(np.zeros(4)))
 
+
+class TestTapeMemory:
+    """mlp and attention save their input x; their backwards rebuild the
+    MLP hidden, the q/k/v copy and the probabilities from it."""
+
     @staticmethod
-    def taped_arrays(weights, images):
-        """Sizes of the numpy arrays alive once a taped forward_batch ends."""
-        tracemalloc.start()
+    def batch_of_8():
+        weights = M.ModelWeights.init(M.default_config(2), seed=0)
+        images = np.random.default_rng(3).normal(size=(8, 3, 64, 64))
+        M.forward_batch(images[:1], weights)  # builds the orders and masks kept per grid
+        return weights, images
+
+    def test_taped_forward_holds_no_hidden_qkv_or_probabilities(self):
+        # of every array mlp and attention allocate, the end of a taped
+        # forward holds only attention's outputs, which the output
+        # projections save
+        weights, images = self.batch_of_8()
+        tracemalloc.start(8)
         try:
             with T.Tape():
                 M.forward_batch(images, weights)
                 snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
+        fused = set()
+        for fn in (T.mlp, T.attention):
+            body, first = inspect.getsourcelines(fn)
+            fused.update((T.__file__, line) for line in range(first, first + len(body)))
         arrays = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
-        return Counter(trace.size for trace in arrays.traces)
+        held = [trace.size for trace in arrays.traces
+                if any((f.filename, f.lineno) in fused for f in trace.traceback)]
+        outputs = [8 * 8 * (M.GRID_SIZE >> s) ** 2 * (M.EMBED_DIM << s)
+                   for s, depth in enumerate(M.DEPTHS) for _ in range(depth)]
+        assert sorted(held) == sorted(outputs)
 
-    def test_taped_forward_holds_no_gelu_output_or_tanh(self, monkeypatch):
-        # each block's tape keeps the hidden h, (batch, side, side, 4 * dim),
-        # once; the chain kept gelu's tanh and output of that size too
-        weights = M.ModelWeights.init(M.default_config(2), seed=0)
-        images = np.random.default_rng(3).normal(size=(8, 3, 64, 64))
-        M.forward_batch(images[:1], weights)  # builds the orders and masks kept per grid
-        sizes = self.taped_arrays(weights, images)
-        hidden = [(8 * (M.GRID_SIZE >> s) ** 2 * M.MLP_RATIO * (M.EMBED_DIM << s) * 8, depth)
-                  for s, depth in enumerate(M.DEPTHS)]
-        for h, depth in hidden:
-            assert sizes[h] == depth
-        monkeypatch.setattr(T, "mlp", mlp_chain)
-        chain = self.taped_arrays(weights, images)
-        total = lambda c: sum(size * n for size, n in c.items())  # noqa: E731
-        assert total(chain) - total(sizes) == sum(2 * h * depth for h, depth in hidden)
+    def test_training_step_traced_peak(self):
+        # 25.6 MiB when mlp kept its hidden and attention its q/k/v copy
+        # and probabilities; 13.1 MiB when each keeps only its input
+        weights, images = self.batch_of_8()
+        tracemalloc.start()
+        try:
+            with T.Tape() as tape:
+                loss = T.cross_entropy(M.forward_batch(images, weights), [0, 1] * 4)
+            T.backward(tape, loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
+def one_hot_windows(qkv):
+    """(x, w, b) whose projection x @ w + b is exactly ``qkv``: token t of
+    window i picks row i * tokens + t of w, which holds that token's q, k
+    and v."""
+    n_win, n_tok, c3 = qkv.shape
+    x = np.eye(n_win * n_tok).reshape(n_win, n_tok, n_win * n_tok)
+    return x, qkv.reshape(n_win * n_tok, c3), np.zeros(c3)
 
 
 class TestAttention:
@@ -493,10 +522,12 @@ class TestAttention:
         # 4 heads over an 8x8 grid of 64 channels; windows of 4x4 tokens
         side, c = {2: (16, 32), 4: (8, 64)}[heads]
         n_win = batch * (side // M.WINDOW_SIZE) ** 2
-        qkv = rng.normal(size=(n_win, M.WINDOW_SIZE ** 2, 3 * c))
+        x = rng.normal(size=(n_win, M.WINDOW_SIZE ** 2, c))
+        w = rng.normal(scale=c ** -0.5, size=(c, 3 * c))
+        b = rng.normal(scale=0.1, size=3 * c)
         table = rng.normal(scale=0.5, size=((2 * M.WINDOW_SIZE - 1) ** 2, heads))
         mask = M.build_shift_mask(side, side) if masked else None
-        return qkv, table, mask
+        return [x, w, b, table], mask
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("heads", [2, 4])
@@ -505,65 +536,99 @@ class TestAttention:
         # attention takes the mask as built, one matrix per window
         # position; the chain adds it tiled to one matrix per window
         rng = np.random.default_rng(43 + batch + heads)
-        qkv, table, mask = self.inputs(rng, batch, heads, masked)
+        inputs, mask = self.inputs(rng, batch, heads, masked)
+        x = inputs[0]
         tiled = np.tile(mask, (batch, 1, 1)) if masked else None
-        g = seed_gradient(rng, (qkv.shape[0], qkv.shape[1], qkv.shape[2] // 3))
+        g = seed_gradient(rng, x.shape)
         index = M.relative_bias_index().reshape(-1)
-        got_out, got = replay(lambda a, t: T.attention(a, t, index, mask), [qkv, table], g)
-        want_out, want = replay(lambda a, t: attention_chain(a, t, index, tiled), [qkv, table], g)
+        got_out, got = replay(lambda *a: T.attention(*a, index, mask), inputs, g)
+        want_out, want = replay(
+            lambda x, w, b, t: attention_chain(T.linear(x, w, b), t, index, tiled), inputs, g)
         assert _same_bits(got_out, want_out)
+        assert len(got) == 4
         for a, e in zip(got, want):
             assert _same_bits(a, e)
 
     def test_table_without_grad_gets_none(self):
         rng = np.random.default_rng(44)
-        qkv, table, mask = self.inputs(rng, 1, 2, True)
-        g = seed_gradient(rng, (qkv.shape[0], qkv.shape[1], qkv.shape[2] // 3))
+        inputs, mask = self.inputs(rng, 1, 2, True)
+        g = seed_gradient(rng, inputs[0].shape)
         index = M.relative_bias_index().reshape(-1)
-        op = lambda a, t: T.attention(a, t, index, mask)  # noqa: E731
-        _, (g_qkv, g_table) = replay(op, [qkv, table], g, requires_grad=[True, False])
-        _, (want, _) = replay(op, [qkv, table], g)
-        assert g_table is None and _same_bits(g_qkv, want)
+        op = lambda *a: T.attention(*a, index, mask)  # noqa: E731
+        _, got = replay(op, inputs, g, requires_grad=[True, True, True, False])
+        _, want = replay(op, inputs, g)
+        assert got[3] is None
+        for a, e in zip(got[:3], want):
+            assert _same_bits(a, e)
+
+    def test_input_without_grad_gets_none_and_same_weight_grads(self):
+        # the rule itself makes no g_qkv @ w.T for an x that needs no gradient
+        rng = np.random.default_rng(47)
+        inputs, mask = self.inputs(rng, 1, 2, True)
+        g = seed_gradient(rng, inputs[0].shape)
+        index = M.relative_bias_index().reshape(-1)
+        _, want = replay(lambda *a: T.attention(*a, index, mask), inputs, g)
+        x, *params = (T.Tensor(a, requires_grad=i > 0) for i, a in enumerate(inputs))
+        with T.Tape() as tape:
+            T.attention(x, *params, index, mask)
+        gx, *got = tape.nodes[0].backward_fn(g)
+        assert gx is None
+        for a, e in zip(got, want[1:]):
+            assert _same_bits(a, e)
 
     def test_shapes_checked(self):
         index = M.relative_bias_index().reshape(-1)
-        qkv = T.Tensor(np.zeros((2, 16, 24)))
+        x, w, b = (T.Tensor(np.zeros(shape)) for shape in ((2, 16, 8), (8, 24), 24))
         table = T.Tensor(np.zeros((49, 2)))
         with pytest.raises(DimensionError, match="mask shape"):
-            T.attention(qkv, table, index, np.zeros((3, 16, 16)))  # 3 masks, 2 windows
+            T.attention(x, w, b, table, index, np.zeros((3, 16, 16)))  # 3 masks, 2 windows
+        with pytest.raises(DimensionError, match=r"\[2, 16, 8\] @ \[8, 20\] \+ \[20\]"):
+            T.attention(x, T.Tensor(np.zeros((8, 20))), T.Tensor(np.zeros(20)), table, index)
         with pytest.raises(DimensionError):
-            T.attention(T.Tensor(np.zeros((2, 16, 20))), table, index)  # 20 = 3 * C?
+            T.attention(T.Tensor(np.zeros((2, 9, 8))), w, b, table, index)  # 16 x 16 index
         with pytest.raises(DimensionError):
-            T.attention(T.Tensor(np.zeros((2, 9, 24))), table, index)  # 16 x 16 index
+            T.attention(T.Tensor(np.zeros((2, 16, 6))), w, b, table, index)  # 6 rows of w?
+        with pytest.raises(DimensionError):
+            T.attention(x, w, T.Tensor(np.zeros(8)), table, index)
+        with pytest.raises(DimensionError):
+            T.attention(T.Tensor(np.zeros((32, 8))), w, b, table, index)  # no windows
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_mask_per_window_position(self, m):
         # window i gets mask[i % m]: the same bits as the tiled mask
         rng = np.random.default_rng(46)
-        qkv = rng.normal(size=(4, 16, 12))
-        table = rng.normal(size=(49, 2))
+        inputs = [rng.normal(size=(4, 16, 6)), rng.normal(size=(6, 12)), rng.normal(size=12),
+                  rng.normal(size=(49, 2))]
         mask = np.where(rng.random(size=(m, 16, 16)) < 0.3, M.MASK_NEG, 0.0)
         index = M.relative_bias_index().reshape(-1)
         g = seed_gradient(rng, (4, 16, 4))
-        got_out, got = replay(lambda a, t: T.attention(a, t, index, mask), [qkv, table], g)
+        got_out, got = replay(lambda *a: T.attention(*a, index, mask), inputs, g)
         tiled = np.tile(mask, (4 // m, 1, 1))
-        want_out, want = replay(lambda a, t: T.attention(a, t, index, tiled), [qkv, table], g)
+        want_out, want = replay(lambda *a: T.attention(*a, index, tiled), inputs, g)
         assert _same_bits(got_out, want_out)
         for a, e in zip(got, want):
             assert _same_bits(a, e)
 
     @pytest.mark.parametrize("shape", [(0, 16, 16), (16, 16), (2, 1, 16, 16), (2, 16, 9)])
     def test_mask_of_other_shape_rejected(self, shape):
-        qkv = T.Tensor(np.zeros((2, 16, 24)))
+        x, w, b = (T.Tensor(np.zeros(shape)) for shape in ((2, 16, 8), (8, 24), 24))
         with pytest.raises(DimensionError, match="mask shape"):
-            T.attention(qkv, T.Tensor(np.zeros((49, 2))), M.relative_bias_index().reshape(-1),
+            T.attention(x, w, b, T.Tensor(np.zeros((49, 2))), M.relative_bias_index().reshape(-1),
                         np.zeros(shape))
 
     def test_forward_overflow_names_attention(self):
         index = M.relative_bias_index().reshape(-1)
-        qkv = T.Tensor(np.full((1, 16, 12), 1e200))  # q . k overflows
+        x, w, b = one_hot_windows(np.full((1, 16, 12), 1e200))  # q . k overflows
         with pytest.raises(NonFiniteError, match="^attention produced non-finite"):
-            T.attention(qkv, T.Tensor(np.zeros((49, 2))), index)
+            T.attention(T.Tensor(x), T.Tensor(w), T.Tensor(b), T.Tensor(np.zeros((49, 2))), index)
+
+    def test_projection_overflow_names_attention(self):
+        # x @ w_qkv overflows inside the node, where a qkv linear node
+        # used to name itself
+        index = M.relative_bias_index().reshape(-1)
+        x, w, b = np.ones((1, 16, 4)), np.full((4, 12), 1e308), np.zeros(12)
+        with pytest.raises(NonFiniteError, match="^attention produced non-finite"):
+            T.attention(T.Tensor(x), T.Tensor(w), T.Tensor(b), T.Tensor(np.zeros((49, 2))), index)
 
     def test_backward_overflow_names_attention(self):
         # k near 1e300 against q near 1e-300 keeps the scores near 1, and
@@ -572,11 +637,12 @@ class TestAttention:
         q = rng.normal(size=(1, 16, 4)) * 1e-300
         k = rng.normal(size=(1, 16, 4)) * 1e300
         v = rng.normal(size=(1, 16, 4)) * 1e10
-        qkv = T.Tensor(np.concatenate([q, k, v], axis=-1), requires_grad=True)
+        x, w, b = (T.Tensor(a, requires_grad=True)
+                   for a in one_hot_windows(np.concatenate([q, k, v], axis=-1)))
         table = T.Tensor(np.zeros((49, 2)), requires_grad=True)
         index = M.relative_bias_index().reshape(-1)
         with T.Tape() as tape:
-            loss = T.total_sum(T.attention(qkv, table, index))
+            loss = T.total_sum(T.attention(x, w, b, table, index))
         with pytest.raises(NonFiniteError, match="^backward of attention produced non-finite"):
             T.backward(tape, loss)
 
@@ -977,11 +1043,10 @@ class TestGradientsAgainstFiniteDifferences:
         mask = np.where(rng.random((3, 4, 4)) < 0.3, M.MASK_NEG, 0.0) if masked else None
         if masked:
             mask[:, np.arange(4), np.arange(4)] = 0.0
-        qkv = T.Tensor(rng.normal(size=(3, 4, 12)), requires_grad=True)
-        table = T.Tensor(rng.normal(size=(9, 2)), requires_grad=True)
-        check_grads(
-            lambda: T.total_sum(T.gelu(T.attention(qkv, table, index, mask))), [qkv, table]
-        )
+        params = [T.Tensor(a, requires_grad=True) for a in (
+            rng.normal(size=(3, 4, 5)), rng.normal(size=(5, 12)), rng.normal(size=12),
+            rng.normal(size=(9, 2)))]
+        check_grads(lambda: T.total_sum(T.gelu(T.attention(*params, index, mask))), params)
 
 class TestNanPolicy:
     def test_non_finite_construction_rejected(self):
@@ -1043,8 +1108,9 @@ _SWAP = np.array([1, 0, 3, 2])
 _FAILING = {
     "add": ((8, 4, 6), lambda x: T.add(x, T.Tensor(np.ones(6)))),
     "linear": ((8, 4, 6), lambda x: T.linear(x, T.Tensor(np.ones((6, 2))), T.Tensor(np.zeros(2)))),
-    "attention": ((8, 4, 6), lambda x: T.attention(x, T.Tensor(np.zeros((1, 1))),
-                                                   np.zeros(16, dtype=np.intp))),
+    "attention": ((8, 4, 6), lambda x: T.attention(
+        x, T.Tensor(np.ones((6, 6))), T.Tensor(np.zeros(6)), T.Tensor(np.zeros((1, 1))),
+        np.zeros(16, dtype=np.intp))),
     "layer_norm": ((8, 4, 6), lambda x: T.layer_norm(x, T.Tensor(np.ones(6)),
                                                      T.Tensor(np.zeros(6)))),
     "gather_rows": ((8, 4, 6), lambda x: T.gather_rows(x, _SWAP, _SWAP, x.shape)),
@@ -1082,8 +1148,10 @@ _OVERFLOWS = {
     "mlp": (np.ones((8, 32, 1024)), lambda x: T.mlp(
         x, T.Tensor(np.full((1024, 64), 1e308 / 2048)), T.Tensor(np.full(64, 1.6e308)),
         T.Tensor(np.ones((64, 8))), T.Tensor(np.zeros(8))), None),
+    # the projection passes x on, and q . k overflows
     "attention": (np.full((8, 16, 48), 1e200), lambda x: T.attention(
-        x, T.Tensor(np.zeros((1, 1))), np.zeros(256, dtype=np.intp)), None),
+        x, T.Tensor(np.eye(48)), T.Tensor(np.zeros(48)), T.Tensor(np.zeros((1, 1))),
+        np.zeros(256, dtype=np.intp)), None),
     "scale": (_HUGE, lambda x: T.scale(x, 10.0), None),
     "reduce_mean": (_HUGE, lambda x: T.reduce_mean(x, 1), None),
     "total_sum": (_HUGE, T.total_sum, None),
@@ -1163,10 +1231,10 @@ class TestParts:
     def test_attention(self, cut, batch, heads, masked):
         # masked, a part holds whole images: window w keeps mask[w % m]
         rng = np.random.default_rng(84 + batch)
-        qkv, table, mask = TestAttention.inputs(rng, batch, heads, masked)
+        inputs, mask = TestAttention.inputs(rng, batch, heads, masked)
         index = M.relative_bias_index().reshape(-1)
-        g = seed_gradient(rng, (qkv.shape[0], qkv.shape[1], qkv.shape[2] // 3))
-        _same_bits_in_parts(cut, lambda a, t: T.attention(a, t, index, mask), [qkv, table], g)
+        g = seed_gradient(rng, inputs[0].shape)
+        _same_bits_in_parts(cut, lambda *a: T.attention(*a, index, mask), inputs, g)
 
     @pytest.mark.parametrize("batch", [3, 5, 32])
     @pytest.mark.parametrize("b_shape", [(8, 8, 64), (64,), (8, 64)])
