@@ -175,19 +175,19 @@ def _header_integer(blob: bytes, pos: int, what: str):
     return start, end, int(digits)
 
 
-def _ascii_values(blob: bytes, at: int, needed: int, maxval: int, window: int = 0) -> np.ndarray:
+def _ascii_values(blob: bytes, at: int, needed: int, maxval: int) -> np.ndarray:
     """The first `needed` decimal values of the P2/P3 body at blob[at:].
 
     Decodes in bulk with the rules of a token-by-token scan: tokens are
     split by whitespace, a '#' that opens a token starts a comment that
     runs to the end of its line, and tokens past `needed` are ignored.
     The first bad token, in body order, raises its PnmError.  Only a
-    prefix of the body is read: a first `window` of bytes (by default
-    4 per value, three digits and a separator, plus 2), doubled until its
-    first `needed` tokens end inside it or it holds the whole body.
+    prefix of the body is read: a first window of 4 bytes per value
+    (three digits and a separator) plus 2, doubled until its first
+    `needed` tokens end inside it or it holds the whole body.
     """
     body = np.frombuffer(blob, dtype=np.uint8)[at:]
-    size = window or 4 * needed + 2
+    size = 4 * needed + 2
     while True:
         span = body[:size]
         sep = _WS_TABLE[span]

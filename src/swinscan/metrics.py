@@ -182,7 +182,8 @@ def macro_multiclass(cm: ConfusionMatrix) -> MetricsReport:
         tp = cm.counts[c][c]
         fn = sum(cm.counts[c]) - tp
         fp = sum(cm.counts[r][c] for r in range(cm.k)) - tp
-        per_class.append(binary_report(ConfusionMatrix(((cm.total - tp - fn - fp, fp), (fn, tp)))))
+        tn = cm.total - tp - fn - fp
+        per_class.append(binary_report(ConfusionMatrix(((tn, fp), (fn, tp)))))
 
     def macro(name):
         values = [getattr(r, name) for r in per_class]

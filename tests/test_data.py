@@ -285,14 +285,14 @@ class TestAsciiBody:
         b"   ",
     ])
     def test_matches_token_loop(self, body):
-        # from every first window: each edge cuts a token, a comment or a
-        # '#', or falls between them
-        blob = HEADER + body
-        want = outcome(token_loop_values, blob, len(HEADER), 6, 255)
-        assert outcome(D._ascii_values, blob, len(HEADER), 6, 255) == want
-        for window in range(1, len(body) + 2):
-            decode = lambda *a, w=window: D._ascii_values(*a, window=w)  # noqa: E731
-            assert outcome(decode, blob, len(HEADER), 6, 255) == want, window
+        # 0 to 4 * needed + 1 leading spaces move the body across the fixed
+        # window edges: each edge cuts a token, a comment or a '#', or falls
+        # between them
+        for pad in range(4 * 6 + 2):
+            blob = HEADER + b" " * pad + body
+            assert outcome(D._ascii_values, blob, len(HEADER), 6, 255) == outcome(
+                token_loop_values, blob, len(HEADER), 6, 255
+            ), pad
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_bodies_match_token_loop(self, seed):
@@ -304,12 +304,11 @@ class TestAsciiBody:
             body = b" " + b"".join(pieces[i] for i in rng.integers(0, len(pieces), 20))
             needed = int(rng.integers(1, 8))
             maxval = int(rng.choice([1, 7, 99, 255]))
-            window = int(rng.integers(0, len(body) + 2))  # 0: the default
-            decode = lambda *a, w=window: D._ascii_values(*a, window=w)  # noqa: E731
-            blob = HEADER + body
-            assert outcome(decode, blob, len(HEADER), needed, maxval) == outcome(
+            pad = int(rng.integers(0, 4 * needed + 2))  # as in test_matches_token_loop
+            blob = HEADER + b" " * pad + body
+            assert outcome(D._ascii_values, blob, len(HEADER), needed, maxval) == outcome(
                 token_loop_values, blob, len(HEADER), needed, maxval
-            ), (body, window)
+            ), (body, pad)
 
     def test_reads_no_further_than_the_last_value(self):
         # 8 MB of tokens past a 4x4 image's 16 values: the decode's traced
